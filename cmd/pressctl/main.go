@@ -133,13 +133,12 @@ func runDemo(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := tele.Start(os.Stderr); err != nil {
+	// The whole demo is one telemetry session: the flag-built stack's
+	// root scope observes the link, agent, controller, and searcher alike.
+	sc, err := tele.Start(os.Stderr, "demo")
+	if err != nil {
 		return err
 	}
-	// The whole demo is one telemetry session: the flag-built stack,
-	// adopted as a single scope, observes the link, agent, controller,
-	// and searcher alike.
-	sc := press.ScopeFromTelemetry("demo", &tele)
 
 	space, err := buildScenario(*seed, sc.Prof())
 	if err != nil {
@@ -275,14 +274,14 @@ func runAgent(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := tele.Start(os.Stderr); err != nil {
+	sc, err := tele.Start(os.Stderr, "agent")
+	if err != nil {
 		return err
 	}
 	elems := make([]*press.Element, *elements)
 	for i := range elems {
 		elems[i] = press.NewOmniElement(press.V(float64(i), 1, 1.5))
 	}
-	sc := press.ScopeFromTelemetry("agent", &tele)
 	agent := press.NewAgent(uint32(*id), press.NewArray(elems...))
 	agent.AttachScope(sc)
 	if rec := sc.Flight(); rec != nil {
@@ -314,7 +313,8 @@ func runPing(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := tele.Start(os.Stderr); err != nil {
+	sc, err := tele.Start(os.Stderr, "ping")
+	if err != nil {
 		return err
 	}
 	nc, err := net.Dial("tcp", *connect)
@@ -323,7 +323,7 @@ func runPing(args []string) error {
 	}
 	defer nc.Close()
 	ctrl := press.NewController(press.NewStreamConn(nc))
-	ctrl.AttachScope(press.ScopeFromTelemetry("ping", &tele))
+	ctrl.AttachScope(sc)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := ctrl.Handshake(ctx); err != nil {

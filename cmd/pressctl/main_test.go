@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"press/internal/obs/obstest"
+)
 
 func TestRunUsage(t *testing.T) {
 	if err := run(nil); err == nil {
@@ -50,5 +54,21 @@ func TestDemoEndToEnd(t *testing.T) {
 	}
 	if err := runDemo([]string{"-seed", "7", "-speed", "2"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTelemetryFlagSurface pins the telemetry flags the demo, agent,
+// and ping subcommands expose: exactly the shared set, each with its
+// name, default, and usage.
+func TestTelemetryFlagSurface(t *testing.T) {
+	for sub, own := range map[string][]string{
+		"demo":  {"seed", "speed", "per-measurement"},
+		"agent": {"listen", "elements", "id"},
+		"ping":  {"connect", "count"},
+	} {
+		t.Run(sub, func(t *testing.T) {
+			usage := obstest.HelpOutput(t, func() error { return run([]string{sub, "-h"}) })
+			obstest.CheckTelemetryFlags(t, usage, own...)
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"press/internal/experiments"
 )
@@ -204,7 +205,11 @@ func runOne(name string, opt options, out io.Writer) error {
 		o.Seed = opt.seed
 		o.Sessions = opt.sessions
 		o.Budget = opt.budget
-		o.FlightRoot = opt.tele.FlightDir
+		if rec := experiments.CurrentScope().Flight(); rec != nil {
+			// The process run log sits at <flight-dir>/<run-id>; the rooms
+			// record beside it under the same root.
+			o.FlightRoot = filepath.Dir(rec.Dir())
+		}
 		res, err := experiments.RunConcurrent(o)
 		if res != nil {
 			res.Print(out)

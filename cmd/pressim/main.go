@@ -26,7 +26,6 @@ import (
 	"press/internal/obs"
 	"press/internal/obs/flight"
 	"press/internal/obs/scope"
-	"press/internal/obs/tsdb"
 )
 
 func main() {
@@ -50,7 +49,7 @@ type options struct {
 	slowPhase  time.Duration
 	csvDir     string
 	recordPath string
-	tele       tsdb.CLI
+	tele       scope.CLI
 }
 
 // spec captures the invocation as a replayable RunSpec — the exact
@@ -89,25 +88,26 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	if err := opt.tele.Start(os.Stderr); err != nil {
-		return err
-	}
-	// The whole invocation is one telemetry session: adopt the flag-built
-	// process stack as the ambient scope (teardown stays with tele.Finish).
-	// The experiment name doubles as the session label on exported batches
-	// ("" for multi-experiment runs: those stay process-labeled).
+	// The whole invocation is one telemetry session: the flag-built
+	// process stack is the ambient scope. The experiment name doubles as
+	// the session label on exported batches ("" for multi-experiment runs:
+	// those stay process-labeled).
 	sessionID := ""
 	if len(strings.Split(opt.exp, ",")) == 1 && opt.exp != "all" {
 		sessionID = opt.exp
 	}
-	experiments.SetScope(scope.FromTelemetry(sessionID, &opt.tele))
+	sc, err := opt.tele.Start(os.Stderr, sessionID)
+	if err != nil {
+		return err
+	}
+	experiments.SetScope(sc)
 	defer experiments.SetScope(nil)
-	if rec := opt.tele.Flight(); rec != nil {
+	if rec := sc.Flight(); rec != nil {
 		man := flight.NewManifest("pressim", opt.exp, opt.seed)
 		man.SetParams(opt.spec().Params())
 		rec.RecordManifest(man)
 	}
-	if reg := opt.tele.Registry(); reg != nil {
+	if reg := sc.Registry(); reg != nil {
 		// Pre-register the headline series so the snapshot always carries
 		// them, even for experiments that never search or solve a channel.
 		reg.Counter("search_evaluations_total")
@@ -123,7 +123,7 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintln(out, "\n"+strings.Repeat("=", 72)+"\n")
 		}
 		name := strings.TrimSpace(e)
-		sp := obs.StartSpan(opt.tele.Registry(), "exp/"+name)
+		sp := obs.StartSpan(sc.Registry(), "exp/"+name)
 		err := runOne(name, opt, out)
 		sp.End()
 		if err != nil {

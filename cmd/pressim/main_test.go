@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"press/internal/obs/obstest"
 )
 
 // runQuick invokes the CLI entry point with reduced workloads.
@@ -169,4 +172,13 @@ func TestTelemetryFileProm(t *testing.T) {
 			t.Errorf("prom output missing %q:\n%s", want, text)
 		}
 	}
+}
+
+// TestTelemetryFlagSurface pins the telemetry flags pressim exposes:
+// exactly the shared set, each with its name, default, and usage.
+func TestTelemetryFlagSurface(t *testing.T) {
+	usage := obstest.HelpOutput(t, func() error { return run([]string{"-h"}, io.Discard) })
+	obstest.CheckTelemetryFlags(t, usage,
+		"exp", "trials", "placements", "seed", "snapshots", "reps", "budget",
+		"sessions", "loops", "speed", "slow-phase", "csv", "record")
 }

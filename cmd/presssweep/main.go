@@ -24,7 +24,6 @@ import (
 	"press/internal/obs"
 	"press/internal/obs/flight"
 	"press/internal/obs/scope"
-	"press/internal/obs/tsdb"
 	"press/internal/radio"
 )
 
@@ -52,18 +51,20 @@ func run(args []string) error {
 }
 
 // startTelemetry brings up the parsed telemetry flags and installs the
-// ambient experiments scope. The returned finish func tears both down
-// and emits the snapshot ("-" goes to stdout, after the CSV).
-func startTelemetry(tele *tsdb.CLI, scenario string, seed uint64) (finish func() error, err error) {
-	if err := tele.Start(os.Stderr); err != nil {
-		return nil, err
+// root scope as the ambient experiments scope; the sweep scenario names
+// the telemetry session on exported batches. The returned finish func
+// tears both down and emits the snapshot ("-" goes to stdout, after the
+// CSV).
+func startTelemetry(tele *scope.CLI, scenario string, seed uint64) (sc *scope.Scope, finish func() error, err error) {
+	sc, err = tele.Start(os.Stderr, scenario)
+	if err != nil {
+		return nil, nil, err
 	}
-	// The sweep scenario names the telemetry session on exported batches.
-	experiments.SetScope(scope.FromTelemetry(scenario, tele))
-	if rec := tele.Flight(); rec != nil {
+	experiments.SetScope(sc)
+	if rec := sc.Flight(); rec != nil {
 		rec.RecordManifest(flight.NewManifest("presssweep", scenario, seed))
 	}
-	return func() error {
+	return sc, func() error {
 		experiments.SetScope(nil)
 		return tele.Finish(os.Stdout)
 	}, nil
@@ -81,16 +82,16 @@ func runConvergence(args []string) error {
 	seed := fs.Uint64("seed", 442, "scenario seed")
 	elements := fs.Int("elements", 8, "array size (space 4^n)")
 	budget := fs.Int("budget", 300, "measurement budget per searcher")
-	var tele tsdb.CLI
+	var tele scope.CLI
 	tele.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	finish, err := startTelemetry(&tele, "convergence", *seed)
+	sc, finish, err := startTelemetry(&tele, "convergence", *seed)
 	if err != nil {
 		return err
 	}
-	sp := obs.StartSpan(tele.Registry(), "sweep/convergence")
+	sp := obs.StartSpan(sc.Registry(), "sweep/convergence")
 
 	searchers := []control.Searcher{
 		control.Random{Rng: rand.New(rand.NewPCG(*seed, 1)), Samples: *budget},
@@ -110,7 +111,7 @@ func runConvergence(args []string) error {
 			return err
 		}
 		ev := &control.LinkEvaluator{Link: link, Objective: control.MaxMinSNR{}}
-		res, err := control.Instrument(s, tele.Registry(), tele.Logger()).
+		res, err := control.Instrument(s, sc.Registry(), sc.Logger()).
 			Search(link.Array, ev.Eval, *budget)
 		if err != nil && !errors.Is(err, control.ErrBudgetExhausted) {
 			return err
@@ -134,16 +135,16 @@ func runBudget(args []string) error {
 	fs := flag.NewFlagSet("budget", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 442, "scenario seed")
 	perMeas := fs.Duration("per-measurement", 2*time.Millisecond, "measurement cost")
-	var tele tsdb.CLI
+	var tele scope.CLI
 	tele.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	finish, err := startTelemetry(&tele, "budget", *seed)
+	sc, finish, err := startTelemetry(&tele, "budget", *seed)
 	if err != nil {
 		return err
 	}
-	sp := obs.StartSpan(tele.Registry(), "sweep/budget")
+	sp := obs.StartSpan(sc.Registry(), "sweep/budget")
 	w := csv.NewWriter(os.Stdout)
 	defer w.Flush()
 	if err := w.Write([]string{"speed_mph", "budget", "baseline_db", "best_db", "gain_db"}); err != nil {
@@ -167,7 +168,7 @@ func runBudget(args []string) error {
 		}
 		res, err := control.Instrument(
 			control.Greedy{Rng: rand.New(rand.NewPCG(*seed, 9)), Restarts: 4},
-			tele.Registry(), tele.Logger()).
+			sc.Registry(), sc.Logger()).
 			Search(link.Array, ev.Eval, budget)
 		if err != nil && !errors.Is(err, control.ErrBudgetExhausted) {
 			return err
@@ -194,16 +195,16 @@ func runDensity(args []string) error {
 	fs := flag.NewFlagSet("density", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 442, "scenario seed")
 	maxN := fs.Int("max-elements", 6, "largest array size")
-	var tele tsdb.CLI
+	var tele scope.CLI
 	tele.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	finish, err := startTelemetry(&tele, "density", *seed)
+	sc, finish, err := startTelemetry(&tele, "density", *seed)
 	if err != nil {
 		return err
 	}
-	sp := obs.StartSpan(tele.Registry(), "sweep/density")
+	sp := obs.StartSpan(sc.Registry(), "sweep/density")
 	res, err := experiments.RunElementAblation(*seed, countsUpTo(*maxN))
 	if err != nil {
 		return err

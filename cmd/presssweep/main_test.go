@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"press/internal/obs/obstest"
 )
 
 func TestCountsUpTo(t *testing.T) {
@@ -101,5 +103,21 @@ func TestSweepTraceExport(t *testing.T) {
 	}
 	if !sawComplete {
 		t.Error("no complete (ph=X) events in trace")
+	}
+}
+
+// TestTelemetryFlagSurface pins the telemetry flags every subcommand
+// exposes: exactly the shared set, each with its name, default, and
+// usage.
+func TestTelemetryFlagSurface(t *testing.T) {
+	for sub, own := range map[string][]string{
+		"convergence": {"seed", "elements", "budget"},
+		"budget":      {"seed", "per-measurement"},
+		"density":     {"seed", "max-elements"},
+	} {
+		t.Run(sub, func(t *testing.T) {
+			usage := obstest.HelpOutput(t, func() error { return run([]string{sub, "-h"}) })
+			obstest.CheckTelemetryFlags(t, usage, own...)
+		})
 	}
 }

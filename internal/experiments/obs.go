@@ -13,8 +13,8 @@ import (
 )
 
 // currentScope is the ambient telemetry scope for harnesses that are
-// not handed one explicitly. The one-shot CLIs adopt their flag-built
-// process-wide stack as a single scope; session-oriented callers (the
+// not handed one explicitly. The one-shot CLIs install the root scope
+// their telemetry flags built; session-oriented callers (the
 // concurrent experiment, the future pressd daemon) pass per-session
 // scopes through scenario parameters instead and leave this alone.
 var currentScope atomic.Pointer[scope.Scope]

@@ -1,4 +1,4 @@
-package obs
+package obs_test
 
 import (
 	"bytes"
@@ -12,21 +12,39 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"press/internal/obs"
+	"press/internal/obs/scope"
 )
 
-func cliFlagSet(t *testing.T, c *CLI, args ...string) {
+// These tests drive the metrics, trace, logging, and pprof flags of the
+// shared telemetry CLI (internal/obs/scope).
+
+func parseCLI(t *testing.T, args ...string) *scope.CLI {
 	t.Helper()
+	var c scope.CLI
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	c.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
+	return &c
+}
+
+func startCLI(t *testing.T, args ...string) (*scope.CLI, *scope.Scope) {
+	t.Helper()
+	c := parseCLI(t, args...)
+	sc, err := c.Start(io.Discard, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, sc
 }
 
 func TestCLIRegistersAllFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	var c CLI
+	var c scope.CLI
 	c.Register(fs)
 	for _, name := range []string{
 		"telemetry", "telemetry-format", "telemetry-addr",
@@ -39,12 +57,8 @@ func TestCLIRegistersAllFlags(t *testing.T) {
 }
 
 func TestCLIDisabledByDefault(t *testing.T) {
-	var c CLI
-	cliFlagSet(t, &c)
-	if err := c.Start(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if c.Registry() != nil || c.Logger() != nil || c.TraceLog() != nil || c.ServerAddr() != "" {
+	c, sc := startCLI(t)
+	if sc.Registry() != nil || sc.Logger() != nil || sc.Server() != nil {
 		t.Error("zero-flag CLI is not fully disabled")
 	}
 	if err := c.Finish(io.Discard); err != nil {
@@ -52,18 +66,25 @@ func TestCLIDisabledByDefault(t *testing.T) {
 	}
 }
 
-func TestCLISnapshotEmission(t *testing.T) {
-	var c CLI
-	cliFlagSet(t, &c, "-telemetry", "-")
-	if err := c.Start(io.Discard); err != nil {
+func TestCLIDisabledDefault(t *testing.T) {
+	c, _ := startCLI(t)
+	var sb strings.Builder
+	if err := c.Finish(&sb); err != nil {
 		t.Fatal(err)
 	}
-	c.Registry().Counter("demo_total").Add(3)
+	if sb.Len() != 0 {
+		t.Errorf("disabled Finish wrote output: %q", sb.String())
+	}
+}
+
+func TestCLISnapshotEmission(t *testing.T) {
+	c, sc := startCLI(t, "-telemetry", "-")
+	sc.Registry().Counter("demo_total").Add(3)
 	var out bytes.Buffer
 	if err := c.Finish(&out); err != nil {
 		t.Fatal(err)
 	}
-	var snap Snapshot
+	var snap obs.Snapshot
 	if err := json.Unmarshal(out.Bytes(), &snap); err != nil {
 		t.Fatalf("snapshot is not JSON: %v\n%s", err, out.String())
 	}
@@ -74,12 +95,8 @@ func TestCLISnapshotEmission(t *testing.T) {
 
 func TestCLISnapshotToFileProm(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.prom")
-	var c CLI
-	cliFlagSet(t, &c, "-telemetry", path, "-telemetry-format", "prom")
-	if err := c.Start(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	c.Registry().Counter("demo_total").Add(9)
+	c, sc := startCLI(t, "-telemetry", path, "-telemetry-format", "prom")
+	sc.Registry().Counter("demo_total").Add(9)
 	if err := c.Finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -92,19 +109,35 @@ func TestCLISnapshotToFileProm(t *testing.T) {
 	}
 }
 
+func TestCLIDashWritesToStdoutWriter(t *testing.T) {
+	c, sc := startCLI(t, "-telemetry", "-", "-telemetry-format", "prom")
+	sc.Registry().Counter("y_total").Add(3)
+	var sb strings.Builder
+	if err := c.Finish(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "y_total 3") {
+		t.Errorf("prom output = %q", sb.String())
+	}
+}
+
 func TestCLIBadFormatRejected(t *testing.T) {
-	var c CLI
-	cliFlagSet(t, &c, "-telemetry", "-", "-telemetry-format", "xml")
-	if err := c.Start(io.Discard); err == nil {
+	c := parseCLI(t, "-telemetry", "-", "-telemetry-format", "xml")
+	if _, err := c.Start(io.Discard, ""); err == nil {
 		t.Error("bad -telemetry-format accepted")
 	}
 }
 
 func TestCLINegativeSampleIntervalRejected(t *testing.T) {
-	var c CLI
-	c.SampleInterval = -time.Second
-	if err := c.Start(io.Discard); err == nil {
+	c := parseCLI(t, "-sample-interval=-1s")
+	if _, err := c.Start(io.Discard, ""); err == nil {
 		t.Error("negative -sample-interval accepted")
+	}
+}
+
+func TestCLIRejectsBadFlags(t *testing.T) {
+	if _, err := parseCLI(t, "-log-level", "loud").Start(io.Discard, ""); err == nil {
+		t.Error("bad level accepted")
 	}
 }
 
@@ -112,11 +145,7 @@ func TestCLIProfileFiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
-	var c CLI
-	cliFlagSet(t, &c, "-cpuprofile", cpu, "-memprofile", mem)
-	if err := c.Start(io.Discard); err != nil {
-		t.Fatal(err)
-	}
+	c, _ := startCLI(t, "-cpuprofile", cpu, "-memprofile", mem)
 	// Burn a little CPU so the profile is not empty.
 	x := 0.0
 	for i := 0; i < 1e5; i++ {
@@ -137,17 +166,56 @@ func TestCLIProfileFiles(t *testing.T) {
 	}
 }
 
-func TestCLITraceExport(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.json")
-	var c CLI
-	cliFlagSet(t, &c, "-trace", path)
-	if err := c.Start(io.Discard); err != nil {
+// TestCLILifecycle: snapshot file, info logging with the per-span
+// summary, and both profiles from one run.
+func TestCLILifecycle(t *testing.T) {
+	dir := t.TempDir()
+	snapPath := filepath.Join(dir, "metrics.json")
+	c := parseCLI(t,
+		"-telemetry", snapPath, "-log-level", "info",
+		"-memprofile", filepath.Join(dir, "mem.pprof"),
+		"-cpuprofile", filepath.Join(dir, "cpu.pprof"))
+	var logBuf strings.Builder
+	sc, err := c.Start(&logBuf, "")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Registry() == nil || c.TraceLog() == nil {
-		t.Fatal("-trace alone must enable registry and trace log")
+	if sc.Registry() == nil || sc.Logger() == nil {
+		t.Fatal("registry/logger not constructed")
 	}
-	sp := StartSpan(c.Registry(), "exp/run")
+	sc.Registry().Counter("x_total").Inc()
+	obs.StartSpan(sc.Registry(), "phase").End()
+	if err := c.Finish(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatalf("snapshot file invalid: %v", err)
+	}
+	if snap.Counters["x_total"] != 1 {
+		t.Errorf("snapshot = %+v", snap)
+	}
+	if !strings.Contains(logBuf.String(), "span summary") {
+		t.Errorf("span summary not logged: %s", logBuf.String())
+	}
+	for _, f := range []string{"mem.pprof", "cpu.pprof"} {
+		if st, err := os.Stat(filepath.Join(dir, f)); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s missing or empty (err=%v)", f, err)
+		}
+	}
+}
+
+func TestCLITraceExport(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.json")
+	c, sc := startCLI(t, "-trace", path)
+	if sc.Registry() == nil {
+		t.Fatal("-trace alone must enable the registry")
+	}
+	sp := obs.StartSpan(sc.Registry(), "exp/run")
 	time.Sleep(time.Millisecond)
 	sp.End()
 	if err := c.Finish(io.Discard); err != nil {
@@ -173,18 +241,14 @@ func TestCLITraceExport(t *testing.T) {
 }
 
 func TestCLITelemetryAddrLifecycle(t *testing.T) {
-	var c CLI
-	cliFlagSet(t, &c,
+	c, sc := startCLI(t,
 		"-telemetry-addr", "127.0.0.1:0",
 		"-sample-interval", "10ms")
-	if err := c.Start(io.Discard); err != nil {
-		t.Fatal(err)
+	if sc.Server() == nil {
+		t.Fatal("no server after Start")
 	}
-	addr := c.ServerAddr()
-	if addr == "" {
-		t.Fatal("no server address after Start")
-	}
-	c.Registry().Counter("live_total").Add(5)
+	addr := sc.Server().Addr().String()
+	sc.Registry().Counter("live_total").Add(5)
 
 	resp, err := http.Get(fmt.Sprintf("http://%s/healthz", addr))
 	if err != nil {

@@ -1,4 +1,4 @@
-package export
+package export_test
 
 import (
 	"encoding/json"
@@ -10,13 +10,21 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"press/internal/obs/export"
+	"press/internal/obs/obstest"
+	"press/internal/obs/scope"
 )
+
+// These tests drive the push-export flags of the shared telemetry CLI
+// (internal/obs/scope).
 
 // captureServer is an httptest collector: it accumulates every POSTed
 // payload's batches.
 type captureServer struct {
 	mu      sync.Mutex
-	batches []Batch
+	batches []export.Batch
 	fail    bool
 }
 
@@ -33,7 +41,7 @@ func (cs *captureServer) handler() http.HandlerFunc {
 			http.Error(w, "down", http.StatusServiceUnavailable)
 			return
 		}
-		bs, err := DecodeBatches(payload)
+		bs, err := export.DecodeBatches(payload)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -55,10 +63,11 @@ func (cs *captureServer) counterTotal(session, name string) int64 {
 	return total
 }
 
-func parseCLI(t *testing.T, args ...string) *CLI {
+func parseCLI(t *testing.T, args ...string) *scope.CLI {
 	t.Helper()
-	var c CLI
+	var c scope.CLI
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
 	c.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
@@ -66,15 +75,30 @@ func parseCLI(t *testing.T, args ...string) *CLI {
 	return &c
 }
 
-func TestCLIDisabledByDefault(t *testing.T) {
-	c := parseCLI(t)
-	if err := c.Start(io.Discard); err != nil {
+func startCLI(t *testing.T, session string, args ...string) (*scope.CLI, *scope.Scope) {
+	t.Helper()
+	c := parseCLI(t, args...)
+	sc, err := c.Start(io.Discard, session)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Exporter() != nil {
+	return c, sc
+}
+
+// waitFor polls cond for up to five seconds, failing the test on timeout.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	if !obstest.WaitUntil(t, 5*time.Second, cond) {
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+func TestCLIDisabledByDefault(t *testing.T) {
+	c, sc := startCLI(t, "")
+	if sc.Exporter() != nil {
 		t.Error("exporter on without -export-url")
 	}
-	if c.Registry() != nil {
+	if sc.Registry() != nil {
 		t.Error("registry on without any telemetry flag")
 	}
 	if err := c.Finish(io.Discard); err != nil {
@@ -84,12 +108,12 @@ func TestCLIDisabledByDefault(t *testing.T) {
 
 func TestCLIBadFlags(t *testing.T) {
 	c := parseCLI(t, "-export-format", "xml")
-	if err := c.Start(io.Discard); err == nil {
+	if _, err := c.Start(io.Discard, ""); err == nil {
 		c.Finish(io.Discard)
 		t.Fatal("bad -export-format accepted")
 	}
 	c = parseCLI(t, "-export-interval", "-1s")
-	if err := c.Start(io.Discard); err == nil {
+	if _, err := c.Start(io.Discard, ""); err == nil {
 		c.Finish(io.Discard)
 		t.Fatal("negative -export-interval accepted")
 	}
@@ -100,19 +124,16 @@ func TestCLIExportURLAloneForcesRegistry(t *testing.T) {
 	srv := httptest.NewServer(cs.handler())
 	defer srv.Close()
 
-	c := parseCLI(t, "-export-url", srv.URL, "-export-interval", "1h")
-	if err := c.Start(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if c.Registry() == nil {
+	// The session handed to Start labels the root registry's batches.
+	c, sc := startCLI(t, "cli-run", "-export-url", srv.URL, "-export-interval", "1h")
+	if sc.Registry() == nil {
 		t.Fatal("-export-url alone must force a live registry")
 	}
-	if c.Exporter() == nil {
+	if sc.Exporter() == nil {
 		t.Fatal("no exporter with -export-url")
 	}
-	c.Registry().Counter("cli_work_total").Add(4)
-	c.Exporter().SetRootSession("cli-run")
-	c.Exporter().CollectNow()
+	sc.Registry().Counter("cli_work_total").Add(4)
+	sc.Exporter().CollectNow()
 	if err := c.Finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -126,22 +147,19 @@ func TestCLIExportzAndHealthz(t *testing.T) {
 	collector := httptest.NewServer(cs.handler())
 	defer collector.Close()
 
-	c := parseCLI(t,
+	c, sc := startCLI(t, "",
 		"-export-url", collector.URL,
 		"-export-interval", "1h",
 		"-telemetry-addr", "127.0.0.1:0")
-	if err := c.Start(io.Discard); err != nil {
-		t.Fatal(err)
-	}
 	defer c.Finish(io.Discard)
-	base := "http://" + c.ServerAddr()
+	base := "http://" + sc.Server().Addr().String()
 
 	resp, err := http.Get(base + "/exportz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st State
+	var st export.State
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +183,10 @@ func TestCLIRetriesAgainstFlappingCollector(t *testing.T) {
 	collector := httptest.NewServer(cs.handler())
 	defer collector.Close()
 
-	c := parseCLI(t, "-export-url", collector.URL, "-export-interval", "5ms")
-	if err := c.Start(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	c.Registry().Counter("flap_total").Add(3)
+	c, sc := startCLI(t, "", "-export-url", collector.URL, "-export-interval", "5ms")
+	sc.Registry().Counter("flap_total").Add(3)
 	waitFor(t, "failures against 503 collector", func() bool {
-		return c.Exporter().State().SendFailures > 0
+		return sc.Exporter().State().SendFailures > 0
 	})
 	cs.mu.Lock()
 	cs.fail = false // collector restarts
@@ -179,7 +194,7 @@ func TestCLIRetriesAgainstFlappingCollector(t *testing.T) {
 	waitFor(t, "recovery after restart", func() bool {
 		return cs.counterTotal("", "flap_total") == 3
 	})
-	st := c.Exporter().State()
+	st := sc.Exporter().State()
 	if st.Retries == 0 {
 		t.Error("no retries counted across collector restart")
 	}
@@ -190,11 +205,8 @@ func TestCLIRetriesAgainstFlappingCollector(t *testing.T) {
 
 func TestCLIFileSinkViaFlags(t *testing.T) {
 	path := t.TempDir() + "/tele.ndjson"
-	c := parseCLI(t, "-export-url", path, "-export-interval", "1h")
-	if err := c.Start(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	c.Registry().Counter("file_work_total").Add(2)
+	c, sc := startCLI(t, "", "-export-url", path, "-export-interval", "1h")
+	sc.Registry().Counter("file_work_total").Add(2)
 	if err := c.Finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +214,7 @@ func TestCLIFileSinkViaFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches, err := DecodeBatches(data)
+	batches, err := export.DecodeBatches(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -270,9 +270,10 @@ func (e *Exporter) SetSessions(src SessionSource) {
 	e.sessions.Store(&src)
 }
 
-// SetRootSession labels the root registry's batches with a session ID —
-// how an adopted single-scope CLI run (pressim, pressctl demo) stamps
-// its identity onto everything it pushes. Safe on a nil exporter.
+// SetRootSession labels the root registry's batches with a session ID
+// after construction (Options.Session sets it up front, which is how a
+// single-session CLI run stamps its identity onto everything it
+// pushes). Safe on a nil exporter.
 func (e *Exporter) SetRootSession(id string) {
 	if e == nil {
 		return

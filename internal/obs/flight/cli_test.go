@@ -1,4 +1,4 @@
-package flight
+package flight_test
 
 import (
 	"encoding/json"
@@ -8,18 +8,35 @@ import (
 	"path/filepath"
 	"testing"
 
+	"press/internal/obs/flight"
 	"press/internal/obs/health"
+	"press/internal/obs/scope"
 )
+
+// These tests drive the flight-recorder flags of the shared telemetry
+// CLI (internal/obs/scope).
+
+func startCLI(t *testing.T, args ...string) (*scope.CLI, *scope.Scope) {
+	t.Helper()
+	var c scope.CLI
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	c.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := c.Start(io.Discard, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &c, sc
+}
 
 func TestCLIRegisterFlags(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	var tele CLI
+	var tele scope.CLI
 	tele.Register(fs)
-	for _, name := range []string{
-		"flight-dir", "flight-segment-mb", // flight layer
-		"alert-rules", "health-interval", // inherited health layer
-		"telemetry", "telemetry-addr", // inherited obs layer
-	} {
+	for _, name := range []string{"flight-dir", "flight-segment-mb"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
 		}
@@ -27,15 +44,9 @@ func TestCLIRegisterFlags(t *testing.T) {
 }
 
 func TestCLIDisabledDefault(t *testing.T) {
-	var tele CLI
-	if err := tele.Start(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if tele.Flight() != nil {
+	tele, sc := startCLI(t)
+	if sc.Flight() != nil {
 		t.Error("Flight() non-nil with no flags set")
-	}
-	if tele.RunDir() != "" {
-		t.Error("RunDir() non-empty with recording off")
 	}
 	if err := tele.Finish(io.Discard); err != nil {
 		t.Fatal(err)
@@ -44,33 +55,40 @@ func TestCLIDisabledDefault(t *testing.T) {
 
 func TestCLIRecordsAndFinishes(t *testing.T) {
 	root := t.TempDir()
-	tele := CLI{FlightDir: root}
-	if err := tele.Start(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	rec := tele.Flight()
+	tele, sc := startCLI(t, "-flight-dir", root,
+		"-alert-rules", "deep_null=null_depth_db>25", "-health-interval", "1h")
+	rec := sc.Flight()
 	if rec == nil {
 		t.Fatal("Flight() nil despite -flight-dir")
 	}
-	dir := tele.RunDir()
-	if filepath.Dir(dir) != root || !validRunID(filepath.Base(dir)) {
+	dir := rec.Dir()
+	if filepath.Dir(dir) != root || !flight.ValidRunID(filepath.Base(dir)) {
 		t.Fatalf("run dir %q not a valid run under %q", dir, root)
 	}
-	rec.RecordManifest(&Manifest{Binary: "test", Scenario: "t", Seed: 1})
+	rec.RecordManifest(&flight.Manifest{Binary: "test", Scenario: "t", Seed: 1})
 	rec.RecordKPI("k", 3)
-	// Alert persistence: the health EventSink set by Start must land
-	// alert transitions in the log (and ignore other events).
-	tele.EventSink("health", struct{}{})
-	tele.EventSink("alert", health.Event{Rule: "deep_null", From: health.StatePending, To: health.StateFiring, Value: 26})
+	// Alert persistence: a firing rule lands its transition in the log,
+	// while the monitor's other notifications (health samples) do not.
+	sc.Health().ObserveSNR([]float64{20, 20, 20, 20, -10, 20, 20, 20})
+	sc.Health().Sample()
 	if err := tele.Finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	run, err := ReadRun(dir)
+	run, err := flight.ReadRun(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(run.KPIs) != 1 || run.Manifest == nil {
+	if run.Manifest == nil {
 		t.Errorf("run = %+v", run)
+	}
+	var kpis int
+	for _, k := range run.KPIs {
+		if k.Name == "k" {
+			kpis++
+		}
+	}
+	if kpis != 1 {
+		t.Errorf("KPIs = %+v", run.KPIs)
 	}
 	if len(run.Alerts) != 1 || run.Alerts[0].Rule != "deep_null" || run.Alerts[0].To != uint8(health.StateFiring) {
 		t.Errorf("alerts = %+v", run.Alerts)
@@ -79,19 +97,15 @@ func TestCLIRecordsAndFinishes(t *testing.T) {
 
 func TestCLIServedRunEndpoints(t *testing.T) {
 	root := t.TempDir()
-	tele := CLI{FlightDir: root}
-	tele.TelemetryAddr = "127.0.0.1:0"
-	if err := tele.Start(io.Discard); err != nil {
-		t.Fatal(err)
-	}
+	tele, sc := startCLI(t, "-flight-dir", root, "-telemetry-addr", "127.0.0.1:0")
 	defer tele.Finish(io.Discard)
-	man := NewManifest("pressctl", "demo", 42)
-	tele.Flight().RecordManifest(man)
-	tele.Flight().RecordCSI([]float64{10, 20, 30})
-	if err := tele.Flight().Flush(); err != nil {
+	man := flight.NewManifest("pressctl", "demo", 42)
+	sc.Flight().RecordManifest(man)
+	sc.Flight().RecordCSI([]float64{10, 20, 30})
+	if err := sc.Flight().Flush(); err != nil {
 		t.Fatal(err)
 	}
-	base := "http://" + tele.ServerAddr()
+	base := "http://" + sc.Server().Addr().String()
 
 	get := func(path string) (int, []byte) {
 		t.Helper()
@@ -111,7 +125,7 @@ func TestCLIServedRunEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/runs = %d: %s", code, body)
 	}
-	var runs []*Manifest
+	var runs []*flight.Manifest
 	if err := json.Unmarshal(body, &runs); err != nil {
 		t.Fatalf("/runs not JSON: %v\n%s", err, body)
 	}
@@ -123,7 +137,7 @@ func TestCLIServedRunEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/runs/{id}.json = %d: %s", code, body)
 	}
-	var sum Summary
+	var sum flight.Summary
 	if err := json.Unmarshal(body, &sum); err != nil {
 		t.Fatalf("summary not JSON: %v\n%s", err, body)
 	}
@@ -136,34 +150,5 @@ func TestCLIServedRunEndpoints(t *testing.T) {
 	}
 	if code, _ := get("/runs/evil.id.json"); code != http.StatusBadRequest {
 		t.Errorf("invalid id = %d, want 400", code)
-	}
-}
-
-func TestValidRunID(t *testing.T) {
-	for id, want := range map[string]bool{
-		"20260806T142530-9f3a2c": true,
-		"hand_named-Run1":        true,
-		"":                       false,
-		"../evil":                false,
-		"a/b":                    false,
-		"run id":                 false,
-		"run.id":                 false,
-	} {
-		if got := validRunID(id); got != want {
-			t.Errorf("validRunID(%q) = %v, want %v", id, got, want)
-		}
-	}
-	if validRunID(string(make([]byte, 200))) {
-		t.Error("over-long id accepted")
-	}
-}
-
-func TestNewRunIDShape(t *testing.T) {
-	a, b := NewRunID(), NewRunID()
-	if !validRunID(a) || !validRunID(b) {
-		t.Fatalf("NewRunID() = %q, %q: not valid run ids", a, b)
-	}
-	if a == b {
-		t.Errorf("two NewRunID() calls collided: %q", a)
 	}
 }

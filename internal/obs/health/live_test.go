@@ -1,4 +1,4 @@
-package health
+package health_test
 
 import (
 	"bufio"
@@ -11,6 +11,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"press/internal/obs/health"
+	"press/internal/obs/scope"
 )
 
 // TestLiveDeepNullAlertOverSSE is the end-to-end acceptance scenario: a
@@ -21,25 +24,16 @@ import (
 // events on /events. Run under -race this also exercises the
 // producer/sampler/server locking.
 func TestLiveDeepNullAlertOverSSE(t *testing.T) {
-	fs := flag.NewFlagSet("live", flag.ContinueOnError)
-	var tele CLI
-	tele.Register(fs)
-	if err := fs.Parse([]string{
+	tele, root := startCLI(t,
 		"-telemetry-addr", "127.0.0.1:0",
 		"-alert-rules", "deep-null=null_depth_db>25 for 2 clear 20",
-		"-health-interval", "5ms",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tele.Start(io.Discard); err != nil {
-		t.Fatal(err)
-	}
+		"-health-interval", "5ms")
 	defer tele.Finish(io.Discard)
-	mon := tele.Health()
+	mon := root.Health()
 	if mon == nil {
 		t.Fatal("health layer off despite -alert-rules")
 	}
-	base := "http://" + tele.ServerAddr()
+	base := "http://" + root.Server().Addr().String()
 
 	// Producer: feeds the link's SNR curve every millisecond. The curve
 	// starts with a 30 dB null; once the test has seen the rule fire it
@@ -57,9 +51,9 @@ func TestLiveDeepNullAlertOverSSE(t *testing.T) {
 				return
 			case <-tick.C:
 				if recovered.Load() {
-					mon.ObserveSNR(snrWithNull(32, 9, 2))
+					mon.ObserveSNR(health.SNRWithNull(32, 9, 2))
 				} else {
-					mon.ObserveSNR(snrWithNull(32, 9, 30))
+					mon.ObserveSNR(health.SNRWithNull(32, 9, 30))
 				}
 			}
 		}
@@ -127,15 +121,15 @@ func TestLiveDeepNullAlertOverSSE(t *testing.T) {
 	}
 
 	// The side endpoints serve consistent views of the same incident.
-	var alerts AlertsSnapshot
+	var alerts health.AlertsSnapshot
 	getJSON(t, base+"/alerts", &alerts)
 	if len(alerts.Rules) != 1 || alerts.Rules[0].FiredCount < 1 {
 		t.Errorf("/alerts after incident = %+v", alerts)
 	}
-	var snap Snapshot
+	var snap health.Snapshot
 	getJSON(t, base+"/health.json", &snap)
-	if len(snap.Series[KPINullDepthDB]) == 0 {
-		t.Errorf("/health.json carries no %s series", KPINullDepthDB)
+	if len(snap.Series[health.KPINullDepthDB]) == 0 {
+		t.Errorf("/health.json carries no %s series", health.KPINullDepthDB)
 	}
 	if len(snap.Spectrogram) == 0 {
 		t.Error("/health.json carries no spectrogram")
@@ -170,4 +164,20 @@ func getBody(t *testing.T, url string) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+func startCLI(t *testing.T, args ...string) (*scope.CLI, *scope.Scope) {
+	t.Helper()
+	var c scope.CLI
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	c.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := c.Start(io.Discard, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &c, sc
 }

@@ -21,6 +21,9 @@ func snrWithNull(n, idx int, depthDB float64) []float64 {
 	return out
 }
 
+// SNRWithNull exposes snrWithNull to the external CLI tests.
+var SNRWithNull = snrWithNull
+
 func TestMonitorKPIComputation(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMonitor(reg, nil, time.Hour, 16)

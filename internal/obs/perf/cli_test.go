@@ -1,4 +1,4 @@
-package perf
+package perf_test
 
 import (
 	"encoding/json"
@@ -12,11 +12,16 @@ import (
 
 	"press/internal/obs/flight"
 	"press/internal/obs/obstest"
+	"press/internal/obs/perf"
+	"press/internal/obs/scope"
 )
 
-func parseCLI(t *testing.T, args ...string) *CLI {
+// These tests drive the runtime-sampler flags of the shared telemetry
+// CLI (internal/obs/scope).
+
+func parseCLI(t *testing.T, args ...string) *scope.CLI {
 	t.Helper()
-	var c CLI
+	var c scope.CLI
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	c.Register(fs)
@@ -26,13 +31,35 @@ func parseCLI(t *testing.T, args ...string) *CLI {
 	return &c
 }
 
-// TestCLIDisabledDefault: with no flags the whole stack stays inert.
-func TestCLIDisabledDefault(t *testing.T) {
-	c := parseCLI(t)
-	if err := c.Start(io.Discard); err != nil {
+func startCLI(t *testing.T, args ...string) (*scope.CLI, *scope.Scope) {
+	t.Helper()
+	c := parseCLI(t, args...)
+	sc, err := c.Start(io.Discard, "")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Sampler() != nil || c.Registry() != nil || c.Server() != nil {
+	return c, sc
+}
+
+// perfz fetches and decodes /perfz from the scope's live server.
+func perfz(t *testing.T, sc *scope.Scope) perf.PerfzDoc {
+	t.Helper()
+	resp, err := http.Get("http://" + sc.Server().Addr().String() + "/perfz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc perf.PerfzDoc
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// TestCLIDisabledDefault: with no flags the whole stack stays inert.
+func TestCLIDisabledDefault(t *testing.T) {
+	c, sc := startCLI(t)
+	if sc.Registry() != nil || sc.Server() != nil || sc.Flight() != nil {
 		t.Error("disabled default constructed live components")
 	}
 	if err := c.Finish(io.Discard); err != nil {
@@ -42,7 +69,7 @@ func TestCLIDisabledDefault(t *testing.T) {
 
 func TestCLINegativeInterval(t *testing.T) {
 	c := parseCLI(t, "-runtime-metrics-interval=-1s")
-	if err := c.Start(io.Discard); err == nil {
+	if _, err := c.Start(io.Discard, ""); err == nil {
 		c.Finish(io.Discard)
 		t.Fatal("negative interval accepted")
 	}
@@ -57,29 +84,24 @@ func TestCLINegativeInterval(t *testing.T) {
 func TestCLIFullStack(t *testing.T) {
 	flightDir := t.TempDir()
 	baseDir := t.TempDir()
-	rec := NewRecord("2026-08-06T00:00:00Z")
+	rec := perf.NewRecord("2026-08-06T00:00:00Z")
 	rec.Pkg = "press/internal/obs"
-	rec.add("BenchmarkX", BenchSample{N: 100, NsPerOp: 5})
-	if err := WriteRecordFile(filepath.Join(baseDir, "BENCH_x.json"), rec); err != nil {
+	rec.Benchmarks = append(rec.Benchmarks, perf.Benchmark{
+		Name: "BenchmarkX", Samples: []perf.BenchSample{{N: 100, NsPerOp: 5}}})
+	if err := perf.WriteRecordFile(filepath.Join(baseDir, "BENCH_x.json"), rec); err != nil {
 		t.Fatal(err)
 	}
 
-	c := parseCLI(t,
+	c, sc := startCLI(t,
 		"-telemetry-addr=127.0.0.1:0",
 		"-flight-dir="+flightDir,
 		"-runtime-metrics-interval=10ms",
 		"-bench-baselines="+baseDir,
 	)
-	if err := c.Start(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if c.Sampler() == nil {
-		t.Fatal("sampler not started")
-	}
-	base := "http://" + c.ServerAddr()
+	base := "http://" + sc.Server().Addr().String()
 
 	// Let a few ticks land.
-	obstest.WaitUntil(t, 2*time.Second, func() bool { return c.Sampler().Last().Ticks >= 3 })
+	obstest.WaitUntil(t, 2*time.Second, func() bool { return perfz(t, sc).Sampler.Last.Ticks >= 3 })
 
 	get := func(path string) (*http.Response, string) {
 		t.Helper()
@@ -99,21 +121,21 @@ func TestCLIFullStack(t *testing.T) {
 	// pause / sched latency histograms.
 	_, body := get("/metrics")
 	for _, want := range []string{
-		GaugeGoroutines, GaugeHeapLiveBytes,
-		HistGCPauseSeconds + "_bucket", HistSchedLatSeconds + "_bucket",
+		perf.GaugeGoroutines, perf.GaugeHeapLiveBytes,
+		perf.HistGCPauseSeconds + "_bucket", perf.HistSchedLatSeconds + "_bucket",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %s:\n%.400s", want, body)
 		}
 	}
 	_, body = get("/metrics.json")
-	if !strings.Contains(body, GaugeGoroutines) || !strings.Contains(body, HistGCPauseSeconds) {
+	if !strings.Contains(body, perf.GaugeGoroutines) || !strings.Contains(body, perf.HistGCPauseSeconds) {
 		t.Errorf("/metrics.json missing runtime metrics:\n%.400s", body)
 	}
 
 	// /perfz reports the live sampler and the committed baseline.
 	resp, body := get("/perfz")
-	var doc PerfzDoc
+	var doc perf.PerfzDoc
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatal(err)
 	}
@@ -149,12 +171,9 @@ func TestCLIFullStack(t *testing.T) {
 		}
 	}
 
-	runDir := c.RunDir()
+	runDir := sc.Flight().Dir()
 	if err := c.Finish(io.Discard); err != nil {
 		t.Fatal(err)
-	}
-	if c.Sampler() != nil {
-		t.Error("Finish left the sampler attached")
 	}
 
 	// The run log recorded runtime health for rundiff.
@@ -177,12 +196,17 @@ func TestCLIFullStack(t *testing.T) {
 // TestCLISamplerWithoutOutputs: the flag alone (no registry, no flight
 // recorder) starts nothing — there is nowhere to put the samples.
 func TestCLISamplerWithoutOutputs(t *testing.T) {
-	c := parseCLI(t, "-runtime-metrics-interval=10ms")
-	if err := c.Start(io.Discard); err != nil {
+	var logBuf strings.Builder
+	c := parseCLI(t, "-runtime-metrics-interval=10ms", "-log-level=warn")
+	sc, err := c.Start(&logBuf, "")
+	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Finish(io.Discard)
-	if c.Sampler() != nil {
-		t.Error("sampler started with no telemetry outputs")
+	if sc.Registry() != nil || sc.Flight() != nil {
+		t.Error("sampler flag alone brought up an output")
+	}
+	if !strings.Contains(logBuf.String(), "no telemetry output") {
+		t.Errorf("sampler started with no telemetry outputs; log: %q", logBuf.String())
 	}
 }

@@ -1,4 +1,4 @@
-package prof
+package prof_test
 
 import (
 	"compress/gzip"
@@ -11,11 +11,16 @@ import (
 	"time"
 
 	"press/internal/obs/flight"
+	"press/internal/obs/prof"
+	"press/internal/obs/scope"
 )
 
-func parseCLI(t *testing.T, args ...string) *CLI {
+// These tests drive the phase-accounting and profiler flags of the
+// shared telemetry CLI (internal/obs/scope).
+
+func parseCLI(t *testing.T, args ...string) *scope.CLI {
 	t.Helper()
-	var c CLI
+	var c scope.CLI
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	c.Register(fs)
@@ -25,12 +30,21 @@ func parseCLI(t *testing.T, args ...string) *CLI {
 	return &c
 }
 
+func startCLI(t *testing.T, args ...string) (*scope.CLI, *scope.Scope) {
+	t.Helper()
+	c := parseCLI(t, args...)
+	sc, err := c.Start(io.Discard, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, sc
+}
+
 func TestCLIRegisterFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	var c CLI
+	var c scope.CLI
 	c.Register(fs)
-	for _, name := range []string{"phase-accounting", "profile-interval", "profile-window", "profile-top",
-		"runtime-metrics-interval", "flight-dir", "telemetry-addr"} {
+	for _, name := range []string{"phase-accounting", "profile-interval", "profile-window", "profile-top"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
 		}
@@ -38,12 +52,9 @@ func TestCLIRegisterFlags(t *testing.T) {
 }
 
 func TestCLIDisabledDefault(t *testing.T) {
-	c := parseCLI(t)
-	if err := c.Start(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if c.Prof() != nil || c.Profiler() != nil {
-		t.Error("disabled default constructed live components")
+	c, sc := startCLI(t)
+	if sc.Prof() != nil {
+		t.Error("disabled default constructed a collector")
 	}
 	if err := c.Finish(io.Discard); err != nil {
 		t.Fatal(err)
@@ -52,12 +63,12 @@ func TestCLIDisabledDefault(t *testing.T) {
 
 func TestCLINegativeFlags(t *testing.T) {
 	c := parseCLI(t, "-profile-interval=-1s")
-	if err := c.Start(io.Discard); err == nil {
+	if _, err := c.Start(io.Discard, ""); err == nil {
 		c.Finish(io.Discard)
 		t.Fatal("negative profile interval accepted")
 	}
 	c = parseCLI(t, "-profile-window=-1s")
-	if err := c.Start(io.Discard); err == nil {
+	if _, err := c.Start(io.Discard, ""); err == nil {
 		c.Finish(io.Discard)
 		t.Fatal("negative profile window accepted")
 	}
@@ -67,12 +78,9 @@ func TestCLINegativeFlags(t *testing.T) {
 // even with no output sink, so /profz-less harnesses can still read
 // totals programmatically.
 func TestCLIExplicitAccounting(t *testing.T) {
-	c := parseCLI(t, "-phase-accounting")
-	if err := c.Start(io.Discard); err != nil {
-		t.Fatal(err)
-	}
+	c, sc := startCLI(t, "-phase-accounting")
 	defer c.Finish(io.Discard)
-	if c.Prof() == nil {
+	if sc.Prof() == nil {
 		t.Fatal("no collector with -phase-accounting")
 	}
 }
@@ -81,18 +89,15 @@ func TestCLIExplicitAccounting(t *testing.T) {
 // accounting, and Finish lands the final cumulative totals in the log.
 func TestCLIFlightImpliesAccounting(t *testing.T) {
 	dir := t.TempDir()
-	c := parseCLI(t, "-flight-dir="+dir)
-	if err := c.Start(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	coll := c.Prof()
+	c, sc := startCLI(t, "-flight-dir="+dir)
+	coll := sc.Prof()
 	if coll == nil {
 		t.Fatal("flight recording did not imply a collector")
 	}
-	s := coll.Start(PhaseChannelSum)
+	s := coll.Start(prof.PhaseChannelSum)
 	s.End()
-	coll.Add(PhaseChannelSum, AuxSubcarrierEvals, 52)
-	runDir := c.RunDir()
+	coll.Add(prof.PhaseChannelSum, prof.AuxSubcarrierEvals, 52)
+	runDir := sc.Flight().Dir()
 	if err := c.Finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +112,7 @@ func TestCLIFlightImpliesAccounting(t *testing.T) {
 	if last.Phase != "channel_sum" || last.Calls != 1 {
 		t.Errorf("final phase cost = %+v", last)
 	}
-	rep, err := BuildReport(run)
+	rep, err := prof.BuildReport(run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,20 +124,17 @@ func TestCLIFlightImpliesAccounting(t *testing.T) {
 // TestCLIProfzEndpoint: the telemetry server serves /profz with the
 // uniform JSON treatment (gzip on request, no-store always).
 func TestCLIProfzEndpoint(t *testing.T) {
-	c := parseCLI(t, "-telemetry-addr=127.0.0.1:0", "-profile-interval=50ms", "-profile-window=10ms")
-	if err := c.Start(io.Discard); err != nil {
-		t.Fatal(err)
-	}
+	c, sc := startCLI(t, "-telemetry-addr=127.0.0.1:0", "-profile-interval=50ms", "-profile-window=10ms")
 	defer c.Finish(io.Discard)
-	if c.Prof() == nil {
+	if sc.Prof() == nil {
 		t.Fatal("server without collector")
 	}
-	sp := c.Prof().Start(PhaseSweep)
-	c.Prof().Add(PhaseSweep, AuxConfigs, 64)
+	sp := sc.Prof().Start(prof.PhaseSweep)
+	sc.Prof().Add(prof.PhaseSweep, prof.AuxConfigs, 64)
 	time.Sleep(time.Millisecond)
 	sp.End()
 
-	req, _ := http.NewRequest("GET", "http://"+c.ServerAddr()+"/profz", nil)
+	req, _ := http.NewRequest("GET", "http://"+sc.Server().Addr().String()+"/profz", nil)
 	req.Header.Set("Accept-Encoding", "gzip")
 	resp, err := http.DefaultTransport.RoundTrip(req)
 	if err != nil {
@@ -153,7 +155,7 @@ func TestCLIProfzEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc ProfzDoc
+	var doc prof.ProfzDoc
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ import (
 // obs.Lifecycle contract: it starts collecting at construction, and
 // Stop — idempotent, safe concurrently with Record — freezes it, so a
 // teardown path can quiesce the log before exporting it and every
-// owner (obs.CLI, scope.Scope) shuts it down the same way it shuts
+// owner (scope.CLI, scope.Scope) shuts it down the same way it shuts
 // down every other obs component.
 type TraceLog struct {
 	life    Lifecycle

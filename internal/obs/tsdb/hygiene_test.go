@@ -2,7 +2,6 @@ package tsdb_test
 
 import (
 	"compress/gzip"
-	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,7 +10,6 @@ import (
 	"testing"
 
 	"press/internal/obs/scope"
-	"press/internal/obs/tsdb"
 )
 
 // routeProbes classifies every route the full telemetry stack
@@ -62,10 +60,7 @@ var routeProbes = map[string]struct {
 // it does not, including the RFC 7231 "gzip;q=0" refusal.
 func TestRouteHygiene(t *testing.T) {
 	dir := t.TempDir()
-	var c tsdb.CLI
-	fs := flag.NewFlagSet("hygiene", flag.ContinueOnError)
-	c.Register(fs)
-	if err := fs.Parse([]string{
+	c, sc := startCLI(t, "",
 		"-telemetry-addr", "127.0.0.1:0",
 		"-alert-rules", "default",
 		"-flight-dir", filepath.Join(dir, "runs"),
@@ -73,20 +68,15 @@ func TestRouteHygiene(t *testing.T) {
 		"-loop-trace",
 		"-export-url", filepath.Join(dir, "export.ndjson"),
 		"-tsdb-dir", filepath.Join(dir, "tsdb"),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Start(io.Discard); err != nil {
-		t.Fatal(err)
-	}
+	)
 	defer c.Finish(io.Discard)
-	srv := c.Server()
+	srv := sc.Server()
 	if srv == nil {
 		t.Fatal("no server despite -telemetry-addr")
 	}
 	// The session layer's routes ride the same listener; one live
 	// session backs the /sessions/{id}/... probes.
-	set := scope.NewSet(c.Registry(), 4)
+	set := scope.NewSet(sc.Registry(), 4)
 	defer set.Close()
 	if err := set.RegisterRoutes(srv); err != nil {
 		t.Fatal(err)

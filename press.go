@@ -59,7 +59,6 @@ import (
 	"press/internal/obs/prof"
 	"press/internal/obs/scope"
 	"press/internal/obs/slo"
-	"press/internal/obs/tsdb"
 	"press/internal/ofdm"
 	"press/internal/propagation"
 	"press/internal/radio"
@@ -426,19 +425,14 @@ type (
 	Span = obs.Span
 	// MetricsSnapshot is a point-in-time export of a registry.
 	MetricsSnapshot = obs.Snapshot
-	// TelemetryCLI bundles the standard -telemetry/-log-level/-cpuprofile
-	// flags and their lifecycle for command-line binaries, extended with
-	// the channel-health layer (-alert-rules, -health-interval, /alerts,
-	// /health.json, /dashboard), the flight-recorder layer (-flight-dir,
-	// -flight-segment-mb, /runs), the performance-radar layer
-	// (-runtime-metrics-interval, -bench-baselines, /perfz), the
-	// cost-attribution layer (-phase-accounting, -profile-interval,
-	// /profz), the control-loop deadline tracer (-loop-trace,
-	// -loop-deadline, /tracez), the push-export pipeline (-export-url,
-	// -export-interval, -export-format, /exportz), and the durable
-	// metrics-history store (-tsdb-dir, -tsdb-retention, /query,
-	// /query_range, /tsdbz).
-	TelemetryCLI = tsdb.CLI
+	// TelemetryCLI is the shared telemetry command line: Register installs
+	// its 25 flags, Start validates them all, brings up the configured
+	// stack (metrics snapshot and live server, trace and pprof files,
+	// logging, channel health, flight recorder, runtime sampler, phase
+	// accounting and profiler, loop tracer, push export, metrics
+	// history), and returns it as the process's root TelemetryScope, and
+	// Finish tears it down and writes the requested outputs.
+	TelemetryCLI = scope.CLI
 	// LoopTracer assembles per-iteration control-loop span trees, scores
 	// them against a coherence deadline, and tail-samples exemplars for
 	// /tracez. A nil tracer is the zero-cost disabled default.
@@ -595,14 +589,6 @@ func NewTelemetryScope(id string, parent *Registry, cfg TelemetryScopeConfig) (*
 // parented on reg; maxScopes <= 0 picks the default cardinality budget.
 func NewTelemetryScopeSet(reg *Registry, maxScopes int) *TelemetryScopeSet {
 	return scope.NewSet(reg, maxScopes)
-}
-
-// ScopeFromTelemetry adopts a flag-built TelemetryCLI stack as one
-// session scope — how a one-shot binary becomes a single session
-// without changing its flags or teardown (Scope.Close leaves adopted
-// components to the CLI's Finish).
-func ScopeFromTelemetry(id string, t *TelemetryCLI) *TelemetryScope {
-	return scope.FromTelemetry(id, t)
 }
 
 // NewFlightManifest starts a run manifest stamped with the current time
