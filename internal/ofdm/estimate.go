@@ -54,16 +54,18 @@ func Estimate(g Grid, rx [][]complex128, tx []complex128, txPowerW, noiseW float
 
 	var residual float64 // accumulated |deviation|² across symbols & subcarriers
 	var residualN int
+	q := make([]complex128, len(rx)) // per-symbol Y/(amp·X) on one subcarrier
 	for k := 0; k < n; k++ {
 		// LS estimate: average Y/(amp·X) across training repetitions.
 		var sum complex128
 		for s := range rx {
-			sum += rx[s][k] / (amp * tx[k])
+			q[s] = rx[s][k] / (amp * tx[k])
+			sum += q[s]
 		}
 		h := sum / complex(float64(len(rx)), 0)
 		csi.H[k] = h
-		for s := range rx {
-			dev := rx[s][k]/(amp*tx[k]) - h
+		for s := range q {
+			dev := q[s] - h
 			residual += real(dev)*real(dev) + imag(dev)*imag(dev)
 			residualN++
 		}

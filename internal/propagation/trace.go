@@ -304,6 +304,8 @@ func BistaticPath(env *Environment, tx, rx Node, via geom.Vec, viaPattern rfphys
 	if tooWeak(cmplx.Abs(gain)) {
 		return Path{}, false
 	}
+	// Links build element paths once per channel basis, not per sounding,
+	// so this counts paths found while building bases.
 	env.Obs.Counter("propagation_element_paths_total").Inc()
 	return Path{
 		Gain:      gain,

@@ -1,0 +1,390 @@
+package radio
+
+import (
+	"math"
+	"math/cmplx"
+	"math/rand/v2"
+	"testing"
+
+	"press/internal/element"
+	"press/internal/geom"
+	"press/internal/ofdm"
+	"press/internal/propagation"
+	"press/internal/rfphys"
+)
+
+// The channel basis is checked against the per-path reference,
+// propagation.Response over Link.Paths: bit for bit on static links, to
+// dopplerTol relative (max error over max |H|) when a path moves.
+const dopplerTol = 1e-12
+
+//go:noinline
+func mulAdd(a, b, c float64) float64 { return a*b + c }
+
+// contracts reports whether the compiler fuses a*b+c into one rounding
+// (FMA) on this target. Fusion is allowed by the Go spec and can fuse the
+// reference's multiply into its running sum differently from the basis,
+// so bit-identity is only asserted where it does not happen (amd64 with
+// Go's default GOAMD64=v1, among others).
+func contracts() bool {
+	a := 1 + 0x1p-30
+	return mulAdd(a, a, -1) == math.FMA(a, a, -1)
+}
+
+// motion selects what moves on a random link.
+type motion int
+
+const (
+	still motion = iota
+	movingTX
+	movingRX
+	movingScatterer
+)
+
+func (m motion) String() string {
+	return [...]string{"static", "moving-tx", "moving-rx", "moving-scatterer"}[m]
+}
+
+func randIn(rng *rand.Rand, lo, hi float64) float64 { return lo + rng.Float64()*(hi-lo) }
+
+func randPos(rng *rand.Rand, room geom.Room) geom.Vec {
+	return geom.V(randIn(rng, 0.3, room.Size.X-0.3), randIn(rng, 0.3, room.Size.Y-0.3), randIn(rng, 0.3, room.Size.Z-0.3))
+}
+
+func randVelocity(rng *rand.Rand) geom.Vec {
+	return geom.V(randIn(rng, -2, 2), randIn(rng, -2, 2), randIn(rng, -0.5, 0.5))
+}
+
+// randomLink builds a link in a random room: random size, reflection
+// order, scatterers and blocker, endpoint and element placement, element
+// kinds and switch banks.
+func randomLink(t *testing.T, rng *rand.Rand, m motion) *Link {
+	t.Helper()
+	env := propagation.NewEnvironment(randIn(rng, 4, 12), randIn(rng, 4, 10), randIn(rng, 2.5, 4))
+	env.MaxOrder = rng.IntN(3)
+	env.AddScatterers(rng, rng.IntN(8), randIn(rng, 10, 40))
+	if rng.IntN(2) == 0 {
+		lo := randPos(rng, env.Room)
+		env.Blockers = append(env.Blockers, geom.NewBlocker(lo, lo.Add(geom.V(0.3, 0.6, 1.5)), randIn(rng, 5, 35)))
+	}
+	omni := rfphys.Omni{PeakGainDBi: 2}
+	tx := &Radio{Node: propagation.Node{Pos: randPos(rng, env.Room), Pattern: omni}, TxPowerDBm: 15, NoiseFigureDB: 6}
+	rx := &Radio{Node: propagation.Node{Pos: randPos(rng, env.Room), Pattern: omni}, NoiseFigureDB: 6}
+	switch m {
+	case movingTX:
+		tx.Node.Velocity = randVelocity(rng)
+	case movingRX:
+		rx.Node.Velocity = randVelocity(rng)
+	case movingScatterer:
+		if len(env.Scatterers) == 0 {
+			env.AddScatterers(rng, 1, 30)
+		}
+		env.Scatterers[rng.IntN(len(env.Scatterers))].Velocity = randVelocity(rng)
+	}
+	elems := make([]*element.Element, 1+rng.IntN(6))
+	for i := range elems {
+		pos := randPos(rng, env.Room)
+		switch rng.IntN(3) {
+		case 0:
+			elems[i] = element.NewParabolicElement(pos, rx.Node.Pos)
+		case 1:
+			elems[i] = element.NewOmniElement(pos)
+		default:
+			elems[i] = element.NewActiveElement(pos, randIn(rng, 3, 20))
+		}
+		if rng.IntN(3) == 0 {
+			elems[i].States = element.FourPhaseStates()
+		}
+	}
+	grid := ofdm.WiFi20()
+	if rng.IntN(2) == 0 {
+		grid = ofdm.USRP102()
+	}
+	l, err := NewLink(env, tx, rx, grid, element.NewArray(elems...), rng.Uint64())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+func randConfig(rng *rand.Rand, arr *element.Array) element.Config {
+	c := make(element.Config, arr.N())
+	for i, e := range arr.Elements {
+		c[i] = rng.IntN(e.NumStates())
+	}
+	return c
+}
+
+func randFaults(rng *rand.Rand, arr *element.Array) element.Faults {
+	if rng.IntN(2) == 0 {
+		return nil
+	}
+	f := element.Faults{}
+	for i, e := range arr.Elements {
+		switch rng.IntN(4) {
+		case 0:
+			f[i] = element.Fault{Kind: element.StuckAt, State: rng.IntN(e.NumStates())}
+		case 1:
+			f[i] = element.Fault{Kind: element.Dead}
+		}
+	}
+	return f
+}
+
+func randPhases(rng *rand.Rand, n int) element.ContinuousConfig {
+	c := make(element.ContinuousConfig, n)
+	for i := range c {
+		if rng.IntN(4) == 0 {
+			c[i] = element.Off
+		} else {
+			c[i] = randIn(rng, -2*math.Pi, 4*math.Pi)
+		}
+	}
+	return c
+}
+
+// checkResponse compares got with want: exactly when exact is set,
+// otherwise to dopplerTol relative.
+func checkResponse(t *testing.T, what string, got, want []complex128, exact bool) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d subcarriers, want %d", what, len(got), len(want))
+	}
+	var maxErr, scale float64
+	for k := range want {
+		if exact && got[k] != want[k] {
+			t.Fatalf("%s: subcarrier %d = %v, reference %v", what, k, got[k], want[k])
+		}
+		maxErr = math.Max(maxErr, cmplx.Abs(got[k]-want[k]))
+		scale = math.Max(scale, cmplx.Abs(want[k]))
+	}
+	if maxErr > dopplerTol*scale {
+		t.Fatalf("%s: max error %.3g, %.3g of max |H|", what, maxErr, maxErr/scale)
+	}
+}
+
+func TestBasisMatchesReference(t *testing.T) {
+	exact := !contracts()
+	rng := rand.New(rand.NewPCG(2017, 1))
+	for trial := 0; trial < 40; trial++ {
+		m := motion(trial % 4)
+		l := randomLink(t, rng, m)
+		freqs := l.Grid.Frequencies()
+		envPaths := propagation.TracePaths(l.Env, l.TX.Node, l.RX.Node, l.Wavelength())
+		for c := 0; c < 8; c++ {
+			tt := 0.0
+			if c > 0 {
+				tt = randIn(rng, 0, 5)
+			}
+			cfg := randConfig(rng, l.Array)
+			l.Faults = randFaults(rng, l.Array)
+			want := propagation.Response(l.Paths(cfg), freqs, tt)
+			checkResponse(t, m.String()+" discrete", l.TrueResponse(cfg, tt), want, exact && m == still)
+
+			l.Faults = nil
+			phases := randPhases(rng, l.Array.N())
+			paths := append(append([]propagation.Path(nil), envPaths...),
+				l.Array.ContinuousPaths(l.Env, l.TX.Node, l.RX.Node, phases, l.Wavelength())...)
+			got, err := l.response(nil, phases, true, tt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkResponse(t, m.String()+" continuous", got, propagation.Response(paths, freqs, tt), exact && m == still)
+		}
+	}
+}
+
+func TestBasisMIMOMatchesReference(t *testing.T) {
+	exact := !contracts()
+	rng := rand.New(rand.NewPCG(2017, 2))
+	for trial := 0; trial < 6; trial++ {
+		moving := trial%2 == 1
+		ml := mimoTestbed(t, uint64(trial))
+		if moving {
+			ml.RXAnts[0].Velocity = randVelocity(rng)
+			ml.TXAnts[1].Velocity = randVelocity(rng)
+			ml = rebuildMIMO(t, ml)
+		}
+		lambda := rfphys.Wavelength(ml.Grid.CenterHz)
+		freqs := ml.Grid.Frequencies()
+		for c := 0; c < 4; c++ {
+			cfg := randConfig(rng, ml.Array)
+			tt := randIn(rng, 0, 5)
+			ch, err := ml.TrueChannel(cfg, tt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, rx := range ml.RXAnts {
+				for j, tx := range ml.TXAnts {
+					paths := append(propagation.TracePaths(ml.Env, tx, rx, lambda),
+						ml.Array.Paths(ml.Env, tx, rx, cfg, lambda)...)
+					got := make([]complex128, len(freqs))
+					for k := range got {
+						got[k] = ch.Matrices[k].At(i, j)
+					}
+					checkResponse(t, "mimo pair", got, propagation.Response(paths, freqs, tt), exact && !moving)
+				}
+			}
+		}
+		if _, err := ml.TrueChannel(element.Config{0, 9, 0}, 0); err == nil {
+			t.Fatal("MIMO link accepted an out-of-range state")
+		}
+	}
+}
+
+// rebuildMIMO re-creates a MIMO link after its antennas were edited, so
+// the cached environment paths see the new nodes.
+func rebuildMIMO(t *testing.T, ml *MIMOLink) *MIMOLink {
+	t.Helper()
+	out, err := NewMIMOLink(ml.Env, ml.TXAnts, ml.RXAnts, ml.Grid, ml.Array, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestBasisAllTerminatedIsEnvironment(t *testing.T) {
+	rng := rand.New(rand.NewPCG(2017, 3))
+	for trial := 0; trial < 8; trial++ {
+		l := randomLink(t, rng, motion(trial%4))
+		for _, e := range l.Array.Elements {
+			e.States = element.SP4TStates() // every element needs a Terminate state
+		}
+		l.InvalidateEnvironment()
+		term, ok := l.Array.AllTerminated()
+		if !ok {
+			t.Fatal("SP4T array has no all-terminated configuration")
+		}
+		tt := randIn(rng, 0, 5)
+		got := l.TrueResponse(term, tt)
+		bare := *l
+		bare.Array = nil
+		// The same table evaluation with no elements: equal bit for bit.
+		checkResponse(t, "all-terminated vs bare", got, bare.TrueResponse(nil, tt), true)
+		env := propagation.TracePaths(l.Env, l.TX.Node, l.RX.Node, l.Wavelength())
+		checkResponse(t, "all-terminated vs reference", got,
+			propagation.Response(env, l.Grid.Frequencies(), tt), !contracts() && trial%4 == 0)
+	}
+}
+
+func TestBasisRebuilds(t *testing.T) {
+	l := testbed(t, 41)
+	cfg := element.Config{0, 1, 2}
+	static := l.TrueResponse(cfg, 1)
+	built := l.basis
+
+	// A velocity change needs InvalidateEnvironment; afterwards the basis
+	// is rebuilt and follows the moving receiver.
+	l.RX.Node.Velocity = geom.V(1.2, 0, 0)
+	l.InvalidateEnvironment()
+	moving := l.TrueResponse(cfg, 1)
+	if l.basis == built {
+		t.Fatal("InvalidateEnvironment kept the old basis")
+	}
+	checkResponse(t, "after velocity change", moving,
+		propagation.Response(l.Paths(cfg), l.Grid.Frequencies(), 1), false)
+	same := true
+	for k := range static {
+		same = same && static[k] == moving[k]
+	}
+	if same {
+		t.Fatal("moving receiver left the channel unchanged at t=1")
+	}
+
+	// Swapping the array is detected without a call.
+	built = l.basis
+	l.Array = element.NewArray(
+		element.NewOmniElement(geom.V(2, 1, 1.4)),
+		element.NewOmniElement(geom.V(3, 4, 1.4)),
+		element.NewOmniElement(geom.V(5, 2, 2)),
+	)
+	got := l.TrueResponse(cfg, 0.5)
+	if l.basis == built {
+		t.Fatal("array swap kept the old basis")
+	}
+	checkResponse(t, "after array swap", got,
+		propagation.Response(l.Paths(cfg), l.Grid.Frequencies(), 0.5), false)
+}
+
+// TestMeasureDegenerateInputs: invalid input is an error, never a panic,
+// and draws no noise — the next valid sounding matches a fresh link's
+// first. Rows with phases measure continuously.
+func TestMeasureDegenerateInputs(t *testing.T) {
+	inf := math.Inf(1)
+	cases := []struct {
+		name   string
+		cfg    element.Config
+		faults element.Faults
+		phases element.ContinuousConfig
+	}{
+		{name: "config too short", cfg: element.Config{0, 0}},
+		{name: "state out of range", cfg: element.Config{0, 9, 0}},
+		{name: "negative state", cfg: element.Config{-1, 0, 0}},
+		{name: "fault on missing element", cfg: element.Config{0, 0, 0}, faults: element.Faults{7: {Kind: element.Dead}}},
+		{name: "stuck at invalid state", cfg: element.Config{0, 0, 0}, faults: element.Faults{0: {Kind: element.StuckAt, State: 9}}},
+		{name: "+Inf phase", phases: element.ContinuousConfig{inf, 0, 0}},
+		{name: "-Inf phase", phases: element.ContinuousConfig{0, -inf, 0}},
+		{name: "continuous too long", phases: element.ContinuousConfig{0, 0, 0, 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l := testbed(t, 42)
+			l.Faults = tc.faults
+			var err error
+			if tc.phases != nil {
+				_, err = l.MeasureCSIContinuous(tc.phases, 0)
+			} else {
+				_, err = l.MeasureCSI(tc.cfg, 0)
+			}
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			l.Faults = nil
+			got, err := l.MeasureCSI(element.Config{0, 1, 2}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := testbed(t, 42).MeasureCSI(element.Config{0, 1, 2}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range want.SNRdB {
+				if got.SNRdB[k] != want.SNRdB[k] {
+					t.Fatalf("rejected input consumed noise: subcarrier %d %v vs %v", k, got.SNRdB[k], want.SNRdB[k])
+				}
+			}
+		})
+	}
+}
+
+// TestElementOnEndpoint: an element sitting exactly on the TX or RX
+// contributes no path, and the link still measures a finite channel.
+func TestElementOnEndpoint(t *testing.T) {
+	l := testbed(t, 43)
+	l.Array = element.NewArray(
+		element.NewOmniElement(l.TX.Node.Pos),
+		element.NewOmniElement(l.RX.Node.Pos),
+		element.NewOmniElement(geom.V(3, 1, 1.4)),
+	)
+	check := func(what string, csi *ofdm.CSI, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if s := csi.MinSNRdB(); math.IsNaN(s) || math.IsInf(s, 0) {
+			t.Fatalf("%s: min SNR %v", what, s)
+		}
+	}
+	l.Array.EachConfig(func(_ int, c element.Config) bool {
+		csi, err := l.MeasureCSI(c, 0)
+		check("discrete", csi, err)
+		return true
+	})
+	csi, err := l.MeasureCSIContinuous(element.ContinuousConfig{0.3, 1.1, element.Off}, 0)
+	check("continuous", csi, err)
+	for i := 0; i < 2; i++ {
+		if eb := l.basis.elems[i]; eb.unitOK || eb.states[0] != nil {
+			t.Errorf("element %d on an endpoint has a path", i)
+		}
+	}
+}

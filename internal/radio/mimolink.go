@@ -41,6 +41,8 @@ type MIMOLink struct {
 
 	rng      *rand.Rand
 	envPaths [][][]propagation.Path // [rx][tx] cached environment paths
+	bases    [][]*basis             // [rx][tx], built on first evaluation
+	resp     [][][]complex128       // [rx][tx] response scratch
 }
 
 // AttachScope points the MIMO link's telemetry at a session scope
@@ -83,8 +85,14 @@ func NewMIMOLink(env *propagation.Environment, txAnts, rxAnts []propagation.Node
 }
 
 // TrueChannel returns the noiseless per-subcarrier channel matrices under
-// cfg at time t.
+// cfg at time t. Each antenna pair is evaluated from its own channel
+// basis, built on first use and rebuilt when Array is swapped; the
+// environment, antennas, grid and elements must not change after the
+// first evaluation (build a new link instead).
 func (m *MIMOLink) TrueChannel(cfg element.Config, t float64) (*mimo.Channel, error) {
+	if err := validateSelection(m.Array, cfg, nil, nil, false); err != nil {
+		return nil, err
+	}
 	var start time.Time
 	if m.Obs != nil {
 		start = time.Now()
@@ -94,36 +102,54 @@ func (m *MIMOLink) TrueChannel(cfg element.Config, t float64) (*mimo.Channel, er
 			m.Obs.Counter("radio_mimo_solves_total").Inc()
 		}()
 	}
-	lambda := rfphys.Wavelength(m.Grid.CenterHz)
-	freqs := m.Grid.Frequencies()
-	resp := make([][][]complex128, len(m.RXAnts))
-	for i, rx := range m.RXAnts {
-		resp[i] = make([][]complex128, len(m.TXAnts))
-		for j, tx := range m.TXAnts {
-			paths := m.envPaths[i][j]
-			if m.Array != nil {
-				tsp := m.Prof.Start(prof.PhaseTrace)
-				ep := m.Array.Paths(m.Env, tx, rx, cfg, lambda)
-				m.Prof.Add(prof.PhaseTrace, prof.AuxImages, int64(m.Array.N()))
-				m.Prof.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(len(ep)))
-				m.Prof.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(m.Array.N()-len(ep)))
-				tsp.End()
-				paths = append(append([]propagation.Path(nil), paths...), ep...)
-			}
-			csp := m.Prof.Start(prof.PhaseChannelSum)
-			resp[i][j] = propagation.Response(paths, freqs, t)
-			m.Prof.Add(prof.PhaseChannelSum, prof.AuxSubcarrierEvals, int64(len(freqs)))
-			m.Prof.Add(prof.PhaseChannelSum, prof.AuxPathTerms, int64(len(paths)*len(freqs)))
-			csp.End()
+	m.buildBases()
+	csp := m.Prof.Start(prof.PhaseChannelSum)
+	var vecs, evals int
+	for i, row := range m.bases {
+		for j, b := range row {
+			vecs += b.sum(m.resp[i][j], cfg, nil, t)
+			evals += len(b.freqs)
 		}
 	}
+	m.Prof.Add(prof.PhaseChannelSum, prof.AuxSubcarrierEvals, int64(evals))
+	m.Prof.Add(prof.PhaseChannelSum, prof.AuxPathTerms, int64(vecs*len(m.resp[0][0])))
+	csp.End()
 	ssp := m.Prof.Start(prof.PhaseSolve)
-	ch, err := mimo.FromResponses(resp)
+	ch, err := mimo.FromResponses(m.resp)
 	if err == nil {
 		m.Prof.Add(prof.PhaseSolve, prof.AuxSolves, int64(len(ch.Matrices)))
 	}
 	ssp.End()
 	return ch, err
+}
+
+// buildBases builds every antenna pair's channel basis and the response
+// scratch unless they are current, accounting the build to path_trace.
+func (m *MIMOLink) buildBases() {
+	if m.bases != nil && m.bases[0][0].arr == m.Array {
+		return
+	}
+	tsp := m.Prof.Start(prof.PhaseTrace)
+	lambda := rfphys.Wavelength(m.Grid.CenterHz)
+	freqs := m.Grid.Frequencies()
+	m.bases = make([][]*basis, len(m.RXAnts))
+	m.resp = make([][][]complex128, len(m.RXAnts))
+	var kept, culled int
+	for i, rx := range m.RXAnts {
+		m.bases[i] = make([]*basis, len(m.TXAnts))
+		m.resp[i] = make([][]complex128, len(m.TXAnts))
+		for j, tx := range m.TXAnts {
+			b := newBasis(m.Env, tx, rx, m.envPaths[i][j], m.Array, freqs, lambda)
+			k, c := b.vectors()
+			kept, culled = kept+k, culled+c
+			m.bases[i][j] = b
+			m.resp[i][j] = make([]complex128, len(freqs))
+		}
+	}
+	m.Prof.Add(prof.PhaseTrace, prof.AuxImages, int64(kept+culled))
+	m.Prof.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(kept))
+	m.Prof.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(culled))
+	tsp.End()
 }
 
 // MeasureChannel returns one noisy channel snapshot under cfg at time t:

@@ -75,7 +75,7 @@ type Link struct {
 	// sweep spans. The nil default adds one pointer check per measurement.
 	Obs *obs.Registry
 	// Prof, when set, accounts the measurement pipeline's work to phases
-	// (array path enumeration → path_trace, response evaluation →
+	// (channel-basis build → path_trace, per-sounding channel sum →
 	// channel_sum, sounding-frame synthesis → frame_synth, estimation →
 	// estimate, sweeps → sweep). Nil costs one pointer check per phase.
 	Prof *prof.Collector
@@ -87,6 +87,11 @@ type Link struct {
 
 	rng      *rand.Rand
 	envPaths []propagation.Path // cached: environment does not switch
+	basis    *basis             // built on first measurement
+	// Measurement scratch: the channel vector, the training sequence and
+	// the received frame.
+	h, train []complex128
+	rx       [][]complex128
 }
 
 // AttachScope points the link's telemetry at a session scope: registry,
@@ -119,47 +124,87 @@ func NewLink(env *propagation.Environment, tx, rx *Radio, grid ofdm.Grid, arr *e
 // Wavelength returns the carrier wavelength of the link's grid.
 func (l *Link) Wavelength() float64 { return rfphys.Wavelength(l.Grid.CenterHz) }
 
-// InvalidateEnvironment re-traces the cached environment paths; call it
-// after mutating Env (moving a blocker, adding scatterers).
+// InvalidateEnvironment re-traces the cached environment paths and drops
+// the channel basis, which the next measurement rebuilds. Call it after
+// mutating Env (moving a blocker, adding scatterers), the TX or RX node
+// (position, velocity, pattern), Grid, or any field of an array element.
+// Swapping Array for another array is detected on its own, and Faults
+// may change between calls freely: both are applied per measurement.
 func (l *Link) InvalidateEnvironment() {
 	l.envPaths = propagation.TracePaths(l.Env, l.TX.Node, l.RX.Node, l.Wavelength())
+	l.basis = nil
 }
 
 // Paths returns the full path set under cfg: cached environment paths
-// plus the array's switched paths. A nil array (or nil cfg with a nil
-// array) yields the bare environment.
+// plus the array's switched paths, with Faults applied. A nil array (or
+// nil cfg with a nil array) yields the bare environment. It is the slow
+// reference the measurement path is checked against; measurements use
+// the link's channel basis instead. It panics on an invalid cfg.
 func (l *Link) Paths(cfg element.Config) []propagation.Path {
 	if l.Array == nil {
 		return l.envPaths
 	}
-	sp := l.Prof.Start(prof.PhaseTrace)
 	var ep []propagation.Path
 	if len(l.Faults) > 0 {
 		ep = l.Array.PathsWithFaults(l.Env, l.TX.Node, l.RX.Node, cfg, l.Faults, l.Wavelength())
 	} else {
 		ep = l.Array.Paths(l.Env, l.TX.Node, l.RX.Node, cfg, l.Wavelength())
 	}
-	l.Prof.Add(prof.PhaseTrace, prof.AuxImages, int64(l.Array.N()))
-	l.Prof.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(len(ep)))
-	l.Prof.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(l.Array.N()-len(ep)))
-	sp.End()
 	out := make([]propagation.Path, 0, len(l.envPaths)+len(ep))
 	out = append(out, l.envPaths...)
-	out = append(out, ep...)
-	return out
+	return append(out, ep...)
 }
 
 // TrueResponse returns the noiseless channel response under cfg at time t
-// — ground truth for tests and for quantifying estimator error.
+// — ground truth for tests and for quantifying estimator error. It panics
+// on an invalid cfg or fault plan.
 func (l *Link) TrueResponse(cfg element.Config, t float64) []complex128 {
-	paths := l.Paths(cfg)
-	freqs := l.Grid.Frequencies()
-	sp := l.Prof.Start(prof.PhaseChannelSum)
-	h := propagation.Response(paths, freqs, t)
-	l.Prof.Add(prof.PhaseChannelSum, prof.AuxSubcarrierEvals, int64(len(h)))
-	l.Prof.Add(prof.PhaseChannelSum, prof.AuxPathTerms, int64(len(paths)*len(h)))
+	h, err := l.response(cfg, nil, false, t)
+	if err != nil {
+		panic(err)
+	}
+	return append([]complex128(nil), h...)
+}
+
+// channelBasis returns the link's channel basis, building it on first
+// use and again after InvalidateEnvironment or an Array swap. The build
+// is accounted to the path_trace phase.
+func (l *Link) channelBasis() *basis {
+	if l.basis != nil && l.basis.arr == l.Array {
+		return l.basis
+	}
+	sp := l.Prof.Start(prof.PhaseTrace)
+	l.basis = newBasis(l.Env, l.TX.Node, l.RX.Node, l.envPaths, l.Array, l.Grid.Frequencies(), l.Wavelength())
+	kept, culled := l.basis.vectors()
+	l.Prof.Add(prof.PhaseTrace, prof.AuxImages, int64(kept+culled))
+	l.Prof.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(kept))
+	l.Prof.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(culled))
 	sp.End()
-	return h
+	l.h = make([]complex128, len(l.basis.freqs))
+	return l.basis
+}
+
+// response evaluates the noiseless channel at time t into the link's
+// scratch vector: under the discrete cfg with Faults applied or, when
+// continuous is set, under the continuous phases. Discrete, faulted and
+// continuous evaluation all run through here. Invalid input is an error,
+// returned before anything is evaluated.
+func (l *Link) response(cfg element.Config, phases element.ContinuousConfig, continuous bool, t float64) ([]complex128, error) {
+	if err := validateSelection(l.Array, cfg, l.Faults, phases, continuous); err != nil {
+		return nil, err
+	}
+	b := l.channelBasis()
+	sp := l.Prof.Start(prof.PhaseChannelSum)
+	var vecs int
+	if continuous {
+		vecs = b.sumContinuous(l.h, phases, t)
+	} else {
+		vecs = b.sum(l.h, cfg, l.Faults, t)
+	}
+	l.Prof.Add(prof.PhaseChannelSum, prof.AuxSubcarrierEvals, int64(len(l.h)))
+	l.Prof.Add(prof.PhaseChannelSum, prof.AuxPathTerms, int64(vecs*len(l.h)))
+	sp.End()
+	return l.h, nil
 }
 
 // perSubcarrierTxPowerW returns the transmit power allocated to each used
@@ -176,43 +221,29 @@ func (l *Link) perSubcarrierNoiseW() float64 {
 // MeasureCSI transmits one sounding frame under cfg at time t and returns
 // the receiver's channel estimate: the simulated equivalent of the
 // paper's "the receiver estimates the channel state information from the
-// training sequences in the frame".
+// training sequences in the frame". An invalid cfg or fault plan is an
+// error and draws no noise.
 func (l *Link) MeasureCSI(cfg element.Config, t float64) (*ofdm.CSI, error) {
-	if l.Obs == nil {
-		return l.measureResponse(l.TrueResponse(cfg, t))
-	}
-	start := time.Now()
-	h := l.TrueResponse(cfg, t)
-	l.Obs.Histogram("radio_channel_solve_seconds", obs.LatencyBuckets).
-		ObserveDuration(time.Since(start))
-	l.Obs.Counter("radio_csi_measurements_total").Inc()
-	return l.measureResponse(h)
+	return l.measure(cfg, nil, false, t)
 }
 
 // MeasureCSIContinuous is MeasureCSI for continuously-variable phase
 // hardware (§4.1): the array contributes paths at arbitrary reflection
-// phases instead of discrete stub states.
+// phases instead of discrete stub states. Faults do not apply.
 func (l *Link) MeasureCSIContinuous(phases element.ContinuousConfig, t float64) (*ofdm.CSI, error) {
+	return l.measure(nil, phases, true, t)
+}
+
+// measure is the shared body of MeasureCSI and MeasureCSIContinuous.
+func (l *Link) measure(cfg element.Config, phases element.ContinuousConfig, continuous bool, t float64) (*ofdm.CSI, error) {
 	start := time.Time{}
 	if l.Obs != nil {
 		start = time.Now()
 	}
-	paths := l.envPaths
-	if l.Array != nil {
-		tsp := l.Prof.Start(prof.PhaseTrace)
-		ep := l.Array.ContinuousPaths(l.Env, l.TX.Node, l.RX.Node, phases, l.Wavelength())
-		l.Prof.Add(prof.PhaseTrace, prof.AuxImages, int64(l.Array.N()))
-		l.Prof.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(len(ep)))
-		l.Prof.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(l.Array.N()-len(ep)))
-		tsp.End()
-		paths = append(append([]propagation.Path(nil), paths...), ep...)
+	h, err := l.response(cfg, phases, continuous, t)
+	if err != nil {
+		return nil, err
 	}
-	freqs := l.Grid.Frequencies()
-	csp := l.Prof.Start(prof.PhaseChannelSum)
-	h := propagation.Response(paths, freqs, t)
-	l.Prof.Add(prof.PhaseChannelSum, prof.AuxSubcarrierEvals, int64(len(h)))
-	l.Prof.Add(prof.PhaseChannelSum, prof.AuxPathTerms, int64(len(paths)*len(h)))
-	csp.End()
 	if l.Obs != nil {
 		l.Obs.Histogram("radio_channel_solve_seconds", obs.LatencyBuckets).
 			ObserveDuration(time.Since(start))
@@ -222,9 +253,14 @@ func (l *Link) MeasureCSIContinuous(phases element.ContinuousConfig, t float64) 
 }
 
 // measureResponse simulates the sounding frame over a known true channel
-// response and runs the receiver's estimator.
+// response and runs the receiver's estimator. The training sequence and
+// the received frame are link scratch (the estimator keeps neither); the
+// returned CSI is fresh.
 func (l *Link) measureResponse(h []complex128) (*ofdm.CSI, error) {
-	tx := ofdm.TrainingSequence(l.Grid)
+	if len(l.train) != len(h) { // the sequence depends only on the subcarrier count
+		l.train = ofdm.TrainingSequence(l.Grid)
+	}
+	tx := l.train
 	txPw := l.perSubcarrierTxPowerW()
 	noise := l.perSubcarrierNoiseW()
 
@@ -235,9 +271,8 @@ func (l *Link) measureResponse(h []complex128) (*ofdm.CSI, error) {
 		nSym = 1
 	}
 	sp := l.Prof.Start(prof.PhaseFrameSynth)
-	rx := make([][]complex128, nSym)
+	rx := l.frames(nSym, len(h))
 	for s := range rx {
-		rx[s] = make([]complex128, len(h))
 		for k := range h {
 			n := complex(l.rng.NormFloat64()*sigma, l.rng.NormFloat64()*sigma)
 			rx[s][k] = amp*h[k]*tx[k] + n
@@ -250,6 +285,17 @@ func (l *Link) measureResponse(h []complex128) (*ofdm.CSI, error) {
 		l.OnCSI(csi.SNRdB)
 	}
 	return csi, err
+}
+
+// frames returns the link's nSym × k received-frame scratch buffer.
+func (l *Link) frames(nSym, k int) [][]complex128 {
+	if len(l.rx) != nSym || len(l.rx[0]) != k {
+		l.rx = make([][]complex128, nSym)
+		for s := range l.rx {
+			l.rx[s] = make([]complex128, k)
+		}
+	}
+	return l.rx
 }
 
 // Measurement is one configuration's measured CSI within a sweep.

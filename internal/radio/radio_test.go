@@ -17,7 +17,7 @@ import (
 
 // testbed builds the standard NLoS bench: 6×5×3 room, blocked direct
 // path, scatterers, 3 parabolic SP4T elements between the endpoints.
-func testbed(t *testing.T, seed uint64) *Link {
+func testbed(t testing.TB, seed uint64) *Link {
 	t.Helper()
 	env := propagation.NewEnvironment(6, 5, 3)
 	env.AddScatterers(rand.New(rand.NewPCG(seed, 99)), 6, 30)
