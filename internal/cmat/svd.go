@@ -122,13 +122,108 @@ func Decompose(a *Matrix) *SVD {
 }
 
 // SingularValues returns just the singular values of a in descending
-// order, using the closed-form 2×2 path when applicable.
+// order, using the closed-form 2×2 path when applicable. Other shapes go
+// through jacobiValues, which returns Decompose(a).S bit for bit.
 func SingularValues(a *Matrix) []float64 {
 	if a.Rows == 2 && a.Cols == 2 {
 		s1, s2 := SingularValues2x2(a.At(0, 0), a.At(0, 1), a.At(1, 0), a.At(1, 1))
 		return []float64{s1, s2}
 	}
-	return Decompose(a).S
+	s := make([]float64, min(a.Rows, a.Cols))
+	jacobiValues(a, s)
+	return s
+}
+
+// jacobiValues writes the singular values of a into s (length
+// min(a.Rows, a.Cols)) in descending order. It is Decompose without U
+// and V: the column sweep never reads V, so the column norms, and hence
+// the values, do not depend on it. The Gram, rotation and norm
+// expressions are Decompose's, and descending order is unique (see the
+// sort below), so s equals Decompose(a).S bit for bit, NaNs included.
+// Matrices of up to 16 entries are worked on the stack.
+func jacobiValues(a *Matrix, s []float64) {
+	m, n := a.Rows, a.Cols
+	var buf [16]complex128
+	var w []complex128
+	if m*n <= len(buf) {
+		w = buf[:m*n]
+	} else {
+		w = make([]complex128, m*n)
+	}
+	if m < n {
+		// Decompose works on the conjugate transpose, which has the same
+		// singular values.
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				w[j*m+i] = cmplx.Conj(a.Data[i*n+j])
+			}
+		}
+		m, n = n, m
+	} else {
+		copy(w, a.Data)
+	}
+
+	const (
+		eps       = 1e-14
+		maxSweeps = 60
+	)
+	for sweep := 0; sweep < maxSweeps; sweep++ {
+		rotated := false
+		for p := 0; p < n-1; p++ {
+			for q := p + 1; q < n; q++ {
+				var app, aqq float64
+				var apq complex128
+				for i := 0; i < m; i++ {
+					cp, cq := w[i*n+p], w[i*n+q]
+					app += real(cp)*real(cp) + imag(cp)*imag(cp)
+					aqq += real(cq)*real(cq) + imag(cq)*imag(cq)
+					apq += cmplx.Conj(cp) * cq
+				}
+				off := cmplx.Abs(apq)
+				if off <= eps*math.Sqrt(app*aqq) || off == 0 {
+					continue
+				}
+				rotated = true
+				phase := apq / complex(off, 0)
+				zeta := (aqq - app) / (2 * off)
+				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
+				cs := 1 / math.Sqrt(1+t*t)
+				sn := cs * t
+
+				csC := complex(cs, 0)
+				snC := complex(sn, 0)
+				phC := cmplx.Conj(phase)
+				for i := 0; i < m; i++ {
+					cp, cq := w[i*n+p], w[i*n+q]
+					bq := phC * cq
+					w[i*n+p] = csC*cp - snC*bq
+					w[i*n+q] = snC*cp + csC*bq
+				}
+			}
+		}
+		if !rotated {
+			break
+		}
+	}
+
+	for j := 0; j < n; j++ {
+		var ss float64
+		for i := 0; i < m; i++ {
+			x := w[i*n+j]
+			ss += real(x)*real(x) + imag(x)*imag(x)
+		}
+		s[j] = math.Sqrt(ss)
+	}
+	// Every value is +0 or more, so equal values are equal bit for bit,
+	// and a NaN column spreads NaN to every column through the sweep, so
+	// NaNs never mix with numbers: the descending order is unique, and
+	// any sort gives Decompose's. Insertion sort is O(n²) against the
+	// sweep's O(n³) and allocates nothing.
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && s[j] > s[j-1]; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
 }
 
 // SingularValues2x2 returns the two singular values (descending) of the
@@ -162,13 +257,26 @@ func SingularValues2x2(a, b, c, d complex128) (float64, float64) {
 
 // Cond returns the 2-norm condition number σ_max/σ_min of a. It returns
 // +Inf for a rank-deficient matrix.
+// It allocates nothing for matrices of up to 16 entries.
 func Cond(a *Matrix) float64 {
-	s := SingularValues(a)
-	smin := s[len(s)-1]
+	var smax, smin float64
+	if a.Rows == 2 && a.Cols == 2 {
+		smax, smin = SingularValues2x2(a.At(0, 0), a.At(0, 1), a.At(1, 0), a.At(1, 1))
+	} else {
+		var buf [4]float64
+		var s []float64
+		if n := min(a.Rows, a.Cols); n <= len(buf) {
+			s = buf[:n]
+		} else {
+			s = make([]float64, n)
+		}
+		jacobiValues(a, s)
+		smax, smin = s[0], s[len(s)-1]
+	}
 	if smin == 0 {
 		return math.Inf(1)
 	}
-	return s[0] / smin
+	return smax / smin
 }
 
 // PseudoInverse returns the Moore–Penrose pseudo-inverse a⁺ = V·Σ⁺·U^H.

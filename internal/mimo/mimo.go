@@ -42,9 +42,14 @@ func FromResponses(resp [][][]complex128) (*Channel, error) {
 			}
 		}
 	}
+	// All matrices share one header array and one data array.
 	mats := make([]*cmat.Matrix, nsc)
-	for k := 0; k < nsc; k++ {
-		m := cmat.New(nr, nt)
+	backing := make([]cmat.Matrix, nsc)
+	size := nr * nt
+	data := make([]complex128, nsc*size)
+	for k := range mats {
+		m := &backing[k]
+		*m = cmat.Matrix{Rows: nr, Cols: nt, Data: data[k*size : (k+1)*size : (k+1)*size]}
 		for i := 0; i < nr; i++ {
 			for j := 0; j < nt; j++ {
 				m.Set(i, j, resp[i][j][k])
@@ -61,19 +66,9 @@ func (c *Channel) NumSubcarriers() int { return len(c.Matrices) }
 // CondNumberDB returns the 2-norm condition number of one channel matrix
 // in dB: 20·log10(σmax/σmin), the quantity on Figure 8's x-axis. A
 // perfectly conditioned (orthogonal) channel scores 0 dB; rank-deficient
-// channels return +Inf.
+// channels return +Inf. It allocates nothing for up to 16 antenna pairs.
 func CondNumberDB(m *cmat.Matrix) float64 {
-	var smax, smin float64
-	if m.Rows == 2 && m.Cols == 2 {
-		smax, smin = cmat.SingularValues2x2(m.At(0, 0), m.At(0, 1), m.At(1, 0), m.At(1, 1))
-	} else {
-		s := cmat.SingularValues(m)
-		smax, smin = s[0], s[len(s)-1]
-	}
-	if smin == 0 {
-		return math.Inf(1)
-	}
-	return rfphys.AmplitudeToDB(smax / smin)
+	return rfphys.AmplitudeToDB(cmat.Cond(m))
 }
 
 // CondProfileDB returns the per-subcarrier condition number in dB — the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"press/internal/cmat"
+	"press/internal/rfphys"
 )
 
 func TestFromResponses(t *testing.T) {
@@ -258,5 +259,83 @@ func TestWaterfillingEdgeCases(t *testing.T) {
 	// Identity at total SNR 2: each channel gets 1 → 2·log2(2) = 2.
 	if c := WaterfillingCapacityBpsHz(h, 2); math.Abs(c-2) > 1e-9 {
 		t.Errorf("identity capacity = %v, want 2", c)
+	}
+}
+
+func TestFromResponsesSharedBacking(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	resp := randResponses(rng, 3, 2, 4)
+	ch, err := FromResponses(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, m := range ch.Matrices {
+		for i := 0; i < 3; i++ {
+			for j := 0; j < 2; j++ {
+				if m.At(i, j) != resp[i][j][k] {
+					t.Fatalf("H[%d](%d,%d) = %v, want %v", k, i, j, m.At(i, j), resp[i][j][k])
+				}
+			}
+		}
+	}
+	// Growing one matrix's data must not write into the next one's.
+	next := ch.Matrices[1].At(0, 0)
+	_ = append(ch.Matrices[0].Data, 99)
+	if ch.Matrices[1].At(0, 0) != next {
+		t.Fatal("matrix data slices overlap")
+	}
+}
+
+func TestCondNumberDBMatchesSingularValues(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	for _, shape := range [][2]int{{2, 2}, {3, 3}, {4, 4}, {2, 4}, {4, 2}, {6, 6}} {
+		for trial := 0; trial < 20; trial++ {
+			m := cmat.New(shape[0], shape[1])
+			for i := range m.Data {
+				m.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			s := cmat.SingularValues(m)
+			if got, want := CondNumberDB(m), rfphys.AmplitudeToDB(s[0]/s[len(s)-1]); got != want {
+				t.Fatalf("%v: CondNumberDB = %v, from SingularValues %v", shape, got, want)
+			}
+		}
+	}
+	h := cmat.Identity(4)
+	if n := testing.AllocsPerRun(100, func() { CondNumberDB(h) }); n != 0 {
+		t.Errorf("CondNumberDB(4x4) allocates %v times", n)
+	}
+}
+
+// randResponses returns nr×nt×nsc random complex responses.
+func randResponses(rng *rand.Rand, nr, nt, nsc int) [][][]complex128 {
+	resp := make([][][]complex128, nr)
+	for i := range resp {
+		resp[i] = make([][]complex128, nt)
+		for j := range resp[i] {
+			resp[i][j] = make([]complex128, nsc)
+			for k := range resp[i][j] {
+				resp[i][j][k] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+		}
+	}
+	return resp
+}
+
+// BenchmarkCondProfile4x4 times Figure 8's per-configuration work on a
+// 4×4 WiFi20 channel: CondNumberDB on each of the 52 subcarrier
+// matrices. It allocates nothing.
+var sinkCond float64
+
+func BenchmarkCondProfile4x4(b *testing.B) {
+	ch, err := FromResponses(randResponses(rand.New(rand.NewPCG(9, 10)), 4, 4, 52))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range ch.Matrices {
+			sinkCond = CondNumberDB(m)
+		}
 	}
 }

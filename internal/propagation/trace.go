@@ -17,21 +17,23 @@ import (
 // BistaticPath.
 func TracePaths(env *Environment, tx, rx Node, lambdaM float64) []Path {
 	sp := env.Prof.Start(prof.PhaseTrace)
-	var paths []Path
+	// Paths collect on the stack and are copied to the heap once, at
+	// their final length, rather than regrown there.
+	var buf [64]Path
+	paths := buf[:0]
 	attempts := 1 // the direct-path candidate
 
 	if p, ok := directPath(env, tx, rx, lambdaM); ok {
 		paths = append(paths, p)
 	}
+	var n int
 	if env.MaxOrder >= 1 {
-		ps, n := wallPaths(env, tx, rx, lambdaM, nil)
-		paths = append(paths, ps...)
+		paths, n = wallPaths(paths, env, tx, rx, lambdaM, nil)
 		attempts += n
 	}
 	if env.MaxOrder >= 2 {
 		for _, w1 := range geom.Walls() {
-			ps, n := wallPaths(env, tx, rx, lambdaM, []geom.Wall{w1})
-			paths = append(paths, ps...)
+			paths, n = wallPaths(paths, env, tx, rx, lambdaM, []geom.Wall{w1})
 			attempts += n
 		}
 	}
@@ -41,8 +43,7 @@ func TracePaths(env *Environment, tx, rx Node, lambdaM float64) []Path {
 				if w2 == w1 {
 					continue
 				}
-				ps, n := wallPaths(env, tx, rx, lambdaM, []geom.Wall{w1, w2})
-				paths = append(paths, ps...)
+				paths, n = wallPaths(paths, env, tx, rx, lambdaM, []geom.Wall{w1, w2})
 				attempts += n
 			}
 		}
@@ -59,7 +60,7 @@ func TracePaths(env *Environment, tx, rx Node, lambdaM float64) []Path {
 	env.Prof.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(len(paths)))
 	env.Prof.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(attempts-len(paths)))
 	sp.End()
-	return paths
+	return append([]Path(nil), paths...)
 }
 
 // directPath builds the line-of-sight path, attenuated by any blockers it
@@ -89,21 +90,21 @@ func directPath(env *Environment, tx, rx Node, lambdaM float64) (Path, bool) {
 	}, true
 }
 
-// wallPaths builds the specular reflection path that bounces off the wall
-// sequence prefix followed by one final wall each (i.e. with prefix nil it
-// returns all single-bounce paths; with a one-wall prefix all double
+// wallPaths appends to out the specular reflection paths that bounce off
+// the wall sequence prefix followed by one final wall each (i.e. with
+// prefix nil all single-bounce paths; with a one-wall prefix all double
 // bounces starting there). Consecutive repeats of the same wall are
 // geometrically impossible and skipped. The second return is how many
 // image candidates were enumerated, for work accounting.
-func wallPaths(env *Environment, tx, rx Node, lambdaM float64, prefix []geom.Wall) ([]Path, int) {
-	var out []Path
+func wallPaths(out []Path, env *Environment, tx, rx Node, lambdaM float64, prefix []geom.Wall) ([]Path, int) {
 	attempts := 0
+	var seqBuf [3]geom.Wall
 	for _, last := range geom.Walls() {
 		if len(prefix) > 0 && prefix[len(prefix)-1] == last {
 			continue
 		}
 		attempts++
-		seq := append(append([]geom.Wall(nil), prefix...), last)
+		seq := append(append(seqBuf[:0], prefix...), last)
 		if p, ok := imagePath(env, tx, rx, lambdaM, seq); ok {
 			out = append(out, p)
 		}
@@ -118,7 +119,9 @@ func wallPaths(env *Environment, tx, rx Node, lambdaM float64, prefix []geom.Wal
 func imagePath(env *Environment, tx, rx Node, lambdaM float64, seq []geom.Wall) (Path, bool) {
 	room := env.Room
 	// Images of the transmitter: img[k] is tx mirrored across seq[0..k].
-	imgs := make([]geom.Vec, len(seq))
+	var imgBuf, bounceBuf [3]geom.Vec
+	var pointBuf [5]geom.Vec
+	imgs := vecs(imgBuf[:], len(seq))
 	cur := tx.Pos
 	for i, w := range seq {
 		cur = room.Mirror(cur, w)
@@ -132,7 +135,7 @@ func imagePath(env *Environment, tx, rx Node, lambdaM float64, seq []geom.Wall) 
 	// Unfold bounce points back-to-front: the last bounce is the
 	// intersection of (lastImage→rx) with the last wall; earlier bounces
 	// intersect (earlierImage→nextBounce).
-	bounces := make([]geom.Vec, len(seq))
+	bounces := vecs(bounceBuf[:], len(seq))
 	target := rx.Pos
 	for i := len(seq) - 1; i >= 0; i-- {
 		// The image seen from `target` through wall seq[i] is imgs[i].
@@ -145,7 +148,7 @@ func imagePath(env *Environment, tx, rx Node, lambdaM float64, seq []geom.Wall) 
 	}
 
 	// Assemble the physical polyline tx → bounces... → rx.
-	points := make([]geom.Vec, 0, len(seq)+2)
+	points := vecs(pointBuf[:], len(seq)+2)[:0]
 	points = append(points, tx.Pos)
 	points = append(points, bounces...)
 	points = append(points, rx.Pos)
@@ -187,6 +190,15 @@ func imagePath(env *Environment, tx, rx Node, lambdaM float64, seq []geom.Wall) 
 		Kind:      KindWall,
 		Hops:      len(seq),
 	}, true
+}
+
+// vecs returns a length-n slice, backed by buf when it is long enough, so
+// the usual bounce counts (MaxOrder ≤ 3) trace without heap scratch.
+func vecs(buf []geom.Vec, n int) []geom.Vec {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]geom.Vec, n)
 }
 
 // reflectionOnWall is geom.Room.ReflectionPoint generalized to an image

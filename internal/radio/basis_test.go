@@ -5,9 +5,12 @@ import (
 	"math/cmplx"
 	"math/rand/v2"
 	"testing"
+	"time"
 
 	"press/internal/element"
 	"press/internal/geom"
+	"press/internal/obs"
+	"press/internal/obs/prof"
 	"press/internal/ofdm"
 	"press/internal/propagation"
 	"press/internal/rfphys"
@@ -264,6 +267,74 @@ func TestBasisAllTerminatedIsEnvironment(t *testing.T) {
 		env := propagation.TracePaths(l.Env, l.TX.Node, l.RX.Node, l.Wavelength())
 		checkResponse(t, "all-terminated vs reference", got,
 			propagation.Response(env, l.Grid.Frequencies(), tt), !contracts() && trial%4 == 0)
+	}
+}
+
+// TestEnvironmentTracedOnce checks the environment trace's cache
+// lifecycle: NewLink does not trace, an invalidation before the first
+// measurement costs no trace, the first basis build traces once, an Array
+// swap reuses the trace, and the trace's path_trace span does not nest
+// inside the build's when Env and the link share one collector.
+func TestEnvironmentTracedOnce(t *testing.T) {
+	l := testbed(t, 43)
+	if l.envTraced {
+		t.Fatal("NewLink traced the environment")
+	}
+	reg, pc := obs.NewRegistry(), prof.NewCollector()
+	l.Env.Obs, l.Env.Prof, l.Prof = reg, pc, pc
+	traces := reg.Counter("propagation_traces_total")
+	l.RX.Node.Velocity = geom.V(1.2, 0, 0)
+	l.InvalidateEnvironment()
+
+	start := time.Now()
+	l.channelBasis()
+	wall := time.Since(start)
+	if n := traces.Value(); n != 1 {
+		t.Fatalf("first build traced %d times, want 1", n)
+	}
+	for _, c := range pc.Snapshot() {
+		if c.Phase != prof.PhaseTrace.Name() {
+			continue
+		}
+		if c.Calls != 2 {
+			t.Errorf("path_trace closed %d spans, want 2 (trace, build)", c.Calls)
+		}
+		// Disjoint spans inside the timed call sum to at most its wall
+		// time; a nested trace span would be counted twice.
+		if time.Duration(c.Ns) > wall {
+			t.Errorf("path_trace accounted %v during a %v build", time.Duration(c.Ns), wall)
+		}
+	}
+
+	l.Array = element.NewArray(element.NewOmniElement(geom.V(2, 1, 1.4)))
+	if _, err := l.MeasureCSI(element.Config{0}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := traces.Value(); n != 1 {
+		t.Errorf("Array swap re-traced the environment (%d traces)", n)
+	}
+}
+
+// TestMIMOEnvironmentTracedOnce is TestEnvironmentTracedOnce's count
+// check for a MIMO link: one trace per antenna pair, on first use only.
+func TestMIMOEnvironmentTracedOnce(t *testing.T) {
+	ml := mimoTestbed(t, 44)
+	reg := obs.NewRegistry()
+	ml.Env.Obs = reg
+	traces := reg.Counter("propagation_traces_total")
+	pairs := int64(len(ml.RXAnts) * len(ml.TXAnts))
+	if _, err := ml.TrueChannel(element.Config{0, 1, 2}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := traces.Value(); n != pairs {
+		t.Fatalf("first evaluation traced %d times, want %d", n, pairs)
+	}
+	ml.Array = element.NewArray(element.NewOmniElement(geom.V(5.5, 6, 1.5)))
+	if _, err := ml.TrueChannel(element.Config{1}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := traces.Value(); n != pairs {
+		t.Errorf("Array swap re-traced the environment (%d traces)", n)
 	}
 }
 

@@ -40,7 +40,7 @@ type MIMOLink struct {
 	Prof *prof.Collector
 
 	rng      *rand.Rand
-	envPaths [][][]propagation.Path // [rx][tx] cached environment paths
+	envPaths [][][]propagation.Path // [rx][tx] environment paths, traced on first evaluation
 	bases    [][]*basis             // [rx][tx], built on first evaluation
 	resp     [][][]complex128       // [rx][tx] response scratch
 }
@@ -53,8 +53,8 @@ func (m *MIMOLink) AttachScope(sc *scope.Scope) {
 	m.Prof = sc.Prof()
 }
 
-// NewMIMOLink wires a MIMO link and pre-traces the environment for every
-// antenna pair.
+// NewMIMOLink wires a MIMO link. The environment is traced for every
+// antenna pair on first evaluation, not here.
 func NewMIMOLink(env *propagation.Environment, txAnts, rxAnts []propagation.Node,
 	grid ofdm.Grid, arr *element.Array, seed uint64) (*MIMOLink, error) {
 
@@ -72,14 +72,6 @@ func NewMIMOLink(env *propagation.Environment, txAnts, rxAnts []propagation.Node
 		TxPowerDBm: 15, NoiseFigureDB: 6,
 		Grid: grid, Array: arr, NumTraining: 4,
 		rng: rand.New(rand.NewPCG(seed, 0x2545f4914f6cdd1d)),
-	}
-	lambda := rfphys.Wavelength(grid.CenterHz)
-	m.envPaths = make([][][]propagation.Path, len(rxAnts))
-	for i, rx := range rxAnts {
-		m.envPaths[i] = make([][]propagation.Path, len(txAnts))
-		for j, tx := range txAnts {
-			m.envPaths[i][j] = propagation.TracePaths(env, tx, rx, lambda)
-		}
 	}
 	return m, nil
 }
@@ -125,12 +117,25 @@ func (m *MIMOLink) TrueChannel(cfg element.Config, t float64) (*mimo.Channel, er
 
 // buildBases builds every antenna pair's channel basis and the response
 // scratch unless they are current, accounting the build to path_trace.
+// The environment is traced once, on the first build; an Array swap
+// reuses it.
 func (m *MIMOLink) buildBases() {
 	if m.bases != nil && m.bases[0][0].arr == m.Array {
 		return
 	}
-	tsp := m.Prof.Start(prof.PhaseTrace)
 	lambda := rfphys.Wavelength(m.Grid.CenterHz)
+	if m.envPaths == nil {
+		// Traced outside tsp: TracePaths opens its own path_trace span
+		// on Env.Prof, and nesting the two would count the trace twice.
+		m.envPaths = make([][][]propagation.Path, len(m.RXAnts))
+		for i, rx := range m.RXAnts {
+			m.envPaths[i] = make([][]propagation.Path, len(m.TXAnts))
+			for j, tx := range m.TXAnts {
+				m.envPaths[i][j] = propagation.TracePaths(m.Env, tx, rx, lambda)
+			}
+		}
+	}
+	tsp := m.Prof.Start(prof.PhaseTrace)
 	freqs := m.Grid.Frequencies()
 	m.bases = make([][]*basis, len(m.RXAnts))
 	m.resp = make([][][]complex128, len(m.RXAnts))

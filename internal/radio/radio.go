@@ -85,9 +85,12 @@ type Link struct {
 	// is the estimate's own; observers must copy, not retain.
 	OnCSI func(snrDB []float64)
 
-	rng      *rand.Rand
-	envPaths []propagation.Path // cached: environment does not switch
-	basis    *basis             // built on first measurement
+	rng *rand.Rand
+	// envPaths caches the environment's paths (they do not switch),
+	// traced on first use when envTraced is unset; see environmentPaths.
+	envPaths  []propagation.Path
+	envTraced bool
+	basis     *basis // built on first measurement
 	// Measurement scratch: the channel vector, the training sequence and
 	// the received frame.
 	h, train []complex128
@@ -105,6 +108,7 @@ func (l *Link) AttachScope(sc *scope.Scope) {
 
 // NewLink wires up a link. The seed makes every measurement sequence
 // reproducible. It returns an error for an invalid grid or environment.
+// The environment is traced on first use, not here.
 func NewLink(env *propagation.Environment, tx, rx *Radio, grid ofdm.Grid, arr *element.Array, seed uint64) (*Link, error) {
 	if err := grid.Validate(); err != nil {
 		return nil, err
@@ -117,32 +121,43 @@ func NewLink(env *propagation.Environment, tx, rx *Radio, grid ofdm.Grid, arr *e
 		NumTraining: 4,
 		rng:         rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15)),
 	}
-	l.envPaths = propagation.TracePaths(env, tx.Node, rx.Node, l.Wavelength())
 	return l, nil
 }
 
 // Wavelength returns the carrier wavelength of the link's grid.
 func (l *Link) Wavelength() float64 { return rfphys.Wavelength(l.Grid.CenterHz) }
 
-// InvalidateEnvironment re-traces the cached environment paths and drops
-// the channel basis, which the next measurement rebuilds. Call it after
-// mutating Env (moving a blocker, adding scatterers), the TX or RX node
-// (position, velocity, pattern), Grid, or any field of an array element.
+// InvalidateEnvironment drops the cached environment paths and the
+// channel basis, which the next measurement re-traces and rebuilds. Call
+// it after mutating Env (moving a blocker, adding scatterers), the TX or
+// RX node (position, velocity, pattern), Grid, or any field of an array
+// element.
 // Swapping Array for another array is detected on its own, and Faults
 // may change between calls freely: both are applied per measurement.
 func (l *Link) InvalidateEnvironment() {
-	l.envPaths = propagation.TracePaths(l.Env, l.TX.Node, l.RX.Node, l.Wavelength())
-	l.basis = nil
+	l.envPaths, l.envTraced, l.basis = nil, false, nil
 }
 
-// Paths returns the full path set under cfg: cached environment paths
+// environmentPaths returns the environment's paths, tracing them on first
+// use and after InvalidateEnvironment. The trace is accounted to
+// path_trace by Env.Prof.
+func (l *Link) environmentPaths() []propagation.Path {
+	if !l.envTraced {
+		l.envPaths = propagation.TracePaths(l.Env, l.TX.Node, l.RX.Node, l.Wavelength())
+		l.envTraced = true
+	}
+	return l.envPaths
+}
+
+// Paths returns the full path set under cfg: the environment paths
 // plus the array's switched paths, with Faults applied. A nil array (or
 // nil cfg with a nil array) yields the bare environment. It is the slow
 // reference the measurement path is checked against; measurements use
 // the link's channel basis instead. It panics on an invalid cfg.
 func (l *Link) Paths(cfg element.Config) []propagation.Path {
+	envPaths := l.environmentPaths()
 	if l.Array == nil {
-		return l.envPaths
+		return envPaths
 	}
 	var ep []propagation.Path
 	if len(l.Faults) > 0 {
@@ -150,8 +165,8 @@ func (l *Link) Paths(cfg element.Config) []propagation.Path {
 	} else {
 		ep = l.Array.Paths(l.Env, l.TX.Node, l.RX.Node, cfg, l.Wavelength())
 	}
-	out := make([]propagation.Path, 0, len(l.envPaths)+len(ep))
-	out = append(out, l.envPaths...)
+	out := make([]propagation.Path, 0, len(envPaths)+len(ep))
+	out = append(out, envPaths...)
 	return append(out, ep...)
 }
 
@@ -167,14 +182,19 @@ func (l *Link) TrueResponse(cfg element.Config, t float64) []complex128 {
 }
 
 // channelBasis returns the link's channel basis, building it on first
-// use and again after InvalidateEnvironment or an Array swap. The build
-// is accounted to the path_trace phase.
+// use and again after InvalidateEnvironment or an Array swap (which
+// reuses the traced environment). The build is accounted to the
+// path_trace phase.
 func (l *Link) channelBasis() *basis {
 	if l.basis != nil && l.basis.arr == l.Array {
 		return l.basis
 	}
+	// Trace before opening the span: TracePaths opens its own path_trace
+	// span on Env.Prof, which may be l.Prof, and nested spans would count
+	// the trace twice.
+	envPaths := l.environmentPaths()
 	sp := l.Prof.Start(prof.PhaseTrace)
-	l.basis = newBasis(l.Env, l.TX.Node, l.RX.Node, l.envPaths, l.Array, l.Grid.Frequencies(), l.Wavelength())
+	l.basis = newBasis(l.Env, l.TX.Node, l.RX.Node, envPaths, l.Array, l.Grid.Frequencies(), l.Wavelength())
 	kept, culled := l.basis.vectors()
 	l.Prof.Add(prof.PhaseTrace, prof.AuxImages, int64(kept+culled))
 	l.Prof.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(kept))

@@ -110,11 +110,78 @@ func MinPerCurve(curves [][]float64) []float64 {
 // LargestPairDifference finds the pair of configuration curves with the
 // largest single-subcarrier SNR difference — the selection rule of
 // Figure 4, which plots "the two configurations that give the largest
-// single-subcarrier SNR difference". It returns the two curve indices and
-// the difference in dB. All curves must have equal length; curves shorter
-// than the first are ignored. It returns ok=false when fewer than two
-// comparable curves exist.
+// single-subcarrier SNR difference". It returns the two curve indices
+// (i < j) and the difference in dB. Only pairs whose two curves have the
+// same non-zero length are compared; NaN differences never win. On a
+// tie it keeps the first pair and subcarrier in (i, j, subcarrier)
+// order. It returns ok=false when no comparable pair exists.
+//
+// The result equals largestPairDifferenceRef's, the O(C²·K) scan over
+// every pair, bit for bit; see pairScan for how it gets there in O(C·K).
 func LargestPairDifference(curves [][]float64) (i, j int, diffDB float64, ok bool) {
+	if len(curves) < 2 {
+		return 0, 0, 0, false
+	}
+	if i, j, d, fast := pairScan(curves); fast {
+		return i, j, d, true
+	}
+	return largestPairDifferenceRef(curves)
+}
+
+// pairScan is LargestPairDifference for curves of one non-zero length
+// and finite values; fast is false for any other input. Rounding is
+// monotone and fl(x−y) = −fl(y−x), so at subcarrier k the largest
+// |x_a − x_b| over all pairs is fl(max_k − min_k). One pass finds D, the
+// largest such range, and the first and last subcarriers reaching it. No
+// pair exceeds D, so the reference's answer is the first (a, b, k) in its
+// loop order with |x_a − x_b| = D, and only k in [kFirst, kLast] can
+// match. Pairs other than the extremes can round to D, so that search
+// tests every pair rather than assuming the extremes.
+func pairScan(curves [][]float64) (i, j int, diffDB float64, fast bool) {
+	n := len(curves[0])
+	if n == 0 {
+		return 0, 0, 0, false
+	}
+	for _, c := range curves {
+		if len(c) != n {
+			return 0, 0, 0, false
+		}
+	}
+	d, kFirst, kLast := -1.0, 0, 0
+	for k := 0; k < n; k++ {
+		lo, hi := curves[0][k], curves[0][k]
+		for _, c := range curves {
+			x := c[k]
+			if x-x != 0 { // NaN or ±Inf
+				return 0, 0, 0, false
+			}
+			if x < lo {
+				lo = x
+			} else if x > hi {
+				hi = x
+			}
+		}
+		if r := hi - lo; r > d {
+			d, kFirst, kLast = r, k, k
+		} else if r == d {
+			kLast = k
+		}
+	}
+	for a := range curves {
+		for b := a + 1; b < len(curves); b++ {
+			for k := kFirst; k <= kLast; k++ {
+				if math.Abs(curves[a][k]-curves[b][k]) == d {
+					return a, b, d, true
+				}
+			}
+		}
+	}
+	return 0, 0, 0, false // unreachable: the extremes at kFirst reach D
+}
+
+// largestPairDifferenceRef is the reference LargestPairDifference: every
+// pair at every subcarrier.
+func largestPairDifferenceRef(curves [][]float64) (i, j int, diffDB float64, ok bool) {
 	bestI, bestJ, best := -1, -1, math.Inf(-1)
 	for a := 0; a < len(curves); a++ {
 		for b := a + 1; b < len(curves); b++ {

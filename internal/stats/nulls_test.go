@@ -114,17 +114,30 @@ func TestMinPerCurve(t *testing.T) {
 }
 
 func TestLargestPairDifference(t *testing.T) {
-	curves := [][]float64{
-		{40, 40, 40},
-		{40, 15, 40}, // 25 dB dip at subcarrier 1
-		{40, 38, 40},
-	}
-	i, j, d, ok := LargestPairDifference(curves)
-	if !ok {
-		t.Fatal("expected a pair")
-	}
-	if !(i == 0 && j == 1) || !almostEqual(d, 25, 1e-12) {
-		t.Errorf("pair = (%d,%d,%v)", i, j, d)
+	for _, tc := range []struct {
+		name   string
+		curves [][]float64
+		i, j   int
+		d      float64
+		ok     bool
+	}{
+		{"dip", [][]float64{{40, 40, 40}, {40, 15, 40}, {40, 38, 40}}, 0, 1, 25, true},
+		{"first pair wins a tie", [][]float64{{0, 5}, {5, 0}, {5, 5}}, 0, 1, 5, true},
+		{"no curves", nil, 0, 0, 0, false},
+		// Every pair of equal non-zero length is compared, whatever the
+		// first curve's length.
+		{"shorter than the first", [][]float64{{1, 2, 3}, {5}, {9}}, 1, 2, 4, true},
+		{"longer than the first", [][]float64{{1}, {1, 2, 100}, {1, 2, 0}, {7}}, 1, 2, 100, true},
+		{"empty curves skipped", [][]float64{{}, {3}, {}, {1}}, 1, 3, 2, true},
+		{"NaN never wins", [][]float64{{math.NaN(), 1}, {0, 4}}, 0, 1, 3, true},
+		{"all NaN", [][]float64{{math.NaN()}, {0}}, 0, 0, 0, false},
+		{"infinite difference", [][]float64{{0, math.Inf(1)}, {1, 0}}, 0, 1, math.Inf(1), true},
+	} {
+		i, j, d, ok := LargestPairDifference(tc.curves)
+		if i != tc.i || j != tc.j || d != tc.d || ok != tc.ok {
+			t.Errorf("%s: got (%d, %d, %v, %v), want (%d, %d, %v, %v)",
+				tc.name, i, j, d, ok, tc.i, tc.j, tc.d, tc.ok)
+		}
 	}
 }
 
@@ -134,6 +147,97 @@ func TestLargestPairDifferenceNotEnoughCurves(t *testing.T) {
 	}
 	if _, _, _, ok := LargestPairDifference([][]float64{{1, 2}, {1}}); ok {
 		t.Error("mismatched lengths should not produce a pair")
+	}
+}
+
+// pairCurves returns a random curve set for the differential test. Modes
+// 0–2 give the fast path's input (one length, finite values): normal
+// values; small integers, so exact ties are common; and values near 1e16,
+// where the unit in the last place is 2, so differences between
+// non-extreme pairs round to the largest range. Modes 3 and 4 give the
+// fallback's input: ragged and empty curves, and NaN and ±Inf values.
+func pairCurves(rng *rand.Rand, mode int) [][]float64 {
+	near1e16 := []float64{1e16 - 2, 1e16, 1e16 + 2, 1e16 + 4, -1, -0.5, 0, 0.5, 1, 1.5}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	c, k := rng.IntN(9), 1+rng.IntN(8)
+	curves := make([][]float64, c)
+	for a := range curves {
+		n := k
+		if mode == 3 {
+			n = rng.IntN(3)
+		}
+		curves[a] = make([]float64, n)
+		for x := range curves[a] {
+			switch mode {
+			case 0, 3:
+				curves[a][x] = 30 + 8*rng.NormFloat64()
+			case 1:
+				curves[a][x] = float64(rng.IntN(4))
+			case 2:
+				curves[a][x] = near1e16[rng.IntN(len(near1e16))]
+			case 4:
+				curves[a][x] = float64(rng.IntN(4))
+				if rng.IntN(4) == 0 {
+					curves[a][x] = specials[rng.IntN(len(specials))]
+				}
+			}
+		}
+	}
+	return curves
+}
+
+// TestLargestPairDifferenceMatchesReference checks the O(C·K) scan
+// against the quadratic reference bit for bit, ties included. Both only
+// subtract and compare, so no fused multiply-add can separate them.
+func TestLargestPairDifferenceMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 13))
+	for trial := 0; trial < 20000; trial++ {
+		mode := trial % 5
+		curves := pairCurves(rng, mode)
+		i, j, d, ok := LargestPairDifference(curves)
+		ri, rj, rd, rok := largestPairDifferenceRef(curves)
+		if i != ri || j != rj || d != rd || ok != rok {
+			t.Fatalf("mode %d, curves %v: got (%d, %d, %v, %v), reference (%d, %d, %v, %v)",
+				mode, curves, i, j, d, ok, ri, rj, rd, rok)
+		}
+		if mode >= 3 || len(curves) < 2 {
+			continue
+		}
+		if _, _, _, fast := pairScan(curves); !fast {
+			t.Fatalf("mode %d, curves %v: fast path not taken", mode, curves)
+		}
+	}
+}
+
+func TestLargestPairDifferenceAllocs(t *testing.T) {
+	curves := randCurves(rand.New(rand.NewPCG(17, 19)), 64, 52)
+	if n := testing.AllocsPerRun(20, func() { LargestPairDifference(curves) }); n != 0 {
+		t.Errorf("LargestPairDifference(64x52) allocates %v times", n)
+	}
+}
+
+// randCurves returns c SNR-like curves of k subcarriers.
+func randCurves(rng *rand.Rand, c, k int) [][]float64 {
+	curves := make([][]float64, c)
+	for a := range curves {
+		curves[a] = make([]float64, k)
+		for x := range curves[a] {
+			curves[a][x] = 30 + 8*rng.NormFloat64()
+		}
+	}
+	return curves
+}
+
+// BenchmarkLargestPairDifference times Figure 4's pair selection over
+// 64 configurations × 52 subcarriers. It allocates nothing.
+var sinkDiff float64
+
+func BenchmarkLargestPairDifference(b *testing.B) {
+	curves := randCurves(rand.New(rand.NewPCG(23, 29)), 64, 52)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _, sinkDiff, _ = LargestPairDifference(curves)
 	}
 }
 
