@@ -3,34 +3,22 @@ package main
 import (
 	"bytes"
 	"flag"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"press/internal/fpexact"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/all.golden from the current code")
-
-//go:noinline
-func mulAdd(a, b, c float64) float64 { return a*b + c }
-
-// contracts reports whether the compiler fuses a*b+c into one rounding
-// (FMA) on this target. The Go spec allows fusion, and it changes the
-// last bits of the physics, so the golden file (written on amd64, which
-// does not fuse under Go's default GOAMD64=v1) holds only where it does
-// not happen.
-func contracts() bool {
-	a := 1 + 0x1p-30
-	return mulAdd(a, a, -1) == math.FMA(a, a, -1)
-}
 
 // TestExpAllGolden pins every figure's output byte for byte: the
 // experiments are deterministic per seed, so any change to the science,
 // however small, shows up here. Rerun with -update only when the change
 // is intended, and say why in the commit.
 func TestExpAllGolden(t *testing.T) {
-	if contracts() {
+	if fpexact.Contracts() {
 		t.Skip("this target fuses multiply-adds; testdata/all.golden holds only where they round separately")
 	}
 	var buf bytes.Buffer

@@ -4,20 +4,9 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"press/internal/fpexact"
 )
-
-//go:noinline
-func mulAdd(a, b, c float64) float64 { return a*b + c }
-
-// contracts reports whether the compiler fuses a*b+c into one rounding
-// (FMA) on this target. The Go spec allows fusion, and it may fuse
-// jacobiValues and Decompose differently, so bit-identity is asserted
-// only where it does not happen (amd64 with Go's default GOAMD64=v1,
-// among others).
-func contracts() bool {
-	a := 1 + 0x1p-30
-	return mulAdd(a, a, -1) == math.FMA(a, a, -1)
-}
 
 // checkValues compares jacobiValues(a) with Decompose(a).S: bit for bit
 // when exact (NaN matches NaN in the same position), else to 1e-12
@@ -42,7 +31,7 @@ func checkValues(t *testing.T, name string, a *Matrix, exact bool) {
 }
 
 func TestJacobiValuesMatchesDecompose(t *testing.T) {
-	exact := !contracts()
+	exact := !fpexact.Contracts()
 	rng := rand.New(rand.NewPCG(95, 96))
 	for trial := 0; trial < 2000; trial++ {
 		rows, cols := 1+rng.IntN(6), 1+rng.IntN(6)
@@ -72,7 +61,7 @@ func TestJacobiValuesMatchesDecompose(t *testing.T) {
 }
 
 func TestJacobiValuesSpecialEntries(t *testing.T) {
-	exact := !contracts()
+	exact := !fpexact.Contracts()
 	rng := rand.New(rand.NewPCG(97, 98))
 	checkValues(t, "zero 4x4", New(4, 4), exact)
 	checkValues(t, "zero 2x5", New(2, 5), exact)
@@ -95,7 +84,7 @@ func TestJacobiValuesSpecialEntries(t *testing.T) {
 // more than 12 columns is sorted by Decompose's sort.Slice with its
 // pattern-defeating quicksort, not its insertion sort.
 func TestJacobiValuesLarge(t *testing.T) {
-	exact := !contracts()
+	exact := !fpexact.Contracts()
 	rng := rand.New(rand.NewPCG(99, 100))
 	for _, shape := range [][2]int{{5, 4}, {4, 7}, {14, 13}, {13, 15}} {
 		checkValues(t, "large", randMatrix(rng, shape[0], shape[1]), exact)

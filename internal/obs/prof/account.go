@@ -42,7 +42,7 @@ const (
 	// (propagation.Response over a frequency grid).
 	PhaseChannelSum
 	// PhaseFrameSynth covers sounding-frame synthesis: per-symbol noise
-	// generation in radio.measureResponse.
+	// generation in radio.Link.synthesize.
 	PhaseFrameSynth
 	// PhaseEstimate covers receiver-side CSI estimation (ofdm.Estimate).
 	PhaseEstimate

@@ -27,6 +27,8 @@ type CSI struct {
 // (shared across repetitions); txPowerW is the transmit power allocated
 // to each subcarrier; noiseW is the per-subcarrier noise power at the
 // receiver (known from the radio's noise figure, as on a calibrated SDR).
+// A transmit power that is not finite and positive, or a noise power that
+// is not finite, is an error.
 //
 // With S ≥ 2 training symbols the estimator also measures the noise
 // empirically from the spread of the per-symbol estimates and uses the
@@ -45,24 +47,34 @@ func Estimate(g Grid, rx [][]complex128, tx []complex128, txPowerW, noiseW float
 			return nil, fmt.Errorf("ofdm: training symbol %d has %d entries for %d subcarriers", s, len(rx[s]), n)
 		}
 	}
-	if txPowerW <= 0 {
-		return nil, fmt.Errorf("ofdm: non-positive per-subcarrier transmit power")
+	if !(txPowerW > 0 && txPowerW < math.Inf(1)) {
+		return nil, fmt.Errorf("ofdm: per-subcarrier transmit power %v W is not finite and positive", txPowerW)
+	}
+	if math.IsNaN(noiseW) || math.IsInf(noiseW, 0) {
+		return nil, fmt.Errorf("ofdm: noise power %v W is not finite", noiseW)
 	}
 
 	csi := &CSI{Grid: g, H: make([]complex128, n), SNRdB: make([]float64, n), NoisePowerW: noiseW}
 	amp := complex(math.Sqrt(txPowerW), 0)
+	reps := complex(float64(len(rx)), 0)
 
 	var residual float64 // accumulated |deviation|² across symbols & subcarriers
 	var residualN int
-	q := make([]complex128, len(rx)) // per-symbol Y/(amp·X) on one subcarrier
+	var qBuf [16]complex128 // per-symbol Y/(amp·X) on one subcarrier
+	q := qBuf[:]
+	if len(rx) > len(qBuf) {
+		q = make([]complex128, len(rx))
+	}
+	q = q[:len(rx)]
 	for k := 0; k < n; k++ {
 		// LS estimate: average Y/(amp·X) across training repetitions.
+		m := amp * tx[k]
 		var sum complex128
 		for s := range rx {
-			q[s] = rx[s][k] / (amp * tx[k])
+			q[s] = div(rx[s][k], m)
 			sum += q[s]
 		}
-		h := sum / complex(float64(len(rx)), 0)
+		h := div(sum, reps)
 		csi.H[k] = h
 		for s := range q {
 			dev := q[s] - h
@@ -93,6 +105,29 @@ func Estimate(g Grid, rx [][]complex128, tx []complex128, txPowerW, noiseW float
 		csi.SNRdB[k] = rfphys.LinearToDB(mag2 * txPowerW / effNoise)
 	}
 	return csi, nil
+}
+
+// div returns a/m bit for bit, without the runtime call when m is real
+// (BPSK training times a real amplitude, and the symbol count). For such
+// a divisor Go's division (Smith's algorithm) takes the ratio
+// r = imag(m)/real(m), a signed zero, and the denominator
+// real(m) + r·imag(m), which is real(m) exactly; e and f are its
+// expressions, the im·r and re·r terms kept because they fix the sign of
+// a zero result. A zero or NaN real part makes r, e and f NaN; both-NaN
+// results, which Go's C99 infinity fix-up may rewrite, and complex
+// divisors go through Go's division itself. (e == e is false only for
+// NaN; spelt that way, div stays inlinable.)
+func div(a, m complex128) complex128 {
+	if imag(m) == 0 {
+		d := real(m)
+		r := imag(m) / d
+		e := (real(a) + imag(a)*r) / d
+		f := (imag(a) - real(a)*r) / d
+		if e == e || f == f {
+			return complex(e, f)
+		}
+	}
+	return a / m
 }
 
 // GainDB returns the per-subcarrier channel magnitude in dB.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"press/internal/element"
+	"press/internal/fpexact"
 	"press/internal/geom"
 	"press/internal/obs"
 	"press/internal/obs/prof"
@@ -20,19 +21,6 @@ import (
 // propagation.Response over Link.Paths: bit for bit on static links, to
 // dopplerTol relative (max error over max |H|) when a path moves.
 const dopplerTol = 1e-12
-
-//go:noinline
-func mulAdd(a, b, c float64) float64 { return a*b + c }
-
-// contracts reports whether the compiler fuses a*b+c into one rounding
-// (FMA) on this target. Fusion is allowed by the Go spec and can fuse the
-// reference's multiply into its running sum differently from the basis,
-// so bit-identity is only asserted where it does not happen (amd64 with
-// Go's default GOAMD64=v1, among others).
-func contracts() bool {
-	a := 1 + 0x1p-30
-	return mulAdd(a, a, -1) == math.FMA(a, a, -1)
-}
 
 // motion selects what moves on a random link.
 type motion int
@@ -167,7 +155,7 @@ func checkResponse(t *testing.T, what string, got, want []complex128, exact bool
 }
 
 func TestBasisMatchesReference(t *testing.T) {
-	exact := !contracts()
+	exact := !fpexact.Contracts()
 	rng := rand.New(rand.NewPCG(2017, 1))
 	for trial := 0; trial < 40; trial++ {
 		m := motion(trial % 4)
@@ -198,7 +186,7 @@ func TestBasisMatchesReference(t *testing.T) {
 }
 
 func TestBasisMIMOMatchesReference(t *testing.T) {
-	exact := !contracts()
+	exact := !fpexact.Contracts()
 	rng := rand.New(rand.NewPCG(2017, 2))
 	for trial := 0; trial < 6; trial++ {
 		moving := trial%2 == 1
@@ -266,7 +254,7 @@ func TestBasisAllTerminatedIsEnvironment(t *testing.T) {
 		checkResponse(t, "all-terminated vs bare", got, bare.TrueResponse(nil, tt), true)
 		env := propagation.TracePaths(l.Env, l.TX.Node, l.RX.Node, l.Wavelength())
 		checkResponse(t, "all-terminated vs reference", got,
-			propagation.Response(env, l.Grid.Frequencies(), tt), !contracts() && trial%4 == 0)
+			propagation.Response(env, l.Grid.Frequencies(), tt), !fpexact.Contracts() && trial%4 == 0)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // BenchmarkMeasureCSI times one sounding on a warmed 3-element SP4T link
 // (WiFi20, 52 subcarriers), cycling through all 64 configurations: the
 // channel sum from the link's basis, frame synthesis and LS estimation.
-// A static sounding allocates only the returned CSI (struct, H, SNRdB)
-// and the estimator's scratch: 4 allocs/op.
+// A sounding allocates only the returned CSI (struct, H, SNRdB): 3
+// allocs/op.
 func BenchmarkMeasureCSI(b *testing.B) {
 	b.Run("static", func(b *testing.B) {
 		benchSoundings(b, testbed(b, 1), nil)
@@ -59,6 +59,28 @@ func benchSoundings(b *testing.B, l *Link, phases element.ContinuousConfig) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := measure(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFrameSynth times frame synthesis alone on a warmed WiFi20
+// link: the noiseless term √P·h·x per subcarrier plus 4 symbols × 52
+// subcarriers of complex Gaussian noise (416 draws), into link scratch:
+// 0 allocs/op.
+func BenchmarkFrameSynth(b *testing.B) {
+	l := testbed(b, 1)
+	h, err := l.response(element.Config{0, 1, 2}, nil, false, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, _, err := l.synthesize(h); err != nil { // allocates the scratch
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := l.synthesize(h); err != nil {
 			b.Fatal(err)
 		}
 	}

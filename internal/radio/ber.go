@@ -44,8 +44,7 @@ func (l *Link) MeasureBER(cfg element.Config, m ofdm.Modulation, nBits int, t fl
 	bitsPerOFDM := nUsed * bps
 	symbols := (nBits + bitsPerOFDM - 1) / bitsPerOFDM
 
-	txPw := l.perSubcarrierTxPowerW()
-	noise := l.perSubcarrierNoiseW()
+	txPw, noise := l.powers()
 	amp := complex(math.Sqrt(txPw), 0)
 	sigma := math.Sqrt(noise / 2)
 

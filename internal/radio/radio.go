@@ -91,10 +91,25 @@ type Link struct {
 	envPaths  []propagation.Path
 	envTraced bool
 	basis     *basis // built on first measurement
-	// Measurement scratch: the channel vector, the training sequence and
-	// the received frame.
-	h, train []complex128
-	rx       [][]complex128
+	// Measurement scratch: the channel vector, the training sequence, the
+	// noiseless received term √P·h·x per subcarrier and the received
+	// frame.
+	h, train, clean []complex128
+	rx              [][]complex128
+	pow             powerCache // see powers
+}
+
+// powerKey holds every input of a link's per-subcarrier powers.
+type powerKey struct {
+	txPowerDBm, noiseFigureDB, spacingHz float64
+	numUsed                              int
+}
+
+// powerCache holds the per-subcarrier powers computed for key.
+type powerCache struct {
+	key        powerKey
+	set        bool
+	txW, noise float64
 }
 
 // AttachScope points the link's telemetry at a session scope: registry,
@@ -227,22 +242,28 @@ func (l *Link) response(cfg element.Config, phases element.ContinuousConfig, con
 	return l.h, nil
 }
 
-// perSubcarrierTxPowerW returns the transmit power allocated to each used
-// subcarrier.
-func (l *Link) perSubcarrierTxPowerW() float64 {
-	return rfphys.DBmToWatts(l.TX.TxPowerDBm) / float64(l.Grid.NumUsed())
-}
-
-// perSubcarrierNoiseW returns the receiver noise power per subcarrier.
-func (l *Link) perSubcarrierNoiseW() float64 {
-	return rfphys.ThermalNoiseWatts(l.Grid.SpacingHz, l.RX.NoiseFigureDB)
+// powers returns the transmit power allocated to each used subcarrier
+// and the receiver noise power per subcarrier. They are cached on the
+// link and recomputed whenever one of their inputs has changed since the
+// last call (a NaN input never matches, so it is recomputed every time).
+func (l *Link) powers() (txW, noiseW float64) {
+	key := powerKey{l.TX.TxPowerDBm, l.RX.NoiseFigureDB, l.Grid.SpacingHz, l.Grid.NumUsed()}
+	if !l.pow.set || l.pow.key != key {
+		l.pow = powerCache{
+			key: key, set: true,
+			txW:   rfphys.DBmToWatts(key.txPowerDBm) / float64(key.numUsed),
+			noise: rfphys.ThermalNoiseWatts(key.spacingHz, key.noiseFigureDB),
+		}
+	}
+	return l.pow.txW, l.pow.noise
 }
 
 // MeasureCSI transmits one sounding frame under cfg at time t and returns
 // the receiver's channel estimate: the simulated equivalent of the
 // paper's "the receiver estimates the channel state information from the
-// training sequences in the frame". An invalid cfg or fault plan is an
-// error and draws no noise.
+// training sequences in the frame". An invalid cfg or fault plan, and a
+// transmit power or noise figure that gives a non-finite or non-positive
+// per-subcarrier power, is an error and draws no noise.
 func (l *Link) MeasureCSI(cfg element.Config, t float64) (*ofdm.CSI, error) {
 	return l.measure(cfg, nil, false, t)
 }
@@ -273,16 +294,35 @@ func (l *Link) measure(cfg element.Config, phases element.ContinuousConfig, cont
 }
 
 // measureResponse simulates the sounding frame over a known true channel
-// response and runs the receiver's estimator. The training sequence and
-// the received frame are link scratch (the estimator keeps neither); the
-// returned CSI is fresh.
+// response and runs the receiver's estimator; the returned CSI is fresh.
 func (l *Link) measureResponse(h []complex128) (*ofdm.CSI, error) {
+	rx, txPw, noise, err := l.synthesize(h)
+	if err != nil {
+		return nil, err
+	}
+	csi, err := ofdm.EstimateProf(l.Prof, l.Grid, rx, l.train, txPw, noise)
+	if err == nil && l.OnCSI != nil {
+		l.OnCSI(csi.SNRdB)
+	}
+	return csi, err
+}
+
+// synthesize builds the received sounding frame over the true channel h
+// and returns it with the per-subcarrier transmit and noise powers. The
+// training sequence (l.train), the noiseless term and the frame are link
+// scratch; the estimator keeps none of them. A power that is not finite
+// and positive is an error, returned before any noise is drawn.
+func (l *Link) synthesize(h []complex128) (rx [][]complex128, txPw, noise float64, err error) {
+	txPw, noise = l.powers()
+	if inf := math.Inf(1); !(0 < txPw && txPw < inf && 0 < noise && noise < inf) {
+		return nil, 0, 0, fmt.Errorf("radio: TxPowerDBm %v and NoiseFigureDB %v give per-subcarrier powers %v W and %v W; both must be finite and positive",
+			l.TX.TxPowerDBm, l.RX.NoiseFigureDB, txPw, noise)
+	}
 	if len(l.train) != len(h) { // the sequence depends only on the subcarrier count
 		l.train = ofdm.TrainingSequence(l.Grid)
+		l.clean = make([]complex128, len(h))
 	}
-	tx := l.train
-	txPw := l.perSubcarrierTxPowerW()
-	noise := l.perSubcarrierNoiseW()
+	tx, clean := l.train[:len(h)], l.clean[:len(h)]
 
 	amp := complex(math.Sqrt(txPw), 0)
 	sigma := math.Sqrt(noise / 2)
@@ -291,20 +331,22 @@ func (l *Link) measureResponse(h []complex128) (*ofdm.CSI, error) {
 		nSym = 1
 	}
 	sp := l.Prof.Start(prof.PhaseFrameSynth)
-	rx := l.frames(nSym, len(h))
-	for s := range rx {
-		for k := range h {
+	// Every symbol repeats the training, so the noiseless term depends
+	// only on the subcarrier; the noise is drawn symbol by symbol.
+	for k, hk := range h {
+		clean[k] = amp * hk * tx[k]
+	}
+	rx = l.frames(nSym, len(h))
+	for _, row := range rx {
+		row = row[:len(clean)]
+		for k, c := range clean {
 			n := complex(l.rng.NormFloat64()*sigma, l.rng.NormFloat64()*sigma)
-			rx[s][k] = amp*h[k]*tx[k] + n
+			row[k] = c + n
 		}
 	}
 	l.Prof.Add(prof.PhaseFrameSynth, prof.AuxSymbols, int64(nSym))
 	sp.End()
-	csi, err := ofdm.EstimateProf(l.Prof, l.Grid, rx, tx, txPw, noise)
-	if err == nil && l.OnCSI != nil {
-		l.OnCSI(csi.SNRdB)
-	}
-	return csi, err
+	return rx, txPw, noise, nil
 }
 
 // frames returns the link's nSym × k received-frame scratch buffer.
