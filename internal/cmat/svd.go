@@ -135,69 +135,100 @@ func SingularValues(a *Matrix) []float64 {
 }
 
 // jacobiValues writes the singular values of a into s (length
-// min(a.Rows, a.Cols)) in descending order. It is Decompose without U
-// and V: the column sweep never reads V, so the column norms, and hence
-// the values, do not depend on it. The Gram, rotation and norm
-// expressions are Decompose's, and descending order is unique (see the
-// sort below), so s equals Decompose(a).S bit for bit, NaNs included.
-// Matrices of up to 16 entries are worked on the stack.
+// min(a.Rows, a.Cols)) in descending order, equal to Decompose(a).S bit
+// for bit, NaNs included (DESIGN.md §9 and §11). It is Decompose without
+// U and V, since the column sweep never reads V, on split real and
+// imaginary parts of a working copy on the stack. The Gram sums, the
+// sweep order and the rotation are Decompose's, with four exact
+// rewrites: real rotation scalars, an inline hypot, an inline
+// real-divisor phase, and a convergence test on squares. Matrices of
+// more than 16 entries, and any part that is not finite or exceeds
+// jacobiGuard, go to Decompose itself.
 func jacobiValues(a *Matrix, s []float64) {
 	m, n := a.Rows, a.Cols
-	var buf [16]complex128
-	var w []complex128
-	if m*n <= len(buf) {
-		w = buf[:m*n]
-	} else {
-		w = make([]complex128, m*n)
+	if m*n > 16 || !withinJacobiGuard(a.Data) {
+		copy(s, Decompose(a).S)
+		return
 	}
+	// Column-major working copy: entry (i, j) at j*m+i, so each column is
+	// one contiguous run. Decompose works on the conjugate transpose of a
+	// wide matrix, which has the same singular values; a's row-major
+	// layout is then that matrix's column-major one.
+	var re, im [16]float64
 	if m < n {
-		// Decompose works on the conjugate transpose, which has the same
-		// singular values.
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				w[j*m+i] = cmplx.Conj(a.Data[i*n+j])
-			}
+		for k, x := range a.Data {
+			re[k], im[k] = real(x), -imag(x)
 		}
 		m, n = n, m
 	} else {
-		copy(w, a.Data)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				x := a.Data[i*n+j]
+				re[j*m+i], im[j*m+i] = real(x), imag(x)
+			}
+		}
 	}
 
 	const (
 		eps       = 1e-14
+		eps2      = eps * eps
+		margin    = 1e-12 // far above the few ulps between the squared and original tests
 		maxSweeps = 60
 	)
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		rotated := false
 		for p := 0; p < n-1; p++ {
+			// Columns resliced to len(pr) need no bounds checks below.
+			pr := re[p*m : p*m+m]
+			pi := im[p*m:][:len(pr)]
 			for q := p + 1; q < n; q++ {
-				var app, aqq float64
-				var apq complex128
-				for i := 0; i < m; i++ {
-					cp, cq := w[i*n+p], w[i*n+q]
-					app += real(cp)*real(cp) + imag(cp)*imag(cp)
-					aqq += real(cq)*real(cq) + imag(cq)*imag(cq)
-					apq += cmplx.Conj(cp) * cq
+				qr, qi := re[q*m:][:len(pr)], im[q*m:][:len(pr)]
+				// Gram entries: app, aqq, and apq = Σ conj(cp)·cq = gr + i·gi.
+				var app, aqq, gr, gi float64
+				for i := range pr {
+					a, b, c, d := pr[i], pi[i], qr[i], qi[i]
+					app += a*a + b*b
+					aqq += c*c + d*d
+					gr += a*c + b*d
+					gi += a*d - b*c
 				}
-				off := cmplx.Abs(apq)
-				if off <= eps*math.Sqrt(app*aqq) || off == 0 {
+				// Decompose skips the pair when off <= eps·√(app·aqq) or
+				// off == 0, with off = |apq|. Compare the squares instead
+				// when both lie in normal range and differ by more than
+				// margin; otherwise evaluate Decompose's test.
+				aa := app * aqq
+				g2, r2 := gr*gr+gi*gi, eps2*aa
+				decided := minNormal <= g2 && g2 <= math.MaxFloat64 && minNormal <= r2 && r2 <= math.MaxFloat64
+				if decided && g2 < r2*(1-margin) {
+					continue
+				}
+				// off = math.Hypot(gr, gi), as cmplx.Abs computes it; off is
+				// 0 exactly when big is.
+				ar, ai := math.Abs(gr), math.Abs(gi)
+				big, small := max(ar, ai), min(ar, ai)
+				if big == 0 {
+					continue
+				}
+				small /= big
+				off := big * math.Sqrt(1+small*small)
+				if !(decided && g2 > r2*(1+margin)) && off <= eps*math.Sqrt(aa) {
 					continue
 				}
 				rotated = true
-				phase := apq / complex(off, 0)
+				// phase = apq / complex(off, 0): Go's division (Smith's
+				// algorithm) with the ratio r = 0/off = +0 and the
+				// denominator off exactly.
+				const r = 0.0
+				phr, phi := (gr+gi*r)/off, (gi-gr*r)/off
 				zeta := (aqq - app) / (2 * off)
 				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
 				cs := 1 / math.Sqrt(1+t*t)
 				sn := cs * t
-
-				csC := complex(cs, 0)
-				snC := complex(sn, 0)
-				phC := cmplx.Conj(phase)
-				for i := 0; i < m; i++ {
-					cp, cq := w[i*n+p], w[i*n+q]
-					bq := phC * cq
-					w[i*n+p] = csC*cp - snC*bq
-					w[i*n+q] = snC*cp + csC*bq
+				for i := range pr {
+					a, b, c, d := pr[i], pi[i], qr[i], qi[i]
+					br, bi := phr*c+phi*d, phr*d-phi*c // conj(phase)·cq
+					pr[i], pi[i] = cs*a-sn*br, cs*b-sn*bi
+					qr[i], qi[i] = sn*a+cs*br, sn*b+cs*bi
 				}
 			}
 		}
@@ -208,9 +239,8 @@ func jacobiValues(a *Matrix, s []float64) {
 
 	for j := 0; j < n; j++ {
 		var ss float64
-		for i := 0; i < m; i++ {
-			x := w[i*n+j]
-			ss += real(x)*real(x) + imag(x)*imag(x)
+		for i := j * m; i < j*m+m; i++ {
+			ss += re[i]*re[i] + im[i]*im[i]
 		}
 		s[j] = math.Sqrt(ss)
 	}
@@ -224,6 +254,27 @@ func jacobiValues(a *Matrix, s []float64) {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
+}
+
+// jacobiGuard bounds the parts jacobiValues works on itself. A matrix of
+// up to 16 entries has Frobenius norm at most √32·2^500, Jacobi rotations
+// keep it to within rounding, and so every Gram sum and 2·off stay below
+// 2^1012. Apart from the range-checked squares of the convergence test,
+// only app·aqq and ζ² can overflow, and Decompose computes both with the
+// same real expressions.
+const jacobiGuard = 0x1p500
+
+const minNormal = 0x1p-1022
+
+// withinJacobiGuard reports whether every part of data is finite and at
+// most jacobiGuard in magnitude.
+func withinJacobiGuard(data []complex128) bool {
+	for _, x := range data {
+		if !(math.Abs(real(x)) <= jacobiGuard && math.Abs(imag(x)) <= jacobiGuard) {
+			return false
+		}
+	}
+	return true
 }
 
 // SingularValues2x2 returns the two singular values (descending) of the
@@ -257,7 +308,8 @@ func SingularValues2x2(a, b, c, d complex128) (float64, float64) {
 
 // Cond returns the 2-norm condition number σ_max/σ_min of a. It returns
 // +Inf for a rank-deficient matrix.
-// It allocates nothing for matrices of up to 16 entries.
+// It allocates nothing for matrices of up to 16 entries whose parts are
+// finite and at most 2^500 in magnitude.
 func Cond(a *Matrix) float64 {
 	var smax, smin float64
 	if a.Rows == 2 && a.Cols == 2 {

@@ -80,9 +80,9 @@ func TestJacobiValuesSpecialEntries(t *testing.T) {
 	}
 }
 
-// A matrix of more than 16 entries works off the stack, and one with
-// more than 12 columns is sorted by Decompose's sort.Slice with its
-// pattern-defeating quicksort, not its insertion sort.
+// A matrix of more than 16 entries goes to Decompose itself, whose
+// sort.Slice, above 12 columns a pattern-defeating quicksort, gives the
+// values.
 func TestJacobiValuesLarge(t *testing.T) {
 	exact := !fpexact.Contracts()
 	rng := rand.New(rand.NewPCG(99, 100))

@@ -21,7 +21,7 @@ func testArray(n int) *element.Array {
 }
 
 // startAgent runs an agent over one end of a pipe and returns a cleanup.
-func startAgent(t *testing.T, agent *Agent, conn Conn) context.CancelFunc {
+func startAgent(t testing.TB, agent *Agent, conn Conn) context.CancelFunc {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})

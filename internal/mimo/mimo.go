@@ -66,7 +66,8 @@ func (c *Channel) NumSubcarriers() int { return len(c.Matrices) }
 // CondNumberDB returns the 2-norm condition number of one channel matrix
 // in dB: 20·log10(σmax/σmin), the quantity on Figure 8's x-axis. A
 // perfectly conditioned (orthogonal) channel scores 0 dB; rank-deficient
-// channels return +Inf. It allocates nothing for up to 16 antenna pairs.
+// channels return +Inf. Like cmat.Cond, it allocates nothing for up to
+// 16 antenna pairs of finite responses up to 2^500.
 func CondNumberDB(m *cmat.Matrix) float64 {
 	return rfphys.AmplitudeToDB(cmat.Cond(m))
 }

@@ -160,19 +160,18 @@ func (m *MIMOLink) buildBases() {
 // MeasureChannel returns one noisy channel snapshot under cfg at time t:
 // the true matrices perturbed by the channel-estimation error an SDR
 // would incur (per-entry complex Gaussian with variance noise/(P·S) for S
-// training symbols).
+// training symbols). A transmit power or noise figure that gives a
+// non-finite or non-positive per-subcarrier power is an error and draws
+// no noise.
 func (m *MIMOLink) MeasureChannel(cfg element.Config, t float64) (*mimo.Channel, error) {
+	sigma, err := m.estNoiseSigma()
+	if err != nil {
+		return nil, err
+	}
 	ch, err := m.TrueChannel(cfg, t)
 	if err != nil {
 		return nil, err
 	}
-	txPw := rfphys.DBmToWatts(m.TxPowerDBm) / float64(m.Grid.NumUsed()) / float64(len(m.TXAnts))
-	noise := rfphys.ThermalNoiseWatts(m.Grid.SpacingHz, m.NoiseFigureDB)
-	nTrain := m.NumTraining
-	if nTrain < 1 {
-		nTrain = 1
-	}
-	sigma := math.Sqrt(noise / txPw / float64(nTrain) / 2)
 	for _, mat := range ch.Matrices {
 		for i := range mat.Data {
 			mat.Data[i] += complex(m.rng.NormFloat64()*sigma, m.rng.NormFloat64()*sigma)
@@ -193,13 +192,17 @@ func (m *MIMOLink) MeasureAveraged(cfg element.Config, snapshots int, timing Tim
 		return nil, fmt.Errorf("radio: snapshots must be positive")
 	}
 	if m.static() {
+		sigma, err := m.estNoiseSigma()
+		if err != nil {
+			return nil, err
+		}
 		truth, err := m.TrueChannel(cfg, start.Seconds())
 		if err != nil {
 			return nil, err
 		}
 		// Averaging S i.i.d. noisy snapshots equals truth plus one noise
 		// draw at σ/√S.
-		sigma := m.estNoiseSigma() / math.Sqrt(float64(snapshots))
+		sigma /= math.Sqrt(float64(snapshots))
 		for _, mat := range truth.Matrices {
 			for i := range mat.Data {
 				mat.Data[i] += complex(m.rng.NormFloat64()*sigma, m.rng.NormFloat64()*sigma)
@@ -236,13 +239,18 @@ func (m *MIMOLink) static() bool {
 }
 
 // estNoiseSigma returns the per-entry complex-component standard deviation
-// of one snapshot's estimation error.
-func (m *MIMOLink) estNoiseSigma() float64 {
+// of one snapshot's estimation error. Per-subcarrier transmit and noise
+// powers that are not finite and positive are an error.
+func (m *MIMOLink) estNoiseSigma() (float64, error) {
 	txPw := rfphys.DBmToWatts(m.TxPowerDBm) / float64(m.Grid.NumUsed()) / float64(len(m.TXAnts))
 	noise := rfphys.ThermalNoiseWatts(m.Grid.SpacingHz, m.NoiseFigureDB)
+	if inf := math.Inf(1); !(0 < txPw && txPw < inf && 0 < noise && noise < inf) {
+		return 0, fmt.Errorf("radio: TxPowerDBm %v and NoiseFigureDB %v give per-subcarrier powers %v W and %v W; both must be finite and positive",
+			m.TxPowerDBm, m.NoiseFigureDB, txPw, noise)
+	}
 	nTrain := m.NumTraining
 	if nTrain < 1 {
 		nTrain = 1
 	}
-	return math.Sqrt(noise / txPw / float64(nTrain) / 2)
+	return math.Sqrt(noise / txPw / float64(nTrain) / 2), nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"press/internal/element"
 	"press/internal/geom"
+	"press/internal/mimo"
 	"press/internal/ofdm"
 	"press/internal/propagation"
 	"press/internal/rfphys"
@@ -199,5 +200,73 @@ func TestAveragedTimingAdvances(t *testing.T) {
 	}
 	if smaller < frozen.NumSubcarriers()/2 {
 		t.Errorf("Doppler smearing not visible: only %d/%d subcarriers shrank", smaller, frozen.NumSubcarriers())
+	}
+}
+
+// TestMIMOMeasureRejectsNonFinitePowers: a transmit power or noise figure
+// of NaN or ±Inf makes MeasureChannel and MeasureAveraged fail, on static
+// and moving links alike, before any noise is drawn: once the field is
+// fixed, the link measures what a fresh link of the same seed measures.
+func TestMIMOMeasureRejectsNonFinitePowers(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	txPower := func(ml *MIMOLink, v float64) { ml.TxPowerDBm = v }
+	noiseFigure := func(ml *MIMOLink, v float64) { ml.NoiseFigureDB = v }
+	cases := []struct {
+		name    string
+		set     func(ml *MIMOLink, v float64)
+		v, good float64
+	}{
+		{"NaN TxPowerDBm", txPower, nan, 15},
+		{"+Inf TxPowerDBm", txPower, inf, 15},
+		{"-Inf TxPowerDBm", txPower, -inf, 15},
+		{"NaN NoiseFigureDB", noiseFigure, nan, 6},
+		{"+Inf NoiseFigureDB", noiseFigure, inf, 6},
+		{"-Inf NoiseFigureDB", noiseFigure, -inf, 6},
+	}
+	cfg := element.Config{0, 1, 2}
+	testbed := func(moving bool) *MIMOLink {
+		ml := mimoTestbed(t, 8)
+		if moving {
+			ml.RXAnts[0].Velocity = geom.V(0.5, 0, 0)
+		}
+		return ml
+	}
+	for _, moving := range []bool{false, true} {
+		for _, tc := range cases {
+			name := tc.name + "/static"
+			if moving {
+				name = tc.name + "/moving"
+			}
+			t.Run(name, func(t *testing.T) {
+				ml := testbed(moving)
+				tc.set(ml, tc.v)
+				if ch, err := ml.MeasureChannel(cfg, 0); err == nil {
+					t.Fatalf("MeasureChannel accepted: entry %v", ch.Matrices[0].At(0, 0))
+				}
+				if ch, err := ml.MeasureAveraged(cfg, 5, PrototypeTiming, 0); err == nil {
+					t.Fatalf("MeasureAveraged accepted: entry %v", ch.Matrices[0].At(0, 0))
+				}
+				tc.set(ml, tc.good)
+				fresh := testbed(moving)
+				for _, measure := range []func(*MIMOLink) (*mimo.Channel, error){
+					func(ml *MIMOLink) (*mimo.Channel, error) { return ml.MeasureChannel(cfg, 0) },
+					func(ml *MIMOLink) (*mimo.Channel, error) { return ml.MeasureAveraged(cfg, 5, PrototypeTiming, 0) },
+				} {
+					got, err := measure(ml)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := measure(fresh)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k, m := range want.Matrices {
+						if d := got.Matrices[k].MaxAbsDiff(m); d != 0 {
+							t.Fatalf("subcarrier %d differs by %g: the rejected measurement consumed noise", k, d)
+						}
+					}
+				}
+			})
+		}
 	}
 }
