@@ -146,7 +146,7 @@ func (p *Problem) Apply(cfg element.Config) []complex128 {
 // of element e's state si: amplitude·e^{-jφ}, or 0 for terminate.
 func statePhasor(e *element.Element, si int, lambdaM float64) complex128 {
 	refl, extraDelay := e.Reflection(si, lambdaM)
-	return refl * cmplx.Exp(complex(0, -2*math.Pi*rfphys.SpeedOfLight/lambdaM*extraDelay))
+	return refl * rfphys.Cis(-2*math.Pi*rfphys.SpeedOfLight/lambdaM*extraDelay)
 }
 
 // modelResidual2 returns ‖basis·x(cfg) − delta‖² under the linear model.
@@ -218,7 +218,7 @@ func ProjectToConfig(arr *element.Array, x cmat.Vector, lambdaM float64) element
 		for si := 0; si < e.NumStates(); si++ {
 			refl, extraDelay := e.Reflection(si, lambdaM)
 			// The stub delay realizes the phase at the carrier.
-			phasor := refl * cmplx.Exp(complex(0, -2*math.Pi*rfphys.SpeedOfLight/lambdaM*extraDelay))
+			phasor := refl * rfphys.Cis(-2*math.Pi*rfphys.SpeedOfLight/lambdaM*extraDelay)
 			if d := cmplx.Abs(phasor - x[i]); d < bestDist {
 				bestState, bestDist = si, d
 			}

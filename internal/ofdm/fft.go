@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
+
+	"press/internal/rfphys"
 )
 
 // FFT computes the in-place radix-2 decimation-in-time fast Fourier
@@ -29,7 +31,7 @@ func FFT(x []complex128) error {
 		step := -2 * math.Pi / float64(size)
 		for start := 0; start < n; start += size {
 			for k := 0; k < half; k++ {
-				w := cmplx.Exp(complex(0, step*float64(k)))
+				w := rfphys.Cis(step * float64(k))
 				a := x[start+k]
 				b := x[start+k+half] * w
 				x[start+k] = a + b
@@ -64,7 +66,7 @@ func dftNaive(x []complex128) []complex128 {
 	for k := 0; k < n; k++ {
 		var sum complex128
 		for t := 0; t < n; t++ {
-			sum += x[t] * cmplx.Exp(complex(0, -2*math.Pi*float64(k*t)/float64(n)))
+			sum += x[t] * rfphys.Cis(-2*math.Pi*float64(k*t)/float64(n))
 		}
 		out[k] = sum
 	}

@@ -85,7 +85,7 @@ func ResponseAt(paths []Path, fHz, t float64) complex128 {
 		if p.DopplerHz != 0 {
 			phase += 2 * math.Pi * p.DopplerHz * t
 		}
-		h += p.Gain * cmplx.Exp(complex(0, phase))
+		h += p.Gain * rfphys.Cis(phase)
 	}
 	return h
 }

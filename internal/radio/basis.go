@@ -1,11 +1,13 @@
 package radio
 
 import (
+	"fmt"
 	"math"
-	"math/cmplx"
 
 	"press/internal/element"
+	"press/internal/geom"
 	"press/internal/propagation"
+	"press/internal/rfphys"
 )
 
 // basis is one antenna pair's channel in superposition form. Path
@@ -98,12 +100,61 @@ func newBasis(env *propagation.Environment, tx, rx propagation.Node, envPaths []
 	return b
 }
 
+// checkGeometry returns an error when the geometry a basis is built from
+// is invalid: env fails Validate (it may have been edited since the link
+// was made), or a position or velocity is not finite, among the TX and RX
+// nodes (one each on a SISO link, the antennas of a MIMO link) and the
+// positions of arr's elements (arr may be nil). A NaN or ±Inf coordinate
+// traces to NaN paths, which would otherwise measure as NaN CSI with a
+// nil error.
+func checkGeometry(env *propagation.Environment, tx, rx []propagation.Node, arr *element.Array) error {
+	if err := env.Validate(); err != nil {
+		return err
+	}
+	for _, side := range [...]struct {
+		name  string
+		nodes []propagation.Node
+	}{{"TX", tx}, {"RX", rx}} {
+		for i, n := range side.nodes {
+			var what string
+			var v geom.Vec
+			switch {
+			case !finite(n.Pos):
+				what, v = "position", n.Pos
+			case !finite(n.Velocity):
+				what, v = "velocity", n.Velocity
+			default:
+				continue
+			}
+			who := side.name
+			if len(side.nodes) > 1 {
+				who = fmt.Sprintf("%s antenna %d", side.name, i)
+			}
+			return fmt.Errorf("radio: %s %s %v is not finite", who, what, v)
+		}
+	}
+	if arr != nil {
+		for i, e := range arr.Elements {
+			if !finite(e.Pos) {
+				return fmt.Errorf("radio: element %d position %v is not finite", i, e.Pos)
+			}
+		}
+	}
+	return nil
+}
+
+// finite reports whether every coordinate of v is finite.
+func finite(v geom.Vec) bool {
+	inf := math.Inf(1)
+	return math.Abs(v.X) < inf && math.Abs(v.Y) < inf && math.Abs(v.Z) < inf
+}
+
 // pathTerms returns p's static term gain·e^{-j2πfτ} on every frequency,
 // with the expression propagation.ResponseAt uses.
 func pathTerms(p propagation.Path, freqs []float64) []complex128 {
 	out := make([]complex128, len(freqs))
 	for k, f := range freqs {
-		out[k] = p.Gain * cmplx.Exp(complex(0, -2*math.Pi*f*p.Delay))
+		out[k] = p.Gain * rfphys.Cis(-2*math.Pi*f*p.Delay)
 	}
 	return out
 }
@@ -131,24 +182,48 @@ func addRotated(h, v []complex128, dopplerHz, t float64) {
 		}
 		return
 	}
-	ph := cmplx.Exp(complex(0, 2*math.Pi*dopplerHz*t))
+	ph := rfphys.Cis(2 * math.Pi * dopplerHz * t)
 	for k := range h {
 		h[k] += v[k] * ph
 	}
 }
 
+// addRotated4 adds v[0..3], each rotated by its nonzero Doppler shift's
+// phasor at t, into h in one pass. Every subcarrier gets the four
+// additions of four addRotated calls, in the same order, so the result
+// is bit-identical to them while h[k] is loaded and stored once.
+func addRotated4(h []complex128, v [][]complex128, dopplerHz []float64, t float64) {
+	v0, v1, v2, v3 := v[0][:len(h)], v[1][:len(h)], v[2][:len(h)], v[3][:len(h)]
+	p0 := rfphys.Cis(2 * math.Pi * dopplerHz[0] * t)
+	p1 := rfphys.Cis(2 * math.Pi * dopplerHz[1] * t)
+	p2 := rfphys.Cis(2 * math.Pi * dopplerHz[2] * t)
+	p3 := rfphys.Cis(2 * math.Pi * dopplerHz[3] * t)
+	for k := range h {
+		h[k] = h[k] + v0[k]*p0 + v1[k]*p1 + v2[k]*p2 + v3[k]*p3
+	}
+}
+
 // environment writes the environment's response at t into h and returns
-// the number of vectors summed.
+// the number of vectors summed. On a moving link each run of four paths
+// that all have a Doppler shift is added in one fused pass; any other
+// path goes through addRotated alone (DESIGN.md §12).
 func (b *basis) environment(h []complex128, t float64) int {
 	if !b.moving {
 		copy(h, b.env)
 		return 1
 	}
 	clear(h)
-	for l, v := range b.envTerms {
-		addRotated(h, v, b.envDoppler[l], t)
+	terms, dop := b.envTerms, b.envDoppler
+	for l := 0; l < len(terms); {
+		if l+4 <= len(terms) && dop[l] != 0 && dop[l+1] != 0 && dop[l+2] != 0 && dop[l+3] != 0 {
+			addRotated4(h, terms[l:l+4], dop[l:l+4], t)
+			l += 4
+			continue
+		}
+		addRotated(h, terms[l], dop[l], t)
+		l++
 	}
-	return len(b.envTerms)
+	return len(terms)
 }
 
 // sum writes the response under the discrete configuration cfg, with
@@ -198,7 +273,7 @@ func (b *basis) sumContinuous(h []complex128, phases element.ContinuousConfig, t
 			if eb.dopplerHz != 0 {
 				phase += 2 * math.Pi * eb.dopplerHz * t
 			}
-			h[k] += eb.unit.Gain * cmplx.Exp(complex(0, phase))
+			h[k] += eb.unit.Gain * rfphys.Cis(phase)
 		}
 		n++
 	}

@@ -275,7 +275,9 @@ func TestEnvironmentTracedOnce(t *testing.T) {
 	l.InvalidateEnvironment()
 
 	start := time.Now()
-	l.channelBasis()
+	if _, err := l.channelBasis(); err != nil {
+		t.Fatal(err)
+	}
 	wall := time.Since(start)
 	if n := traces.Value(); n != 1 {
 		t.Fatalf("first build traced %d times, want 1", n)
@@ -444,6 +446,132 @@ func TestElementOnEndpoint(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if eb := l.basis.elems[i]; eb.unitOK || eb.states[0] != nil {
 			t.Errorf("element %d on an endpoint has a path", i)
+		}
+	}
+}
+
+// TestDegenerateGeometryRejected: a room size, an endpoint position or
+// velocity, or an element position that is not finite is an error on
+// SISO and MIMO links alike, never NaN CSI with a nil error. The check
+// runs when the basis is built, before any trace or noise draw: once the
+// geometry is restored, the link measures what a fresh link of the same
+// seed measures. A SISO link is edited after its first sounding (and
+// invalidated), a MIMO link before its first, as each documents.
+func TestDegenerateGeometryRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	// geometry points at what a case edits: the environment, one TX and
+	// one RX node, and the array.
+	type geometry struct {
+		env    *propagation.Environment
+		tx, rx *propagation.Node
+		arr    *element.Array
+	}
+	cases := []struct {
+		name string
+		edit func(g geometry)
+	}{
+		{"NaN TX position", func(g geometry) { g.tx.Pos.X = nan }},
+		{"+Inf RX position", func(g geometry) { g.rx.Pos.Z = inf }},
+		{"NaN TX velocity", func(g geometry) { g.tx.Velocity.Y = nan }},
+		{"-Inf RX velocity", func(g geometry) { g.rx.Velocity.X = -inf }},
+		{"NaN element position", func(g geometry) { g.arr.Elements[1].Pos.Y = nan }},
+		{"+Inf element position", func(g geometry) { g.arr.Elements[2].Pos.X = inf }},
+		{"NaN room height", func(g geometry) { g.env.Room.Size.Z = nan }},
+		{"+Inf room length", func(g geometry) { g.env.Room.Size.X = inf }},
+		{"zero room", func(g geometry) { g.env.Room = geom.Room{} }},
+	}
+	// snapshot returns a function that restores everything a case edits.
+	snapshot := func(g geometry) func() {
+		room, tx, rx := g.env.Room, *g.tx, *g.rx
+		pos := make([]geom.Vec, g.arr.N())
+		for i, e := range g.arr.Elements {
+			pos[i] = e.Pos
+		}
+		return func() {
+			g.env.Room, *g.tx, *g.rx = room, tx, rx
+			for i, e := range g.arr.Elements {
+				e.Pos = pos[i]
+			}
+		}
+	}
+	cfg := element.Config{0, 1, 2}
+	for _, tc := range cases {
+		t.Run("siso/"+tc.name, func(t *testing.T) {
+			l, fresh := testbed(t, 42), testbed(t, 42)
+			g := geometry{l.Env, &l.TX.Node, &l.RX.Node, l.Array}
+			for _, x := range []*Link{l, fresh} {
+				if _, err := x.MeasureCSI(cfg, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			restore := snapshot(g)
+			tc.edit(g)
+			l.InvalidateEnvironment()
+			if csi, err := l.MeasureCSI(cfg, 0.1); err == nil {
+				t.Fatalf("MeasureCSI accepted: min SNR %v dB", csi.MinSNRdB())
+			}
+			if csi, err := l.MeasureCSIContinuous(element.ContinuousConfig{0.3, 1.2, element.Off}, 0.1); err == nil {
+				t.Fatalf("MeasureCSIContinuous accepted: min SNR %v dB", csi.MinSNRdB())
+			}
+			restore()
+			l.InvalidateEnvironment()
+			got, err := l.MeasureCSI(cfg, 0.1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.MeasureCSI(cfg, 0.1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameCSI(got, want) {
+				t.Fatal("the rejected measurement consumed noise or left state behind")
+			}
+		})
+		t.Run("mimo/"+tc.name, func(t *testing.T) {
+			ml, fresh := mimoTestbed(t, 42), mimoTestbed(t, 42)
+			g := geometry{ml.Env, &ml.TXAnts[0], &ml.RXAnts[1], ml.Array}
+			restore := snapshot(g)
+			tc.edit(g)
+			if _, err := ml.MeasureChannel(cfg, 0); err == nil {
+				t.Fatal("MeasureChannel accepted")
+			}
+			if _, err := ml.MeasureAveraged(cfg, 5, PrototypeTiming, 0); err == nil {
+				t.Fatal("MeasureAveraged accepted")
+			}
+			restore()
+			got, err := ml.MeasureChannel(cfg, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.MeasureChannel(cfg, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, m := range want.Matrices {
+				if d := got.Matrices[k].MaxAbsDiff(m); d != 0 {
+					t.Fatalf("subcarrier %d differs by %g: the rejected measurement consumed noise", k, d)
+				}
+			}
+		})
+	}
+	// A room that is not finite and positive is rejected when the link is
+	// made, as well: NaN passes geom.NewRoom's x <= 0 check, and a literal
+	// geom.Room{} never meets it.
+	rooms := map[string]*propagation.Environment{
+		"NaN height":  propagation.NewEnvironment(14, 10, nan),
+		"+Inf length": propagation.NewEnvironment(inf, 10, 3),
+		"zero room":   {MaxOrder: 2},
+	}
+	for name, env := range rooms {
+		if err := env.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted room %v", name, env.Room.Size)
+		}
+		node := []propagation.Node{{Pos: geom.V(1, 1, 1)}}
+		if _, err := NewLink(env, &Radio{Node: node[0]}, &Radio{Node: node[0]}, ofdm.WiFi20(), nil, 1); err == nil {
+			t.Errorf("%s: NewLink accepted", name)
+		}
+		if _, err := NewMIMOLink(env, node, node, ofdm.WiFi20(), nil, 1); err == nil {
+			t.Errorf("%s: NewMIMOLink accepted", name)
 		}
 	}
 }

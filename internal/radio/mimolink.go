@@ -94,7 +94,9 @@ func (m *MIMOLink) TrueChannel(cfg element.Config, t float64) (*mimo.Channel, er
 			m.Obs.Counter("radio_mimo_solves_total").Inc()
 		}()
 	}
-	m.buildBases()
+	if err := m.buildBases(); err != nil {
+		return nil, err
+	}
 	csp := m.Prof.Start(prof.PhaseChannelSum)
 	var vecs, evals int
 	for i, row := range m.bases {
@@ -118,10 +120,14 @@ func (m *MIMOLink) TrueChannel(cfg element.Config, t float64) (*mimo.Channel, er
 // buildBases builds every antenna pair's channel basis and the response
 // scratch unless they are current, accounting the build to path_trace.
 // The environment is traced once, on the first build; an Array swap
-// reuses it.
-func (m *MIMOLink) buildBases() {
+// reuses it. Geometry that is not finite is an error, returned before
+// anything is traced.
+func (m *MIMOLink) buildBases() error {
 	if m.bases != nil && m.bases[0][0].arr == m.Array {
-		return
+		return nil
+	}
+	if err := checkGeometry(m.Env, m.TXAnts, m.RXAnts, m.Array); err != nil {
+		return err
 	}
 	lambda := rfphys.Wavelength(m.Grid.CenterHz)
 	if m.envPaths == nil {
@@ -155,6 +161,7 @@ func (m *MIMOLink) buildBases() {
 	m.Prof.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(kept))
 	m.Prof.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(culled))
 	tsp.End()
+	return nil
 }
 
 // MeasureChannel returns one noisy channel snapshot under cfg at time t:

@@ -187,7 +187,7 @@ func (l *Link) Paths(cfg element.Config) []propagation.Path {
 
 // TrueResponse returns the noiseless channel response under cfg at time t
 // — ground truth for tests and for quantifying estimator error. It panics
-// on an invalid cfg or fault plan.
+// on an invalid cfg or fault plan, and on geometry that is not finite.
 func (l *Link) TrueResponse(cfg element.Config, t float64) []complex128 {
 	h, err := l.response(cfg, nil, false, t)
 	if err != nil {
@@ -199,10 +199,14 @@ func (l *Link) TrueResponse(cfg element.Config, t float64) []complex128 {
 // channelBasis returns the link's channel basis, building it on first
 // use and again after InvalidateEnvironment or an Array swap (which
 // reuses the traced environment). The build is accounted to the
-// path_trace phase.
-func (l *Link) channelBasis() *basis {
+// path_trace phase. Geometry that is not finite is an error, returned
+// before anything is traced.
+func (l *Link) channelBasis() (*basis, error) {
 	if l.basis != nil && l.basis.arr == l.Array {
-		return l.basis
+		return l.basis, nil
+	}
+	if err := checkGeometry(l.Env, []propagation.Node{l.TX.Node}, []propagation.Node{l.RX.Node}, l.Array); err != nil {
+		return nil, err
 	}
 	// Trace before opening the span: TracePaths opens its own path_trace
 	// span on Env.Prof, which may be l.Prof, and nested spans would count
@@ -216,19 +220,23 @@ func (l *Link) channelBasis() *basis {
 	l.Prof.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(culled))
 	sp.End()
 	l.h = make([]complex128, len(l.basis.freqs))
-	return l.basis
+	return l.basis, nil
 }
 
 // response evaluates the noiseless channel at time t into the link's
 // scratch vector: under the discrete cfg with Faults applied or, when
 // continuous is set, under the continuous phases. Discrete, faulted and
-// continuous evaluation all run through here. Invalid input is an error,
-// returned before anything is evaluated.
+// continuous evaluation all run through here. Invalid input, including
+// geometry that is not finite, is an error, returned before anything is
+// evaluated.
 func (l *Link) response(cfg element.Config, phases element.ContinuousConfig, continuous bool, t float64) ([]complex128, error) {
 	if err := validateSelection(l.Array, cfg, l.Faults, phases, continuous); err != nil {
 		return nil, err
 	}
-	b := l.channelBasis()
+	b, err := l.channelBasis()
+	if err != nil {
+		return nil, err
+	}
 	sp := l.Prof.Start(prof.PhaseChannelSum)
 	var vecs int
 	if continuous {

@@ -1,9 +1,6 @@
 package rfphys
 
-import (
-	"math"
-	"math/cmplx"
-)
+import "math"
 
 // FriisAmplitude returns the free-space field-amplitude gain of a path of
 // length distM metres at wavelength lambdaM: λ/(4πd). Antenna gains are
@@ -28,10 +25,20 @@ func FriisPathLossDB(distM, lambdaM float64) float64 {
 	return -AmplitudeToDB(FriisAmplitude(distM, lambdaM))
 }
 
+// Cis returns the unit phasor e^{jθ} = cos θ + j·sin θ. It equals
+// cmplx.Exp of 0 + jθ bit for bit, NaN and signed zeros included: Exp
+// computes complex(r·cos θ, r·sin θ) with r = math.Exp(0), which is
+// exactly 1, and 1·x is x. Cis skips that exponential and the two
+// multiplies.
+func Cis(theta float64) complex128 {
+	s, c := math.Sincos(theta)
+	return complex(c, s)
+}
+
 // PathPhasor returns the complex baseband rotation e^{-j2πd/λ}
 // accumulated over a path of length distM at wavelength lambdaM.
 func PathPhasor(distM, lambdaM float64) complex128 {
-	return cmplx.Exp(complex(0, -2*math.Pi*distM/lambdaM))
+	return Cis(-2 * math.Pi * distM / lambdaM)
 }
 
 // FresnelReflection returns the field reflection coefficient of a
