@@ -6,6 +6,7 @@ import (
 
 	"press/internal/element"
 	"press/internal/geom"
+	"press/internal/inverse"
 	"press/internal/ofdm"
 	"press/internal/propagation"
 	"press/internal/radio"
@@ -34,7 +35,7 @@ func BenchmarkLinkEvaluatorEval(b *testing.B) {
 				cfgs[i] = link.Array.ConfigAt(rng.IntN(link.Array.NumConfigs()))
 			}
 			ev := &LinkEvaluator{Link: link, Objective: MaxMinSNR{}, Timing: radio.PrototypeTiming}
-			if _, err := ev.Eval(cfgs[0]); err != nil { // builds the basis and scratch
+			if _, err := ev.Eval(cfgs[0]); err != nil { // builds the channel model and scratch
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -77,4 +78,31 @@ func benchLink(b *testing.B) *radio.Link {
 		b.Fatal(err)
 	}
 	return link
+}
+
+// BenchmarkModelGuidedSearch times one model-guided search on
+// benchLink's 8-element scene: the inverse model's baseline, an inverse
+// solve (coordinate descent over the 65,536 configurations of the
+// narrowband table) and the measured refinement around its answer. The
+// measurement is a fixed score of the configuration, so the benchmark
+// times the controller's forward model, not soundings.
+func BenchmarkModelGuidedSearch(b *testing.B) {
+	link := benchLink(b)
+	mg := ModelGuided{Problem: &inverse.Problem{
+		Env: link.Env, TX: link.TX.Node, RX: link.RX.Node, Array: link.Array, Grid: link.Grid,
+	}}
+	eval := func(c element.Config) (float64, error) {
+		var s float64
+		for i, si := range c {
+			s += float64((i + 1) * si)
+		}
+		return s, nil
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mg.Search(link.Array, eval, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -38,7 +38,10 @@ func (m ModelGuided) Search(arr *element.Array, eval EvalFunc, budget int) (*Res
 	if m.Problem.Array != arr {
 		return nil, fmt.Errorf("control: ModelGuided problem array differs from the searched array")
 	}
-	baseline := m.Problem.Baseline()
+	baseline, err := m.Problem.Baseline()
+	if err != nil {
+		return nil, fmt.Errorf("control: inverse model: %w", err)
+	}
 	target := m.targetFor(baseline)
 	sol, err := inverse.Solve(m.Problem, target)
 	if err != nil {

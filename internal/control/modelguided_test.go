@@ -2,10 +2,13 @@ package control
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"press/internal/element"
+	"press/internal/geom"
 	"press/internal/inverse"
+	"press/internal/obs"
 	"press/internal/radio"
 )
 
@@ -92,6 +95,41 @@ func TestModelGuidedValidation(t *testing.T) {
 	mg := ModelGuided{Problem: modelProblem(link)}
 	if _, err := mg.Search(other, ev.Eval, 0); err == nil {
 		t.Error("mismatched array accepted")
+	}
+}
+
+// TestModelGuidedRejectsDegenerateInput: a problem with an invalid grid
+// or environment, or geometry that is not finite, is an error from
+// Search, returned before anything is traced or measured.
+func TestModelGuidedRejectsDegenerateInput(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		edit func(p *inverse.Problem)
+	}{
+		{"NaN TX position", func(p *inverse.Problem) { p.TX.Pos.X = nan }},
+		{"+Inf RX velocity", func(p *inverse.Problem) { p.RX.Velocity.Y = inf }},
+		{"NaN grid center", func(p *inverse.Problem) { p.Grid.CenterHz = nan }},
+		{"zero room", func(p *inverse.Problem) { p.Env.Room = geom.Room{} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			link := controlTestbed(t, 66)
+			reg := obs.NewRegistry()
+			link.Env.Obs = reg
+			p := modelProblem(link)
+			tc.edit(p)
+			evals := 0
+			eval := func(element.Config) (float64, error) { evals++; return 0, nil }
+			if _, err := (ModelGuided{Problem: p}).Search(link.Array, eval, 0); err == nil {
+				t.Error("Search accepted")
+			}
+			if evals != 0 {
+				t.Errorf("Search measured %d configurations", evals)
+			}
+			if n := reg.Counter("propagation_traces_total").Value(); n != 0 {
+				t.Errorf("traced %d times before rejecting", n)
+			}
+		})
 	}
 }
 

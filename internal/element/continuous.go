@@ -68,7 +68,7 @@ func (a *Array) ValidateContinuous(c ContinuousConfig) error {
 
 // ContinuousPaths returns the array's path contributions under a
 // continuous configuration — the forward model for continuously-variable
-// phase hardware.
+// phase hardware. Like Paths, it is a test reference.
 func (a *Array) ContinuousPaths(env *propagation.Environment, tx, rx propagation.Node,
 	c ContinuousConfig, lambdaM float64) []propagation.Path {
 

@@ -56,6 +56,16 @@ func (e *Element) Reflection(si int, lambdaM float64) (complex128, float64) {
 	return complex(amp, 0), stubLen / rfphys.SpeedOfLight
 }
 
+// Phasor returns state si's reflection as one complex coefficient at the
+// carrier: its amplitude times e^{-jφ}, where φ is the phase its stub
+// delay realizes at wavelength lambdaM; 0 for terminate. The inverse
+// problem's linear model treats each state as this frequency-flat
+// coefficient.
+func (e *Element) Phasor(si int, lambdaM float64) complex128 {
+	refl, extraDelay := e.Reflection(si, lambdaM)
+	return refl * rfphys.Cis(-2*math.Pi*rfphys.SpeedOfLight/lambdaM*extraDelay)
+}
+
 // Array is an ordered set of PRESS elements controlled together.
 type Array struct {
 	Elements []*Element
@@ -217,7 +227,9 @@ func joinComma(parts []string) string {
 // per non-terminated element. Terminated elements contribute nothing, so
 // the all-terminated configuration returns an empty slice — exactly the
 // paper's observation that terminated arrays leave only environmental
-// reflections.
+// reflections. Paths, PathsWithFaults and ContinuousPaths are the slow
+// per-path reference that internal/channel's superposition model, which
+// measurements and the inverse solver use, is tested against.
 func (a *Array) Paths(env *propagation.Environment, tx, rx propagation.Node,
 	c Config, lambdaM float64) []propagation.Path {
 

@@ -53,7 +53,8 @@ func (a *Array) ValidateFaults(f Faults) error {
 // PathsWithFaults is Paths under a failure plan: commands to stuck
 // elements are silently overridden by the jammed state, dead elements
 // contribute nothing. The controller does not see the overrides except
-// through the channel itself — exactly the real-world situation.
+// through the channel itself — exactly the real-world situation. Like
+// Paths, it is a test reference.
 func (a *Array) PathsWithFaults(env *propagation.Environment, tx, rx propagation.Node,
 	c Config, faults Faults, lambdaM float64) []propagation.Path {
 

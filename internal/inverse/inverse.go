@@ -17,6 +17,7 @@ import (
 	"math"
 	"math/cmplx"
 
+	"press/internal/channel"
 	"press/internal/cmat"
 	"press/internal/element"
 	"press/internal/ofdm"
@@ -33,33 +34,31 @@ type Problem struct {
 	Grid  ofdm.Grid
 }
 
-// Baseline returns the environment-only channel response (all elements
-// terminated) on the problem's grid.
-func (p *Problem) Baseline() []complex128 {
-	lambda := rfphys.Wavelength(p.Grid.CenterHz)
-	paths := propagation.TracePaths(p.Env, p.TX, p.RX, lambda)
-	return propagation.Response(paths, p.Grid.Frequencies(), 0)
+// model builds the problem's channel model, the inverse problem's
+// forward model, which Solve evaluates at t = 0: the environment H_env
+// (Model.Environment), element i's unit-reflection column B_i
+// (Model.Unit) and each configuration's response (Model.Sum). An invalid
+// grid or environment, or geometry that is not finite, is an error,
+// returned before anything is traced.
+func (p *Problem) model() (*channel.Model, error) {
+	ms, err := channel.Build(p.Env, []propagation.Node{p.TX}, []propagation.Node{p.RX}, p.Array, p.Grid, nil, nil)
+	if err != nil {
+		return nil, fmt.Errorf("inverse: %w", err)
+	}
+	return ms[0], nil
 }
 
-// Basis returns the K×N matrix B with B[k][i] = element i's path response
-// on subcarrier k at unit reflection (phase 0, amplitude 1). Elements
-// whose geometry contributes no path (blocked below the floor) yield a
-// zero column.
-func (p *Problem) Basis() *cmat.Matrix {
-	lambda := rfphys.Wavelength(p.Grid.CenterHz)
-	freqs := p.Grid.Frequencies()
-	b := cmat.New(len(freqs), p.Array.N())
-	for i, e := range p.Array.Elements {
-		path, ok := propagation.BistaticPath(p.Env, p.TX, p.RX, e.Pos, e.Pattern, 1, 0, lambda)
-		if !ok {
-			continue
-		}
-		resp := propagation.Response([]propagation.Path{path}, freqs, 0)
-		for k := range resp {
-			b.Set(k, i, resp[k])
-		}
+// Baseline returns the environment-only channel response (all elements
+// terminated) on the problem's grid. It returns an error where Solve
+// does for the scene.
+func (p *Problem) Baseline() ([]complex128, error) {
+	m, err := p.model()
+	if err != nil {
+		return nil, err
 	}
-	return b
+	h := make([]complex128, p.Grid.NumUsed())
+	m.Environment(h, 0)
+	return h, nil
 }
 
 // Solution is the outcome of one inverse solve.
@@ -82,7 +81,9 @@ func (s *Solution) Improved() bool { return s.AchievedResidual < s.BaselineResid
 
 // Solve computes the reflection coefficients that best approximate the
 // target response, then projects them onto the array's discrete states
-// and evaluates what the projection actually achieves.
+// and evaluates what the projection actually achieves. The environment
+// is traced once. An invalid grid or environment, or geometry that is
+// not finite, is an error, returned before anything is traced.
 func Solve(p *Problem, target []complex128) (*Solution, error) {
 	if len(target) != p.Grid.NumUsed() {
 		return nil, fmt.Errorf("inverse: target has %d entries for %d subcarriers", len(target), p.Grid.NumUsed())
@@ -90,14 +91,18 @@ func Solve(p *Problem, target []complex128) (*Solution, error) {
 	if p.Array.N() == 0 {
 		return nil, fmt.Errorf("inverse: empty array")
 	}
-	baseline := p.Baseline()
-	basis := p.Basis()
+	m, err := p.model()
+	if err != nil {
+		return nil, err
+	}
+	env := make([]complex128, len(target))
+	m.Environment(env, 0)
 
 	// delta = H* − H_env is what the element paths must synthesize.
 	delta := make(cmat.Vector, len(target))
 	var baseRes float64
 	for k := range target {
-		delta[k] = target[k] - baseline[k]
+		delta[k] = target[k] - env[k]
 		baseRes += real(delta[k])*real(delta[k]) + imag(delta[k])*imag(delta[k])
 	}
 	baseRes = math.Sqrt(baseRes)
@@ -106,21 +111,31 @@ func Solve(p *Problem, target []complex128) (*Solution, error) {
 	// are nearly frequency-flat, so the basis is close to rank one and
 	// plain least squares returns huge, non-physical coefficients. The
 	// minimal-norm solution via a truncated pseudo-inverse stays bounded.
+	basis := cmat.New(len(target), p.Array.N())
+	for i := range p.Array.Elements {
+		for k, b := range m.Unit(i) {
+			basis.Set(k, i, b)
+		}
+	}
 	x := cmat.PseudoInverse(basis, 1e-6).MulVec(delta)
 
-	lambda := rfphys.Wavelength(p.Grid.CenterHz)
-	cfg := ProjectToConfig(p.Array, x, lambda)
+	cfg := ProjectToConfig(p.Array, x, rfphys.Wavelength(p.Grid.CenterHz))
 	// Discrete refinement on the forward model (no measurements needed:
 	// the model is known, so searching it is free). Small spaces are
 	// searched exhaustively; larger ones by coordinate descent from the
-	// projected warm start.
-	cfg = refineDiscrete(p.Array, basis, delta, cfg, lambda)
+	// projected warm start. Each candidate is scored on the narrowband
+	// table −delta + Σ_i B_i·φ_i,s, one vector add per element.
+	for k := range env {
+		env[k] = -delta[k]
+	}
+	h := make([]complex128, len(target))
+	cfg = refineDiscrete(m.Narrowband(env), cfg, h)
 
 	// Evaluate the achieved channel under the projected configuration.
-	achieved := p.Apply(cfg)
+	m.Sum(h, cfg, nil, 0)
 	var achRes float64
 	for k := range target {
-		d := achieved[k] - target[k]
+		d := h[k] - target[k]
 		achRes += real(d)*real(d) + imag(d)*imag(d)
 	}
 	achRes = math.Sqrt(achRes)
@@ -133,49 +148,29 @@ func Solve(p *Problem, target []complex128) (*Solution, error) {
 	}, nil
 }
 
-// Apply returns the full channel response under cfg (environment plus
-// element paths), the forward model of the inverse problem.
-func (p *Problem) Apply(cfg element.Config) []complex128 {
-	lambda := rfphys.Wavelength(p.Grid.CenterHz)
-	paths := propagation.TracePaths(p.Env, p.TX, p.RX, lambda)
-	paths = append(paths, p.Array.Paths(p.Env, p.TX, p.RX, cfg, lambda)...)
-	return propagation.Response(paths, p.Grid.Frequencies(), 0)
-}
-
-// statePhasor returns the effective carrier-frequency reflection phasor
-// of element e's state si: amplitude·e^{-jφ}, or 0 for terminate.
-func statePhasor(e *element.Element, si int, lambdaM float64) complex128 {
-	refl, extraDelay := e.Reflection(si, lambdaM)
-	return refl * rfphys.Cis(-2*math.Pi*rfphys.SpeedOfLight/lambdaM*extraDelay)
-}
-
-// modelResidual2 returns ‖basis·x(cfg) − delta‖² under the linear model.
-func modelResidual2(arr *element.Array, basis *cmat.Matrix, delta cmat.Vector,
-	cfg element.Config, lambdaM float64) float64 {
-
+// residual2 returns ‖·‖² of the narrowband table's sum under cfg, using h
+// as scratch: the squared model residual ‖B·x(cfg) − delta‖².
+func residual2(nb *channel.Model, h []complex128, cfg element.Config) float64 {
+	nb.Sum(h, cfg, nil, 0)
 	var sum float64
-	for k := 0; k < basis.Rows; k++ {
-		acc := -delta[k]
-		for i := range cfg {
-			acc += basis.At(k, i) * statePhasor(arr.Elements[i], cfg[i], lambdaM)
-		}
-		sum += real(acc)*real(acc) + imag(acc)*imag(acc)
+	for _, v := range h {
+		sum += real(v)*real(v) + imag(v)*imag(v)
 	}
 	return sum
 }
 
-// refineDiscrete improves a projected configuration against the linear
-// forward model: exhaustively for configuration spaces up to 4096, by
-// coordinate descent otherwise.
-func refineDiscrete(arr *element.Array, basis *cmat.Matrix, delta cmat.Vector,
-	warm element.Config, lambdaM float64) element.Config {
-
+// refineDiscrete improves a projected configuration against the
+// narrowband table nb, with h (one entry per subcarrier) as scratch:
+// exhaustively for configuration spaces up to 4096, by coordinate descent
+// otherwise.
+func refineDiscrete(nb *channel.Model, warm element.Config, h []complex128) element.Config {
+	arr := nb.Array()
 	best := warm.Clone()
-	bestRes := modelResidual2(arr, basis, delta, best, lambdaM)
+	bestRes := residual2(nb, h, best)
 
 	if arr.NumConfigs() <= 4096 {
 		arr.EachConfig(func(_ int, c element.Config) bool {
-			if r := modelResidual2(arr, basis, delta, c, lambdaM); r < bestRes {
+			if r := residual2(nb, h, c); r < bestRes {
 				bestRes = r
 				best = c.Clone()
 			}
@@ -194,7 +189,7 @@ func refineDiscrete(arr *element.Array, basis *cmat.Matrix, delta cmat.Vector,
 				}
 				cand := best.Clone()
 				cand[i] = si
-				if r := modelResidual2(arr, basis, delta, cand, lambdaM); r < bestRes {
+				if r := residual2(nb, h, cand); r < bestRes {
 					bestRes, best = r, cand
 					improved = true
 				}
@@ -216,10 +211,7 @@ func ProjectToConfig(arr *element.Array, x cmat.Vector, lambdaM float64) element
 	for i, e := range arr.Elements {
 		bestState, bestDist := 0, math.Inf(1)
 		for si := 0; si < e.NumStates(); si++ {
-			refl, extraDelay := e.Reflection(si, lambdaM)
-			// The stub delay realizes the phase at the carrier.
-			phasor := refl * rfphys.Cis(-2*math.Pi*rfphys.SpeedOfLight/lambdaM*extraDelay)
-			if d := cmplx.Abs(phasor - x[i]); d < bestDist {
+			if d := cmplx.Abs(e.Phasor(si, lambdaM) - x[i]); d < bestDist {
 				bestState, bestDist = si, d
 			}
 		}

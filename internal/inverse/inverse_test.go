@@ -6,9 +6,11 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"press/internal/channel"
 	"press/internal/cmat"
 	"press/internal/element"
 	"press/internal/geom"
+	"press/internal/obs"
 	"press/internal/ofdm"
 	"press/internal/propagation"
 	"press/internal/rfphys"
@@ -29,38 +31,57 @@ func testProblem(seed uint64) *Problem {
 	return &Problem{Env: env, TX: tx, RX: rx, Array: arr, Grid: ofdm.WiFi20()}
 }
 
+// model returns p's channel model, failing the test on error.
+func model(t *testing.T, p *Problem) *channel.Model {
+	t.Helper()
+	m, err := p.model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// apply returns the model's response under cfg at t = 0.
+func apply(t *testing.T, p *Problem, cfg element.Config) []complex128 {
+	h := make([]complex128, p.Grid.NumUsed())
+	model(t, p).Sum(h, cfg, nil, 0)
+	return h
+}
+
 func TestBasisShape(t *testing.T) {
 	p := testProblem(1)
-	b := p.Basis()
-	if b.Rows != 52 || b.Cols != 3 {
-		t.Fatalf("basis shape %dx%d", b.Rows, b.Cols)
-	}
-	// Every element contributes a nonzero column here.
-	for j := 0; j < 3; j++ {
-		if b.Col(j).Norm() == 0 {
+	m := model(t, p)
+	// Every element contributes a nonzero 52-subcarrier column here.
+	for j := 0; j < p.Array.N(); j++ {
+		col := cmat.Vector(m.Unit(j))
+		if len(col) != 52 {
+			t.Fatalf("element %d column has %d entries", j, len(col))
+		}
+		if col.Norm() == 0 {
 			t.Errorf("element %d contributes nothing", j)
 		}
 	}
 }
 
 func TestForwardModelLinearity(t *testing.T) {
-	// Apply(cfg) must equal baseline + basis·x(cfg) to within the tiny
-	// dispersion of the stub delay across the band.
+	// The model's response under cfg must equal baseline + basis·x(cfg) to
+	// within the tiny dispersion of the stub delay across the band.
 	p := testProblem(2)
 	lambda := rfphys.Wavelength(p.Grid.CenterHz)
-	baseline := p.Baseline()
-	basis := p.Basis()
+	baseline, err := p.Baseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := model(t, p)
 
 	cfg := element.Config{0, 2, 3} // phases 0, π, terminated
-	x := make(cmat.Vector, 3)
-	for i, e := range p.Array.Elements {
-		refl, extra := e.Reflection(cfg[i], lambda)
-		x[i] = refl * cmplx.Exp(complex(0, -2*math.Pi*rfphys.SpeedOfLight/lambda*extra))
-	}
-	predicted := basis.MulVec(x)
-	actual := p.Apply(cfg)
+	actual := apply(t, p, cfg)
 	for k := range actual {
-		want := baseline[k] + predicted[k]
+		want := baseline[k]
+		for i, e := range p.Array.Elements {
+			refl, extra := e.Reflection(cfg[i], lambda)
+			want += m.Unit(i)[k] * refl * cmplx.Exp(complex(0, -2*math.Pi*rfphys.SpeedOfLight/lambda*extra))
+		}
 		if cmplx.Abs(actual[k]-want) > 2e-2*cmplx.Abs(actual[k])+1e-12 {
 			t.Fatalf("subcarrier %d: forward model mismatch %v vs %v", k, actual[k], want)
 		}
@@ -74,7 +95,7 @@ func TestSolveSelfConsistency(t *testing.T) {
 	// recover it.
 	p := testProblem(3)
 	want := element.Config{1, 2, 0}
-	target := p.Apply(want)
+	target := apply(t, p, want)
 
 	sol, err := Solve(p, target)
 	if err != nil {
@@ -94,7 +115,10 @@ func TestSolveFlatTarget(t *testing.T) {
 	// discrete projection cannot reach it exactly, but must not do worse
 	// than leaving the array terminated.
 	p := testProblem(4)
-	baseline := p.Baseline()
+	baseline, err := p.Baseline()
+	if err != nil {
+		t.Fatal(err)
+	}
 	mags := make([]float64, len(baseline))
 	for k, h := range baseline {
 		mags[k] = cmplx.Abs(h)
@@ -180,5 +204,67 @@ func TestTargetFlat(t *testing.T) {
 	// Phase preserved where defined.
 	if cmplx.Abs(got[0]-5i) > 1e-12 {
 		t.Errorf("phase not preserved: %v", got[0])
+	}
+}
+
+// TestSolveTracesOnce: a Solve traces the environment once and builds
+// each element's geometry once, however many states each element has.
+func TestSolveTracesOnce(t *testing.T) {
+	p := testProblem(6)
+	reg := obs.NewRegistry()
+	p.Env.Obs = reg
+	baseline, err := p.Baseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, elems := reg.Counter("propagation_traces_total"), reg.Counter("propagation_element_paths_total")
+	traces0, elems0 := traces.Value(), elems.Value()
+	if _, err := Solve(p, TargetFlat(baseline, 1e-6)); err != nil {
+		t.Fatal(err)
+	}
+	if n := traces.Value() - traces0; n != 1 {
+		t.Errorf("Solve traced the environment %d times, want 1", n)
+	}
+	if n := elems.Value() - elems0; n != int64(p.Array.N()) {
+		t.Errorf("Solve built %d element paths for %d elements", n, p.Array.N())
+	}
+}
+
+// TestSolveRejectsDegenerateInput: an invalid grid or environment, or
+// geometry that is not finite, is an error from Solve and Baseline,
+// returned before anything is traced, never a NaN solution.
+func TestSolveRejectsDegenerateInput(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		edit func(p *Problem)
+	}{
+		{"NaN TX position", func(p *Problem) { p.TX.Pos.X = nan }},
+		{"+Inf RX position", func(p *Problem) { p.RX.Pos.Y = inf }},
+		{"NaN RX velocity", func(p *Problem) { p.RX.Velocity.Z = nan }},
+		{"-Inf TX velocity", func(p *Problem) { p.TX.Velocity.X = -inf }},
+		{"NaN element position", func(p *Problem) { p.Array.Elements[1].Pos.Z = nan }},
+		{"NaN grid center", func(p *Problem) { p.Grid.CenterHz = nan }},
+		{"+Inf grid center", func(p *Problem) { p.Grid.CenterHz = inf }},
+		{"zero grid spacing", func(p *Problem) { p.Grid.SpacingHz = 0 }},
+		{"NaN room width", func(p *Problem) { p.Env.Room.Size.Y = nan }},
+		{"NaN scatterer velocity", func(p *Problem) { p.Env.Scatterers[0].Velocity.X = nan }},
+		{"MaxOrder 9", func(p *Problem) { p.Env.MaxOrder = 9 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := testProblem(7)
+			reg := obs.NewRegistry()
+			p.Env.Obs = reg
+			tc.edit(p)
+			if sol, err := Solve(p, make([]complex128, p.Grid.NumUsed())); err == nil {
+				t.Errorf("Solve accepted: %+v", sol)
+			}
+			if _, err := p.Baseline(); err == nil {
+				t.Error("Baseline accepted")
+			}
+			if n := reg.Counter("propagation_traces_total").Value(); n != 0 {
+				t.Errorf("traced %d times before rejecting", n)
+			}
+		})
 	}
 }

@@ -5,7 +5,10 @@
 // estimation, per-subcarrier SNR extraction, and SNR→bit-rate mapping.
 package ofdm
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Grid is an OFDM subcarrier layout on a carrier.
 type Grid struct {
@@ -69,11 +72,14 @@ func (g Grid) BandwidthHz() float64 {
 	return float64(g.Used[len(g.Used)-1]-g.Used[0]+1) * g.SpacingHz
 }
 
-// Validate checks the grid's invariants: positive spacing and center,
-// strictly ascending used list.
+// Validate checks the grid's invariants: finite, positive spacing and
+// center, strictly ascending used list.
 func (g Grid) Validate() error {
-	if g.CenterHz <= 0 || g.SpacingHz <= 0 {
-		return fmt.Errorf("ofdm: non-positive center or spacing")
+	// NaN fails both comparisons; a +Inf center would give a zero
+	// wavelength.
+	inf := math.Inf(1)
+	if !(0 < g.CenterHz && g.CenterHz < inf && 0 < g.SpacingHz && g.SpacingHz < inf) {
+		return fmt.Errorf("ofdm: center %v Hz and spacing %v Hz must be finite and positive", g.CenterHz, g.SpacingHz)
 	}
 	if len(g.Used) == 0 {
 		return fmt.Errorf("ofdm: no used subcarriers")

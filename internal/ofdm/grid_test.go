@@ -65,15 +65,26 @@ func TestFrequenciesAscending(t *testing.T) {
 }
 
 func TestGridValidate(t *testing.T) {
-	bad := Grid{CenterHz: 2.4e9, SpacingHz: 312.5e3, Used: []int{3, 2}}
-	if bad.Validate() == nil {
-		t.Error("descending Used accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		g    Grid
+	}{
+		{"descending Used", Grid{CenterHz: 2.4e9, SpacingHz: 312.5e3, Used: []int{3, 2}}},
+		{"zero spacing", Grid{CenterHz: 2.4e9, SpacingHz: 0, Used: []int{1}}},
+		{"empty grid", Grid{CenterHz: 2.4e9, SpacingHz: 1, Used: nil}},
+		{"NaN center", Grid{CenterHz: nan, SpacingHz: 312.5e3, Used: []int{1}}},
+		{"+Inf center", Grid{CenterHz: inf, SpacingHz: 312.5e3, Used: []int{1}}},
+		{"NaN spacing", Grid{CenterHz: 2.4e9, SpacingHz: nan, Used: []int{1}}},
+		{"+Inf spacing", Grid{CenterHz: 2.4e9, SpacingHz: inf, Used: []int{1}}},
+		{"-Inf center", Grid{CenterHz: -inf, SpacingHz: 312.5e3, Used: []int{1}}},
+	} {
+		if tc.g.Validate() == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
-	if (Grid{CenterHz: 2.4e9, SpacingHz: 0, Used: []int{1}}).Validate() == nil {
-		t.Error("zero spacing accepted")
-	}
-	if (Grid{CenterHz: 2.4e9, SpacingHz: 1, Used: nil}).Validate() == nil {
-		t.Error("empty grid accepted")
+	if err := WiFi20().Validate(); err != nil {
+		t.Errorf("WiFi20 rejected: %v", err)
 	}
 }
 

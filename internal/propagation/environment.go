@@ -133,7 +133,8 @@ func (e *Environment) AddScatterers(rng *rand.Rand, n int, amp float64) {
 }
 
 // Validate checks that the environment is self-consistent (sane order,
-// finite and positive room, scatterers inside the room).
+// finite and positive room, scatterers inside the room with finite
+// velocity and gain).
 func (e *Environment) Validate() error {
 	if e.MaxOrder < 0 || e.MaxOrder > 3 {
 		return fmt.Errorf("propagation: MaxOrder %d outside [0,3]", e.MaxOrder)
@@ -147,6 +148,13 @@ func (e *Environment) Validate() error {
 	for i, s := range e.Scatterers {
 		if !e.Room.Contains(s.Pos) {
 			return fmt.Errorf("propagation: scatterer %d at %v outside room", i, s.Pos)
+		}
+		v := s.Velocity
+		if !(math.Abs(v.X) < inf && math.Abs(v.Y) < inf && math.Abs(v.Z) < inf) {
+			return fmt.Errorf("propagation: scatterer %d velocity %v is not finite", i, v)
+		}
+		if !(math.Abs(real(s.Gain)) < inf && math.Abs(imag(s.Gain)) < inf) {
+			return fmt.Errorf("propagation: scatterer %d gain %v is not finite", i, s.Gain)
 		}
 	}
 	return nil

@@ -287,13 +287,26 @@ func scatterPath(env *Environment, tx, rx Node, s Scatterer, lambdaM float64) (P
 // antenna pattern applied at incidence and departure, blocker losses, and
 // the element's complex reflection gain and extra internal delay
 // (switched waveguide stub). The boolean is false when the path is too
-// weak to matter (e.g. the element is terminated: reflect == 0).
+// weak to matter (e.g. the element is terminated: reflect == 0). It is
+// ElementPath followed by Path.Reflect.
 func BistaticPath(env *Environment, tx, rx Node, via geom.Vec, viaPattern rfphys.Pattern,
 	reflect complex128, extraDelayS float64, lambdaM float64) (Path, bool) {
 
 	if reflect == 0 {
 		return Path{}, false
 	}
+	p, ok := ElementPath(env, tx, rx, via, viaPattern, lambdaM)
+	if !ok {
+		return Path{}, false
+	}
+	return p.Reflect(reflect, extraDelayS)
+}
+
+// ElementPath is BistaticPath's geometry: the path TX→via→RX at unit
+// reflection and no stub delay, without the -180 dB floor. The boolean
+// is false only when via sits on an endpoint. Every state of an element
+// shares this geometry; Reflect derives each state's path from it.
+func ElementPath(env *Environment, tx, rx Node, via geom.Vec, viaPattern rfphys.Pattern, lambdaM float64) (Path, bool) {
 	d1 := via.Dist(tx.Pos)
 	d2 := rx.Pos.Dist(via)
 	if d1 == 0 || d2 == 0 {
@@ -311,23 +324,34 @@ func BistaticPath(env *Environment, tx, rx Node, via geom.Vec, viaPattern rfphys
 	amp *= viaPattern.Gain(aod.Scale(-1)) * viaPattern.Gain(aoa)
 	lossDB := geom.SegmentLossDB(env.Blockers, tx.Pos, via) +
 		geom.SegmentLossDB(env.Blockers, via, rx.Pos)
-
-	gain := complex(amp*rfphys.DBToAmplitude(-lossDB), 0) * reflect
-	if tooWeak(cmplx.Abs(gain)) {
-		return Path{}, false
-	}
-	// Links build element paths once per channel basis, not per sounding,
-	// so this counts paths found while building bases.
+	// Links build one element geometry per element and channel model,
+	// not per state or sounding, so this counts element geometries built.
 	env.Obs.Counter("propagation_element_paths_total").Inc()
 	return Path{
-		Gain:      gain,
-		Delay:     (d1+d2)/rfphys.SpeedOfLight + extraDelayS,
+		Gain:      complex(amp*rfphys.DBToAmplitude(-lossDB), 0),
+		Delay:     (d1 + d2) / rfphys.SpeedOfLight,
 		AoD:       aod,
 		AoA:       aoa,
 		DopplerHz: doppler(tx, rx, aod, aoa, lambdaM),
 		Kind:      KindElement,
 		Hops:      1,
 	}, true
+}
+
+// Reflect returns p, a unit-reflection element path from ElementPath,
+// under the complex reflection gain reflect and stub delay extraDelayS.
+// The boolean is false when the reflected path is below the -180 dB
+// floor or reflect is 0 (a terminated state).
+func (p Path) Reflect(reflect complex128, extraDelayS float64) (Path, bool) {
+	if reflect == 0 {
+		return Path{}, false
+	}
+	p.Gain *= reflect
+	if tooWeak(cmplx.Abs(p.Gain)) {
+		return Path{}, false
+	}
+	p.Delay += extraDelayS
+	return p, true
 }
 
 // doppler returns the per-path Doppler shift from the endpoint

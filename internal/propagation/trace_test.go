@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"press/internal/fpexact"
 	"press/internal/geom"
 	"press/internal/rfphys"
 )
@@ -372,5 +373,112 @@ func BenchmarkResponse52Subcarriers(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Response(paths, freqs, 0)
+	}
+}
+
+// oneStepBistaticPath is BistaticPath as one function, before it was split
+// into ElementPath and Path.Reflect: the reference for
+// TestBistaticPathSplitMatchesOneStep.
+func oneStepBistaticPath(env *Environment, tx, rx Node, via geom.Vec, viaPattern rfphys.Pattern,
+	reflect complex128, extraDelayS float64, lambdaM float64) (Path, bool) {
+
+	if reflect == 0 {
+		return Path{}, false
+	}
+	d1 := via.Dist(tx.Pos)
+	d2 := rx.Pos.Dist(via)
+	if d1 == 0 || d2 == 0 {
+		return Path{}, false
+	}
+	if viaPattern == nil {
+		viaPattern = rfphys.Isotropic{}
+	}
+	aod := via.Sub(tx.Pos).Unit()
+	aoa := rx.Pos.Sub(via).Unit()
+	amp := rfphys.FriisAmplitude(d1, lambdaM) * rfphys.FriisAmplitude(d2, lambdaM)
+	amp *= tx.pattern().Gain(aod) * rx.pattern().Gain(aoa.Scale(-1))
+	amp *= viaPattern.Gain(aod.Scale(-1)) * viaPattern.Gain(aoa)
+	lossDB := geom.SegmentLossDB(env.Blockers, tx.Pos, via) +
+		geom.SegmentLossDB(env.Blockers, via, rx.Pos)
+	gain := complex(amp*rfphys.DBToAmplitude(-lossDB), 0) * reflect
+	if tooWeak(cmplx.Abs(gain)) {
+		return Path{}, false
+	}
+	return Path{
+		Gain:      gain,
+		Delay:     (d1+d2)/rfphys.SpeedOfLight + extraDelayS,
+		AoD:       aod,
+		AoA:       aoa,
+		DopplerHz: doppler(tx, rx, aod, aoa, lambdaM),
+		Kind:      KindElement,
+		Hops:      1,
+	}, true
+}
+
+// TestBistaticPathSplitMatchesOneStep: deriving a state's path from the
+// element's unit-reflection geometry (ElementPath, then Reflect), as a
+// channel model does once per element, gives exactly the one-step
+// path, field by field and bit for bit, on random geometries with moving
+// endpoints, parabolic and omni elements, active and passive
+// reflections and lossy boxes around the element that put the path near
+// the -180 dB floor; and the path exists in the same cases.
+func TestBistaticPathSplitMatchesOneStep(t *testing.T) {
+	if fpexact.Contracts() {
+		t.Skip("this target fuses multiply-adds; the two forms may round differently")
+	}
+	rng := rand.New(rand.NewPCG(20, 2))
+	bits := math.Float64bits
+	env := testEnv()
+	var nearFloor int
+	for trial := 0; trial < 6000; trial++ {
+		pos := func() geom.Vec {
+			return geom.V(0.2+rng.Float64()*5.6, 0.2+rng.Float64()*4.6, 0.2+rng.Float64()*2.6)
+		}
+		tx := Node{Pos: pos(), Pattern: rfphys.Omni{PeakGainDBi: 2}}
+		rx := Node{Pos: pos(), Pattern: rfphys.Omni{PeakGainDBi: 2}}
+		if rng.IntN(2) == 0 {
+			tx.Velocity = geom.V(rng.NormFloat64(), rng.NormFloat64(), 0)
+		}
+		via := pos()
+		switch rng.IntN(8) {
+		case 0:
+			via = tx.Pos
+		case 1:
+			via = rx.Pos
+		}
+		var pattern rfphys.Pattern
+		if rng.IntN(2) == 0 {
+			pattern = rfphys.Parabolic{Boresight: rx.Pos.Sub(via), PeakGainDBi: 14, BeamwidthDeg: 21, SidelobeDB: -13}
+		}
+		env.Blockers = env.Blockers[:0]
+		if rng.IntN(2) == 0 {
+			lossDB := rng.Float64() * 160
+			env.Blockers = append(env.Blockers,
+				geom.NewBlocker(via.Sub(geom.V(0.01, 0.01, 0.01)), via.Add(geom.V(0.01, 0.01, 0.01)), lossDB))
+		}
+		refl := complex(rfphys.DBToAmplitude(rng.Float64()*40-20), 0)
+		if rng.IntN(8) == 0 {
+			refl = 0
+		}
+		extra := rng.Float64() * lambda / rfphys.SpeedOfLight
+		want, wantOK := oneStepBistaticPath(env, tx, rx, via, pattern, refl, extra, lambda)
+		got, gotOK := BistaticPath(env, tx, rx, via, pattern, refl, extra, lambda)
+		if gotOK != wantOK {
+			t.Fatalf("trial %d: path exists %v, one-step %v", trial, gotOK, wantOK)
+		}
+		if !gotOK {
+			continue
+		}
+		if a := cmplx.Abs(want.Gain); a < 1e-8 {
+			nearFloor++
+		}
+		if bits(real(got.Gain)) != bits(real(want.Gain)) || bits(imag(got.Gain)) != bits(imag(want.Gain)) ||
+			bits(got.Delay) != bits(want.Delay) || bits(got.DopplerHz) != bits(want.DopplerHz) ||
+			got.AoD != want.AoD || got.AoA != want.AoA || got.Kind != want.Kind || got.Hops != want.Hops {
+			t.Fatalf("trial %d: split path %+v, one-step %+v", trial, got, want)
+		}
+	}
+	if nearFloor == 0 {
+		t.Fatal("no kept path came within 20 dB of the floor")
 	}
 }

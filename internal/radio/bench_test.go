@@ -12,9 +12,9 @@ import (
 
 // BenchmarkMeasureCSI times one sounding on a warmed 3-element SP4T link
 // (WiFi20, 52 subcarriers), cycling through all 64 configurations: the
-// channel sum from the link's basis, frame synthesis and LS estimation.
-// A sounding allocates only the returned CSI (struct, H, SNRdB): 3
-// allocs/op.
+// channel sum from the link's channel model, frame synthesis and LS
+// estimation. A sounding allocates only the returned CSI (struct, H,
+// SNRdB): 3 allocs/op.
 func BenchmarkMeasureCSI(b *testing.B) {
 	b.Run("static", func(b *testing.B) {
 		benchSoundings(b, testbed(b, 1), nil)
@@ -52,7 +52,7 @@ func benchSoundings(b *testing.B, l *Link, phases element.ContinuousConfig) {
 		_, err := l.MeasureCSI(cfgs[i%len(cfgs)], t)
 		return err
 	}
-	if err := measure(0); err != nil { // builds the basis and scratch
+	if err := measure(0); err != nil { // builds the channel model and scratch
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

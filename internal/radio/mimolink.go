@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"time"
 
+	"press/internal/channel"
 	"press/internal/element"
 	"press/internal/geom"
 	"press/internal/mimo"
@@ -39,10 +40,9 @@ type MIMOLink struct {
 	// like Link.Prof.
 	Prof *prof.Collector
 
-	rng      *rand.Rand
-	envPaths [][][]propagation.Path // [rx][tx] environment paths, traced on first evaluation
-	bases    [][]*basis             // [rx][tx], built on first evaluation
-	resp     [][][]complex128       // [rx][tx] response scratch
+	rng    *rand.Rand
+	models []*channel.Model // rx-major, built on first evaluation
+	resp   [][][]complex128 // [rx][tx] response scratch
 }
 
 // AttachScope points the MIMO link's telemetry at a session scope
@@ -78,11 +78,11 @@ func NewMIMOLink(env *propagation.Environment, txAnts, rxAnts []propagation.Node
 
 // TrueChannel returns the noiseless per-subcarrier channel matrices under
 // cfg at time t. Each antenna pair is evaluated from its own channel
-// basis, built on first use and rebuilt when Array is swapped; the
+// model, built on first use and rebuilt when Array is swapped; the
 // environment, antennas, grid and elements must not change after the
 // first evaluation (build a new link instead).
 func (m *MIMOLink) TrueChannel(cfg element.Config, t float64) (*mimo.Channel, error) {
-	if err := validateSelection(m.Array, cfg, nil, nil, false); err != nil {
+	if err := channel.ValidateSelection(m.Array, cfg, nil, nil, false); err != nil {
 		return nil, err
 	}
 	var start time.Time
@@ -94,15 +94,15 @@ func (m *MIMOLink) TrueChannel(cfg element.Config, t float64) (*mimo.Channel, er
 			m.Obs.Counter("radio_mimo_solves_total").Inc()
 		}()
 	}
-	if err := m.buildBases(); err != nil {
+	if err := m.buildModels(); err != nil {
 		return nil, err
 	}
 	csp := m.Prof.Start(prof.PhaseChannelSum)
 	var vecs, evals int
-	for i, row := range m.bases {
-		for j, b := range row {
-			vecs += b.sum(m.resp[i][j], cfg, nil, t)
-			evals += len(b.freqs)
+	for i, row := range m.resp {
+		for j, h := range row {
+			vecs += m.models[i*len(row)+j].Sum(h, cfg, nil, t)
+			evals += len(h)
 		}
 	}
 	m.Prof.Add(prof.PhaseChannelSum, prof.AuxSubcarrierEvals, int64(evals))
@@ -117,50 +117,26 @@ func (m *MIMOLink) TrueChannel(cfg element.Config, t float64) (*mimo.Channel, er
 	return ch, err
 }
 
-// buildBases builds every antenna pair's channel basis and the response
-// scratch unless they are current, accounting the build to path_trace.
-// The environment is traced once, on the first build; an Array swap
-// reuses it. Geometry that is not finite is an error, returned before
-// anything is traced.
-func (m *MIMOLink) buildBases() error {
-	if m.bases != nil && m.bases[0][0].arr == m.Array {
+// buildModels builds every antenna pair's channel model and the response
+// scratch unless they are current. The environment is traced once, on
+// the first build; an Array swap reuses it. Geometry that is not finite
+// is an error, returned before anything is traced.
+func (m *MIMOLink) buildModels() error {
+	if m.models != nil && m.models[0].Array() == m.Array {
 		return nil
 	}
-	if err := checkGeometry(m.Env, m.TXAnts, m.RXAnts, m.Array); err != nil {
+	models, err := channel.Build(m.Env, m.TXAnts, m.RXAnts, m.Array, m.Grid, m.Prof, m.models)
+	if err != nil {
 		return err
 	}
-	lambda := rfphys.Wavelength(m.Grid.CenterHz)
-	if m.envPaths == nil {
-		// Traced outside tsp: TracePaths opens its own path_trace span
-		// on Env.Prof, and nesting the two would count the trace twice.
-		m.envPaths = make([][][]propagation.Path, len(m.RXAnts))
-		for i, rx := range m.RXAnts {
-			m.envPaths[i] = make([][]propagation.Path, len(m.TXAnts))
-			for j, tx := range m.TXAnts {
-				m.envPaths[i][j] = propagation.TracePaths(m.Env, tx, rx, lambda)
-			}
-		}
-	}
-	tsp := m.Prof.Start(prof.PhaseTrace)
-	freqs := m.Grid.Frequencies()
-	m.bases = make([][]*basis, len(m.RXAnts))
+	m.models = models
 	m.resp = make([][][]complex128, len(m.RXAnts))
-	var kept, culled int
-	for i, rx := range m.RXAnts {
-		m.bases[i] = make([]*basis, len(m.TXAnts))
+	for i := range m.resp {
 		m.resp[i] = make([][]complex128, len(m.TXAnts))
-		for j, tx := range m.TXAnts {
-			b := newBasis(m.Env, tx, rx, m.envPaths[i][j], m.Array, freqs, lambda)
-			k, c := b.vectors()
-			kept, culled = kept+k, culled+c
-			m.bases[i][j] = b
-			m.resp[i][j] = make([]complex128, len(freqs))
+		for j := range m.resp[i] {
+			m.resp[i][j] = make([]complex128, m.Grid.NumUsed())
 		}
 	}
-	m.Prof.Add(prof.PhaseTrace, prof.AuxImages, int64(kept+culled))
-	m.Prof.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(kept))
-	m.Prof.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(culled))
-	tsp.End()
 	return nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"math/rand/v2"
 	"time"
 
+	"press/internal/channel"
 	"press/internal/element"
 	"press/internal/obs"
 	"press/internal/obs/prof"
@@ -75,7 +76,7 @@ type Link struct {
 	// sweep spans. The nil default adds one pointer check per measurement.
 	Obs *obs.Registry
 	// Prof, when set, accounts the measurement pipeline's work to phases
-	// (channel-basis build → path_trace, per-sounding channel sum →
+	// (channel-model build → path_trace, per-sounding channel sum →
 	// channel_sum, sounding-frame synthesis → frame_synth, estimation →
 	// estimate, sweeps → sweep). Nil costs one pointer check per phase.
 	Prof *prof.Collector
@@ -85,12 +86,8 @@ type Link struct {
 	// is the estimate's own; observers must copy, not retain.
 	OnCSI func(snrDB []float64)
 
-	rng *rand.Rand
-	// envPaths caches the environment's paths (they do not switch),
-	// traced on first use when envTraced is unset; see environmentPaths.
-	envPaths  []propagation.Path
-	envTraced bool
-	basis     *basis // built on first measurement
+	rng   *rand.Rand
+	model *channel.Model // built on first measurement
 	// Measurement scratch: the channel vector, the training sequence, the
 	// noiseless received term √P·h·x per subcarrier and the received
 	// frame.
@@ -142,47 +139,14 @@ func NewLink(env *propagation.Environment, tx, rx *Radio, grid ofdm.Grid, arr *e
 // Wavelength returns the carrier wavelength of the link's grid.
 func (l *Link) Wavelength() float64 { return rfphys.Wavelength(l.Grid.CenterHz) }
 
-// InvalidateEnvironment drops the cached environment paths and the
-// channel basis, which the next measurement re-traces and rebuilds. Call
-// it after mutating Env (moving a blocker, adding scatterers), the TX or
-// RX node (position, velocity, pattern), Grid, or any field of an array
-// element.
+// InvalidateEnvironment drops the link's channel model, which the next
+// measurement re-traces and rebuilds. Call it after mutating Env (moving
+// a blocker, adding scatterers), the TX or RX node (position, velocity,
+// pattern), Grid, or any field of an array element.
 // Swapping Array for another array is detected on its own, and Faults
 // may change between calls freely: both are applied per measurement.
 func (l *Link) InvalidateEnvironment() {
-	l.envPaths, l.envTraced, l.basis = nil, false, nil
-}
-
-// environmentPaths returns the environment's paths, tracing them on first
-// use and after InvalidateEnvironment. The trace is accounted to
-// path_trace by Env.Prof.
-func (l *Link) environmentPaths() []propagation.Path {
-	if !l.envTraced {
-		l.envPaths = propagation.TracePaths(l.Env, l.TX.Node, l.RX.Node, l.Wavelength())
-		l.envTraced = true
-	}
-	return l.envPaths
-}
-
-// Paths returns the full path set under cfg: the environment paths
-// plus the array's switched paths, with Faults applied. A nil array (or
-// nil cfg with a nil array) yields the bare environment. It is the slow
-// reference the measurement path is checked against; measurements use
-// the link's channel basis instead. It panics on an invalid cfg.
-func (l *Link) Paths(cfg element.Config) []propagation.Path {
-	envPaths := l.environmentPaths()
-	if l.Array == nil {
-		return envPaths
-	}
-	var ep []propagation.Path
-	if len(l.Faults) > 0 {
-		ep = l.Array.PathsWithFaults(l.Env, l.TX.Node, l.RX.Node, cfg, l.Faults, l.Wavelength())
-	} else {
-		ep = l.Array.Paths(l.Env, l.TX.Node, l.RX.Node, cfg, l.Wavelength())
-	}
-	out := make([]propagation.Path, 0, len(envPaths)+len(ep))
-	out = append(out, envPaths...)
-	return append(out, ep...)
+	l.model = nil
 }
 
 // TrueResponse returns the noiseless channel response under cfg at time t
@@ -196,31 +160,26 @@ func (l *Link) TrueResponse(cfg element.Config, t float64) []complex128 {
 	return append([]complex128(nil), h...)
 }
 
-// channelBasis returns the link's channel basis, building it on first
+// channelModel returns the link's channel model, building it on first
 // use and again after InvalidateEnvironment or an Array swap (which
-// reuses the traced environment). The build is accounted to the
-// path_trace phase. Geometry that is not finite is an error, returned
-// before anything is traced.
-func (l *Link) channelBasis() (*basis, error) {
-	if l.basis != nil && l.basis.arr == l.Array {
-		return l.basis, nil
+// reuses the traced environment). Geometry that is not finite is an
+// error, returned before anything is traced.
+func (l *Link) channelModel() (*channel.Model, error) {
+	if l.model != nil && l.model.Array() == l.Array {
+		return l.model, nil
 	}
-	if err := checkGeometry(l.Env, []propagation.Node{l.TX.Node}, []propagation.Node{l.RX.Node}, l.Array); err != nil {
+	var prev []*channel.Model
+	if l.model != nil {
+		prev = []*channel.Model{l.model}
+	}
+	ms, err := channel.Build(l.Env, []propagation.Node{l.TX.Node}, []propagation.Node{l.RX.Node},
+		l.Array, l.Grid, l.Prof, prev)
+	if err != nil {
 		return nil, err
 	}
-	// Trace before opening the span: TracePaths opens its own path_trace
-	// span on Env.Prof, which may be l.Prof, and nested spans would count
-	// the trace twice.
-	envPaths := l.environmentPaths()
-	sp := l.Prof.Start(prof.PhaseTrace)
-	l.basis = newBasis(l.Env, l.TX.Node, l.RX.Node, envPaths, l.Array, l.Grid.Frequencies(), l.Wavelength())
-	kept, culled := l.basis.vectors()
-	l.Prof.Add(prof.PhaseTrace, prof.AuxImages, int64(kept+culled))
-	l.Prof.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(kept))
-	l.Prof.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(culled))
-	sp.End()
-	l.h = make([]complex128, len(l.basis.freqs))
-	return l.basis, nil
+	l.model = ms[0]
+	l.h = make([]complex128, l.Grid.NumUsed())
+	return l.model, nil
 }
 
 // response evaluates the noiseless channel at time t into the link's
@@ -230,19 +189,19 @@ func (l *Link) channelBasis() (*basis, error) {
 // geometry that is not finite, is an error, returned before anything is
 // evaluated.
 func (l *Link) response(cfg element.Config, phases element.ContinuousConfig, continuous bool, t float64) ([]complex128, error) {
-	if err := validateSelection(l.Array, cfg, l.Faults, phases, continuous); err != nil {
+	if err := channel.ValidateSelection(l.Array, cfg, l.Faults, phases, continuous); err != nil {
 		return nil, err
 	}
-	b, err := l.channelBasis()
+	m, err := l.channelModel()
 	if err != nil {
 		return nil, err
 	}
 	sp := l.Prof.Start(prof.PhaseChannelSum)
 	var vecs int
 	if continuous {
-		vecs = b.sumContinuous(l.h, phases, t)
+		vecs = m.SumContinuous(l.h, phases, t)
 	} else {
-		vecs = b.sum(l.h, cfg, l.Faults, t)
+		vecs = m.Sum(l.h, cfg, l.Faults, t)
 	}
 	l.Prof.Add(prof.PhaseChannelSum, prof.AuxSubcarrierEvals, int64(len(l.h)))
 	l.Prof.Add(prof.PhaseChannelSum, prof.AuxPathTerms, int64(vecs*len(l.h)))

@@ -113,7 +113,8 @@ func TestConfigChangesChannel(t *testing.T) {
 	// Terminated config must equal the bare environment.
 	term, _ := link.Array.AllTerminated()
 	termResp := link.TrueResponse(term, 0)
-	bare := propagation.Response(link.environmentPaths(), link.Grid.Frequencies(), 0)
+	bare := propagation.Response(propagation.TracePaths(link.Env, link.TX.Node, link.RX.Node, link.Wavelength()),
+		link.Grid.Frequencies(), 0)
 	for k := range bare {
 		if cmplx.Abs(termResp[k]-bare[k]) > 1e-18 {
 			t.Fatal("terminated array does not match bare environment")
