@@ -5,267 +5,123 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"press/internal/experiments"
 )
 
-// runOne dispatches one experiment by name.
-func runOne(name string, opt options, out io.Writer) error {
-	switch name {
-	case "los":
-		o := experiments.DefaultLoS()
-		if opt.seed != 0 {
-			o.Seed = opt.seed
-		}
-		res, err := experiments.RunLoS(o)
-		if err != nil {
-			return err
-		}
-		res.Print(out)
-		return nil
+// local holds the experiments that need inputs a RunSpec does not carry:
+// the -record path, -sessions and the flight root. They run under pressim
+// only and do not replay. Every other name runs from experiments.Registry.
+var local = []struct {
+	name string
+	run  func(name string, opt options, out io.Writer) error
+}{
+	{"concurrent", runConcurrent},
+	{"record", runRecord},
+	{"replay", runReplay},
+}
 
-	case "fig4":
-		o := experiments.DefaultFig4()
-		o.Trials = opt.trials
-		o.Placements = opt.placements
-		if opt.seed != 0 {
-			o.BaseSeed = opt.seed
-		}
-		res, err := experiments.RunFig4(o)
-		if err != nil {
-			return err
-		}
-		res.Print(out)
-		return writeCSV(opt, "fig4", res.WriteCSV)
-
-	case "fig5":
-		o := experiments.DefaultFig5()
-		o.Trials = opt.trials
-		if opt.seed != 0 {
-			o.Seed = opt.seed
-		}
-		res, err := experiments.RunFig5(o)
-		if err != nil {
-			return err
-		}
-		res.Print(out)
-		return writeCSV(opt, "fig5", res.WriteCSV)
-
-	case "fig6":
-		o := experiments.DefaultFig6()
-		o.Trials = opt.trials
-		if opt.seed != 0 {
-			o.Seed = opt.seed
-		}
-		res, err := experiments.RunFig6(o)
-		if err != nil {
-			return err
-		}
-		res.Print(out)
-		return writeCSV(opt, "fig6", res.WriteCSV)
-
-	case "fig7":
-		o := experiments.DefaultFig7()
-		if opt.seed != 0 {
-			o.Seed = opt.seed
-		}
-		res, err := experiments.RunFig7(o)
-		if err != nil {
-			return err
-		}
-		res.Print(out)
-		return writeCSV(opt, "fig7", res.WriteCSV)
-
-	case "fig8":
-		o := experiments.DefaultFig8()
-		o.Snapshots = opt.snapshots
-		o.Repetitions = opt.reps
-		if opt.seed != 0 {
-			o.Seed = opt.seed
-		}
-		res, err := experiments.RunFig8(o)
-		if err != nil {
-			return err
-		}
-		res.Print(out)
-		return writeCSV(opt, "fig8", res.WriteCSV)
-
-	case "coherence":
-		experiments.RunCoherence().Print(out)
-		return nil
-
-	case "demo":
-		o := experiments.DefaultDemo()
-		if opt.seed != 0 {
-			o.Seed = opt.seed
-		}
-		o.Loops = opt.loops
-		o.SpeedMph = opt.speed
-		o.SlowPhase = opt.slowPhase
-		o.Budget = opt.budget
-		res, err := experiments.RunDemo(o)
-		if err != nil {
-			return err
-		}
-		res.Print(out)
-		return nil
-
-	case "controlplane":
-		seed := opt.seed
-		if seed == 0 {
-			seed = 442
-		}
-		res, err := experiments.RunControlPlaneComparison(seed)
-		if err != nil {
-			return err
-		}
-		res.Print(out)
-		return nil
-
-	case "staleness":
-		seed := opt.seed
-		if seed == 0 {
-			seed = 442
-		}
-		res, err := experiments.RunStaleness(seed, nil)
-		if err != nil {
-			return err
-		}
-		res.Print(out)
-		return nil
-
-	case "ablation":
-		seed := opt.seed
-		if seed == 0 {
-			seed = 442
-		}
-		a1, err := experiments.RunPhaseAblation(seed, nil)
-		if err != nil {
-			return err
-		}
-		a1.Print(out)
-		fmt.Fprintln(out)
-		a2, err := experiments.RunElementAblation(seed, nil)
-		if err != nil {
-			return err
-		}
-		a2.Print(out)
-		fmt.Fprintln(out)
-		a3, err := experiments.RunSearchAblation(seed, opt.budget)
-		if err != nil {
-			return err
-		}
-		a3.Print(out)
-		fmt.Fprintln(out)
-		a4, err := experiments.RunContinuousAblation(seed, opt.budget)
-		if err != nil {
-			return err
-		}
-		a4.Print(out)
-		return nil
-
-	case "scaling":
-		seed := opt.seed
-		if seed == 0 {
-			seed = 822
-		}
-		res, err := experiments.RunMIMOScaling(seed, nil, opt.snapshots)
-		if err != nil {
-			return err
-		}
-		res.Print(out)
-		return nil
-
-	case "arrayscale":
-		seed := opt.seed
-		if seed == 0 {
-			seed = 442
-		}
-		res, err := experiments.RunArrayScaling(seed, nil, opt.budget*2)
-		if err != nil {
-			return err
-		}
-		res.Print(out)
-		return nil
-
-	case "faults":
-		seed := opt.seed
-		if seed == 0 {
-			seed = 442
-		}
-		res, err := experiments.RunFaultTolerance(seed)
-		if err != nil {
-			return err
-		}
-		res.Print(out)
-		return nil
-
-	case "concurrent":
-		o := experiments.DefaultConcurrent()
-		o.Seed = opt.seed
-		o.Sessions = opt.sessions
-		o.Budget = opt.budget
-		if rec := experiments.CurrentScope().Flight(); rec != nil {
-			// The process run log sits at <flight-dir>/<run-id>; the rooms
-			// record beside it under the same root.
-			o.FlightRoot = filepath.Dir(rec.Dir())
-		}
-		res, err := experiments.RunConcurrent(o)
-		if res != nil {
-			res.Print(out)
-		}
-		return err
-
-	case "session":
-		seed := opt.seed
-		if seed == 0 {
-			seed = 442
-		}
-		res, err := experiments.RunSession("session", seed, opt.budget, experiments.CurrentScope())
-		if err != nil {
-			return err
-		}
-		res.Print(out)
-		return nil
-
-	case "record":
-		if opt.recordPath == "" {
-			return fmt.Errorf("record needs -record FILE")
-		}
-		seed := opt.seed
-		if seed == 0 {
-			seed = 442
-		}
-		rec, err := experiments.RecordSweepRecord(seed, opt.trials)
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(opt.recordPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := rec.Save(f); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "recorded %d trials of the placement sweep to %s\n", opt.trials, opt.recordPath)
-		if err := writeCSV(opt, "record", rec.WriteCSV); err != nil {
-			return err
-		}
-		return f.Close()
-
-	case "replay":
-		if opt.recordPath == "" {
-			return fmt.Errorf("replay needs -record FILE")
-		}
-		f, err := os.Open(opt.recordPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return experiments.ReplayAnalysis(f, out)
-
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
+// expUsage is the -exp help: every experiment name, in Registry order,
+// then the pressim-only ones.
+func expUsage() string {
+	var names []string
+	for _, e := range experiments.Registry {
+		names = append(names, e.Name)
 	}
+	for _, l := range local {
+		names = append(names, l.name)
+	}
+	return "experiment, or a comma-separated list: " + strings.Join(names, "|") + "|all"
+}
+
+// runExperiment runs one experiment by name and prints its result;
+// under -csv a result with raw series is also written to <name>.csv.
+func runExperiment(name string, opt options, out io.Writer) error {
+	for _, l := range local {
+		if l.name == name {
+			return l.run(name, opt, out)
+		}
+	}
+	for _, e := range experiments.Registry {
+		if e.Name != name {
+			continue
+		}
+		res, err := e.Run(opt.spec())
+		if err != nil {
+			return err
+		}
+		res.Print(out)
+		if c, ok := res.(interface{ WriteCSV(io.Writer) error }); ok {
+			return writeCSV(opt, name, c.WriteCSV)
+		}
+		return nil
+	}
+	return fmt.Errorf("unknown experiment %q", name)
+}
+
+func runConcurrent(_ string, opt options, out io.Writer) error {
+	o := experiments.DefaultConcurrent()
+	o.Seed, o.Sessions, o.Budget = opt.seed, opt.sessions, opt.budget
+	if rec := experiments.CurrentScope().Flight(); rec != nil {
+		// The process run log sits at <flight-dir>/<run-id>; the rooms
+		// record beside it under the same root.
+		o.FlightRoot = filepath.Dir(rec.Dir())
+	}
+	res, err := experiments.RunConcurrent(o)
+	if res != nil {
+		res.Print(out)
+	}
+	return err
+}
+
+func runRecord(name string, opt options, out io.Writer) error {
+	if opt.recordPath == "" {
+		return fmt.Errorf("%s needs -record FILE", name)
+	}
+	rec, err := experiments.RecordSweep(opt.seed, opt.trials)
+	if err != nil {
+		return err
+	}
+	f, err := os.Create(opt.recordPath)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := rec.Save(f); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "recorded %d trials of the placement sweep to %s\n", opt.trials, opt.recordPath)
+	if err := writeCSV(opt, name, rec.WriteCSV); err != nil {
+		return err
+	}
+	return f.Close()
+}
+
+func runReplay(name string, opt options, out io.Writer) error {
+	if opt.recordPath == "" {
+		return fmt.Errorf("%s needs -record FILE", name)
+	}
+	f, err := os.Open(opt.recordPath)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return experiments.ReplayAnalysis(f, out)
+}
+
+// writeCSV saves a result's raw series when -csv was given.
+func writeCSV(opt options, name string, fn func(io.Writer) error) error {
+	if opt.csvDir == "" {
+		return nil
+	}
+	f, err := os.Create(filepath.Join(opt.csvDir, name+".csv"))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := fn(f); err != nil {
+		return err
+	}
+	return f.Close()
 }

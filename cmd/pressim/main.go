@@ -9,8 +9,11 @@
 //	pressim -exp fig8 -csv out/
 //	pressim -exp ablation
 //
-// Experiments: los, fig4, fig5, fig6, fig7, fig8, coherence, ablation,
-// concurrent (multi-room sessions with per-room telemetry scopes), all.
+// Every experiment that runs from the flags a flight-log manifest records
+// comes from experiments.Registry, which also fixes the order of -exp all
+// and is what `pressctl replay` re-runs. Only concurrent, record and
+// replay, which need inputs a manifest does not carry, are pressim's own.
+// `pressim -h` lists every name.
 package main
 
 import (
@@ -18,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -65,7 +67,7 @@ func (o *options) spec() experiments.RunSpec {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pressim", flag.ContinueOnError)
 	var opt options
-	fs.StringVar(&opt.exp, "exp", "all", "experiment: los|fig4|fig5|fig6|fig7|fig8|coherence|staleness|ablation|concurrent|demo|all")
+	fs.StringVar(&opt.exp, "exp", "all", expUsage())
 	fs.IntVar(&opt.trials, "trials", 10, "sweep repetitions for fig4/fig5/fig6")
 	fs.IntVar(&opt.placements, "placements", 8, "random element placements for fig4")
 	fs.Uint64Var(&opt.seed, "seed", 0, "seed override (0 = the calibrated defaults)")
@@ -114,37 +116,16 @@ func run(args []string, out io.Writer) error {
 		reg.Histogram("radio_channel_solve_seconds", obs.LatencyBuckets)
 	}
 
-	exps := strings.Split(opt.exp, ",")
-	if opt.exp == "all" {
-		exps = []string{"los", "fig4", "fig5", "fig6", "fig7", "fig8", "coherence", "controlplane", "staleness", "scaling", "arrayscale", "faults", "ablation"}
-	}
-	for i, e := range exps {
+	for i, name := range opt.spec().Experiments() {
 		if i > 0 {
 			fmt.Fprintln(out, "\n"+strings.Repeat("=", 72)+"\n")
 		}
-		name := strings.TrimSpace(e)
 		sp := obs.StartSpan(sc.Registry(), "exp/"+name)
-		err := runOne(name, opt, out)
+		err := runExperiment(name, opt, out)
 		sp.End()
 		if err != nil {
-			return fmt.Errorf("%s: %w", e, err)
+			return fmt.Errorf("%s: %w", name, err)
 		}
 	}
 	return opt.tele.Finish(out)
-}
-
-// writeCSV saves a figure's raw series when -csv was given.
-func writeCSV(opt options, name string, fn func(io.Writer) error) error {
-	if opt.csvDir == "" {
-		return nil
-	}
-	f, err := os.Create(filepath.Join(opt.csvDir, name+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := fn(f); err != nil {
-		return err
-	}
-	return f.Close()
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"press/internal/experiments"
 	"press/internal/obs/obstest"
 )
 
@@ -181,4 +182,20 @@ func TestTelemetryFlagSurface(t *testing.T) {
 	obstest.CheckTelemetryFlags(t, usage,
 		"exp", "trials", "placements", "seed", "snapshots", "reps", "budget",
 		"sessions", "loops", "speed", "slow-phase", "csv", "record")
+}
+
+// TestLocalExperimentsUnregistered: pressim's own experiments never
+// shadow a registry entry, so -exp, its help and replay agree on every
+// name.
+func TestLocalExperimentsUnregistered(t *testing.T) {
+	for _, l := range local {
+		for _, e := range experiments.Registry {
+			if e.Name == l.name {
+				t.Errorf("%q is both pressim's own and a registry entry", l.name)
+			}
+		}
+		if !strings.Contains(expUsage(), "|"+l.name+"|") {
+			t.Errorf("-exp help does not list %q", l.name)
+		}
+	}
 }

@@ -73,8 +73,9 @@ type elementTerms struct {
 // paths are reused, so only the element tables are rebuilt (an Array
 // swap). Otherwise each pair's environment is traced once, accounted to
 // path_trace by env.Prof. The table build is accounted to path_trace on
-// pc. An invalid grid or environment, or a position or velocity that is
-// not finite, is an error, returned before anything is traced.
+// pc. An invalid grid or environment, a position or velocity that is not
+// finite, or a node outside the room is an error, returned before
+// anything is traced.
 func Build(env *propagation.Environment, tx, rx []propagation.Node, arr *element.Array,
 	grid ofdm.Grid, pc *prof.Collector, prev []*Model) ([]*Model, error) {
 
@@ -162,11 +163,13 @@ func newModel(env *propagation.Environment, tx, rx propagation.Node, envPaths []
 
 // checkGeometry returns an error when the geometry a model is built from
 // is invalid: env fails Validate (it may have been edited since the link
-// was made), or a position or velocity is not finite, among the TX and RX
-// nodes (one each on a SISO link, the antennas of a MIMO link) and the
-// positions of arr's elements (arr may be nil). A NaN or ±Inf coordinate
-// traces to NaN paths, which would otherwise measure as NaN CSI with a
-// nil error.
+// was made), a position or velocity is not finite, a TX or RX node (one
+// each on a SISO link, the antennas of a MIMO link) is not strictly
+// inside the room, or an element of arr (arr may be nil) is outside it.
+// A NaN or ±Inf coordinate traces to NaN paths, and the image method
+// mirrors each endpoint across walls it must lie within; either would
+// otherwise measure with a nil error. Elements are wall-mounted, so the
+// boundary is theirs.
 func checkGeometry(env *propagation.Environment, tx, rx []propagation.Node, arr *element.Array) error {
 	if err := env.Validate(); err != nil {
 		return err
@@ -176,13 +179,15 @@ func checkGeometry(env *propagation.Environment, tx, rx []propagation.Node, arr 
 		nodes []propagation.Node
 	}{{"TX", tx}, {"RX", rx}} {
 		for i, n := range side.nodes {
-			var what string
+			var what, why string
 			var v geom.Vec
 			switch {
 			case !finite(n.Pos):
-				what, v = "position", n.Pos
+				what, v, why = "position", n.Pos, "is not finite"
 			case !finite(n.Velocity):
-				what, v = "velocity", n.Velocity
+				what, v, why = "velocity", n.Velocity, "is not finite"
+			case !interior(env.Room, n.Pos):
+				what, v, why = "position", n.Pos, fmt.Sprintf("is not strictly inside the %v room", env.Room.Size)
 			default:
 				continue
 			}
@@ -190,17 +195,27 @@ func checkGeometry(env *propagation.Environment, tx, rx []propagation.Node, arr 
 			if len(side.nodes) > 1 {
 				who = fmt.Sprintf("%s antenna %d", side.name, i)
 			}
-			return fmt.Errorf("channel: %s %s %v is not finite", who, what, v)
+			return fmt.Errorf("channel: %s %s %v %s", who, what, v, why)
 		}
 	}
 	if arr != nil {
 		for i, e := range arr.Elements {
-			if !finite(e.Pos) {
+			switch {
+			case !finite(e.Pos):
 				return fmt.Errorf("channel: element %d position %v is not finite", i, e.Pos)
+			case !env.Room.Contains(e.Pos):
+				return fmt.Errorf("channel: element %d position %v is outside the %v room", i, e.Pos, env.Room.Size)
 			}
 		}
 	}
 	return nil
+}
+
+// interior reports whether p lies strictly inside room.
+func interior(room geom.Room, p geom.Vec) bool {
+	return p.X > 0 && p.X < room.Size.X &&
+		p.Y > 0 && p.Y < room.Size.Y &&
+		p.Z > 0 && p.Z < room.Size.Z
 }
 
 // finite reports whether every coordinate of v is finite.

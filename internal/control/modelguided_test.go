@@ -99,8 +99,9 @@ func TestModelGuidedValidation(t *testing.T) {
 }
 
 // TestModelGuidedRejectsDegenerateInput: a problem with an invalid grid
-// or environment, or geometry that is not finite, is an error from
-// Search, returned before anything is traced or measured.
+// or environment, geometry that is not finite, or a node outside the
+// room is an error from Search, returned before anything is traced or
+// measured.
 func TestModelGuidedRejectsDegenerateInput(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
@@ -111,6 +112,10 @@ func TestModelGuidedRejectsDegenerateInput(t *testing.T) {
 		{"+Inf RX velocity", func(p *inverse.Problem) { p.RX.Velocity.Y = inf }},
 		{"NaN grid center", func(p *inverse.Problem) { p.Grid.CenterHz = nan }},
 		{"zero room", func(p *inverse.Problem) { p.Env.Room = geom.Room{} }},
+		{"TX behind a wall", func(p *inverse.Problem) { p.TX.Pos.X = -3 }},
+		{"TX 100 m outside", func(p *inverse.Problem) { p.TX.Pos = geom.V(106, 105, 1.5) }},
+		{"TX on the wall", func(p *inverse.Problem) { p.TX.Pos.X = 0 }},
+		{"element outside", func(p *inverse.Problem) { p.Array.Elements[0].Pos.Z = -0.5 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			link := controlTestbed(t, 66)

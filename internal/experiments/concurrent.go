@@ -41,16 +41,16 @@ func (r SessionResult) printRow(w io.Writer) {
 // sessionSpec is the RunSpec a session manifest round-trips through —
 // what `pressctl replay -flight-dir ROOT -session ID` re-executes.
 func sessionSpec(seed uint64, budget int) RunSpec {
-	return RunSpec{Exp: "session", Seed: seed, Budget: budget}
+	return RunSpec{Exp: sessionName, Seed: seed, Budget: budget}
 }
 
-// RunSession executes one room session: the §3.2 NLoS scenario for the
+// runSession executes one room session: the §3.2 NLoS scenario for the
 // session's seed, a greedy search under the measurement budget, every
 // measurement observed through sc (nil = unobserved). It is the
 // deterministic replay unit behind Binary "pressim" / Scenario
 // "session" manifests: the same (seed, budget) regenerates the same
 // CSI and search-decision streams.
-func RunSession(id string, seed uint64, budget int, sc *scope.Scope) (SessionResult, error) {
+func runSession(id string, seed uint64, budget int, sc *scope.Scope) (SessionResult, error) {
 	if budget <= 0 {
 		budget = 60
 	}
@@ -86,7 +86,8 @@ func RunSession(id string, seed uint64, budget int, sc *scope.Scope) (SessionRes
 // sessions driven in parallel, each with its own telemetry scope in one
 // bounded ScopeSet rolling up into the process registry.
 type ConcurrentOptions struct {
-	// Seed is the base seed; session i runs at Seed+i (0 = 442).
+	// Seed is the base seed; session i runs at Seed+i (0 = placement (e)
+	// of Figure 4, the calibrated testbed).
 	Seed uint64
 	// Sessions is the number of rooms driven.
 	Sessions int
@@ -159,7 +160,7 @@ func RunConcurrent(o ConcurrentOptions) (*ConcurrentResult, error) {
 		o.Budget = 60
 	}
 	if o.Seed == 0 {
-		o.Seed = 442
+		o.Seed = placementE
 	}
 	workers := o.Workers
 	if workers <= 0 {
@@ -227,10 +228,10 @@ func RunConcurrent(o ConcurrentOptions) (*ConcurrentResult, error) {
 				errs[i] = err
 				return
 			}
-			man := flight.NewManifest("pressim", "session", seed)
+			man := flight.NewManifest("pressim", sessionName, seed)
 			man.SetParams(sessionSpec(seed, o.Budget).Params())
 			sc.RecordManifest(man)
-			results[i], errs[i] = RunSession(id, seed, o.Budget, sc)
+			results[i], errs[i] = runSession(id, seed, o.Budget, sc)
 			// The scope's own counter, not Result.Evaluations: the
 			// reconciliation below must compare exactly what the child
 			// registries counted against what chained into the parent.

@@ -43,12 +43,15 @@ func TestControlPlaneComparisonOrdering(t *testing.T) {
 }
 
 func TestRecordReplayRoundTrip(t *testing.T) {
-	var rec bytes.Buffer
-	if err := RecordSweep(442, 2, &rec); err != nil {
+	rec, err := RecordSweep(442, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	if err := ReplayAnalysis(bytes.NewReader(rec.Bytes()), &out); err != nil {
+	var saved, out bytes.Buffer
+	if err := rec.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReplayAnalysis(&saved, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -60,8 +63,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 }
 
 func TestRecordSweepValidation(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RecordSweep(442, 0, &buf); err == nil {
+	if _, err := RecordSweep(442, 0); err == nil {
 		t.Error("zero trials accepted")
 	}
 }

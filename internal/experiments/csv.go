@@ -7,21 +7,10 @@ import (
 	"strconv"
 )
 
-// csvWrite writes rows with a header, wrapping errors with the figure
-// name for diagnosis.
-func csvWrite(w io.Writer, name string, header []string, rows [][]string) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("experiments: %s csv: %w", name, err)
-	}
-	for _, r := range rows {
-		if err := cw.Write(r); err != nil {
-			return fmt.Errorf("experiments: %s csv: %w", name, err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("experiments: %s csv: %w", name, err)
+// csvWrite writes rows under a header.
+func csvWrite(w io.Writer, header []string, rows [][]string) error {
+	if err := csv.NewWriter(w).WriteAll(append([][]string{header}, rows...)); err != nil {
+		return fmt.Errorf("experiments: csv: %w", err)
 	}
 	return nil
 }
@@ -40,7 +29,7 @@ func (r *Fig4Result) WriteCSV(w io.Writer) error {
 			})
 		}
 	}
-	return csvWrite(w, "fig4", header, rows)
+	return csvWrite(w, header, rows)
 }
 
 // WriteCSV emits Figure 5's per-trial CCDF curves as long-form rows.
@@ -54,7 +43,7 @@ func (r *Fig5Result) WriteCSV(w io.Writer) error {
 			})
 		}
 	}
-	return csvWrite(w, "fig5", header, rows)
+	return csvWrite(w, header, rows)
 }
 
 // WriteCSV emits both Figure 6 panels: panel "delta" (pooled CCDF of
@@ -70,7 +59,7 @@ func (r *Fig6Result) WriteCSV(w io.Writer) error {
 			rows = append(rows, []string{"min", strconv.Itoa(t), f(p.X), f(p.Y)})
 		}
 	}
-	return csvWrite(w, "fig6", header, rows)
+	return csvWrite(w, header, rows)
 }
 
 // WriteCSV emits Figure 7's two SNR curves.
@@ -80,7 +69,7 @@ func (r *Fig7Result) WriteCSV(w io.Writer) error {
 	for k := range r.SNRLower {
 		rows = append(rows, []string{strconv.Itoa(k + 1), f(r.SNRLower[k]), f(r.SNRUpper[k])})
 	}
-	return csvWrite(w, "fig7", header, rows)
+	return csvWrite(w, header, rows)
 }
 
 // WriteCSV emits Figure 8's best and worst condition-number CDFs plus the
@@ -98,5 +87,5 @@ func (r *Fig8Result) WriteCSV(w io.Writer) error {
 	for _, c := range r.Configs {
 		rows = append(rows, []string{"median", c.Config, f(c.MedianDB), ""})
 	}
-	return csvWrite(w, "fig8", header, rows)
+	return csvWrite(w, header, rows)
 }

@@ -16,7 +16,8 @@ import (
 // a moving endpoint, with an optional injected stall to force deadline
 // misses on purpose.
 type DemoOptions struct {
-	// Seed drives the scenario and per-loop search RNGs (0 = 442).
+	// Seed drives the scenario and per-loop search RNGs (0 = placement
+	// (e) of Figure 4, the calibrated testbed).
 	Seed uint64
 	// Loops is the number of control-loop iterations (0 = 20).
 	Loops int
@@ -34,7 +35,7 @@ type DemoOptions struct {
 // DefaultDemo returns the calibrated demo: 20 loops chasing a running
 // endpoint (6 mph ≈ 8 ms coherence time at 2.462 GHz), no stall.
 func DefaultDemo() DemoOptions {
-	return DemoOptions{Seed: 442, Loops: 20, SpeedMph: 6, Budget: 12}
+	return DemoOptions{Seed: placementE, Loops: 20, SpeedMph: 6, Budget: 12}
 }
 
 // DemoLoopRow is one control-loop iteration's timing verdict.
@@ -56,8 +57,8 @@ type DemoResult struct {
 	Misses    int
 }
 
-// MissRatio is the fraction of loops that overran their deadline.
-func (r *DemoResult) MissRatio() float64 {
+// missRatio is the fraction of loops that overran their deadline.
+func (r *DemoResult) missRatio() float64 {
 	if len(r.Loops) == 0 {
 		return 0
 	}
@@ -86,10 +87,10 @@ func (r *DemoResult) Print(w io.Writer) {
 		fmt.Fprintf(w, "%4d  %10.3f  %10.3f  %-6s  %7.2f\n",
 			row.Seq, float64(row.Latency)/1e6, float64(row.Slack)/1e6, status, row.GainDB)
 	}
-	fmt.Fprintf(w, "\nloops %d  misses %d  miss ratio %.2f\n", len(r.Loops), r.Misses, r.MissRatio())
+	fmt.Fprintf(w, "\nloops %d  misses %d  miss ratio %.2f\n", len(r.Loops), r.Misses, r.missRatio())
 }
 
-// RunDemo drives Loops real control-loop iterations over the §3.2 NLoS
+// runDemo drives Loops real control-loop iterations over the §3.2 NLoS
 // testbed: sense (evaluate the standing configuration, plus the optional
 // stall), search (a short greedy run under the measurement budget), and
 // actuate (push the winner to a control-plane agent and await its ack).
@@ -100,9 +101,9 @@ func (r *DemoResult) Print(w io.Writer) {
 // telemetry off too. Unlike the rest of the package this harness is
 // wall-clock-real by design: latency depends on the host, only the
 // searched configurations are deterministic per seed.
-func RunDemo(o DemoOptions) (*DemoResult, error) {
+func runDemo(o DemoOptions) (*DemoResult, error) {
 	if o.Seed == 0 {
-		o.Seed = 442
+		o.Seed = placementE
 	}
 	if o.Loops <= 0 {
 		o.Loops = 20

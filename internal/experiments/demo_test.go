@@ -14,14 +14,14 @@ import (
 )
 
 func TestRunDemoStaticEndpoint(t *testing.T) {
-	res, err := RunDemo(DemoOptions{Seed: 7, Loops: 3, Budget: 6})
+	res, err := runDemo(DemoOptions{Seed: 7, Loops: 3, Budget: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Deadline != 0 {
 		t.Errorf("static endpoint got deadline %v", res.Deadline)
 	}
-	if len(res.Loops) != 3 || res.Misses != 0 || res.MissRatio() != 0 {
+	if len(res.Loops) != 3 || res.Misses != 0 || res.missRatio() != 0 {
 		t.Errorf("static demo: %d loops, %d misses", len(res.Loops), res.Misses)
 	}
 	for _, row := range res.Loops {
@@ -50,14 +50,14 @@ func TestRunDemoTracedMisses(t *testing.T) {
 	SetScope(scope.Adopt("", nil, nil, nil, rec, nil).WithTracer(tr))
 	defer SetScope(nil)
 
-	res, err := RunDemo(DemoOptions{Seed: 7, Loops: 2, Budget: 4, SpeedMph: 6, SlowPhase: 30 * time.Millisecond})
+	res, err := runDemo(DemoOptions{Seed: 7, Loops: 2, Budget: 4, SpeedMph: 6, SlowPhase: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Deadline <= 0 || res.Deadline > 30*time.Millisecond {
 		t.Fatalf("6 mph deadline = %v", res.Deadline)
 	}
-	if res.Misses != 2 || res.MissRatio() != 1 {
+	if res.Misses != 2 || res.missRatio() != 1 {
 		t.Errorf("stalled demo: %d/%d missed", res.Misses, len(res.Loops))
 	}
 	if tr.Deadline() != res.Deadline {
@@ -82,7 +82,7 @@ func TestRunDemoTracedMisses(t *testing.T) {
 }
 
 func TestRunDemoRejectsNegativeStall(t *testing.T) {
-	if _, err := RunDemo(DemoOptions{SlowPhase: -time.Second}); err == nil {
+	if _, err := runDemo(DemoOptions{SlowPhase: -time.Second}); err == nil {
 		t.Error("negative slow-phase accepted")
 	}
 }

@@ -65,11 +65,14 @@ func TestExperimentsDeterministic(t *testing.T) {
 
 	t.Run("record", func(t *testing.T) {
 		var r1, r2 bytes.Buffer
-		if err := RecordSweep(442, 1, &r1); err != nil {
-			t.Fatal(err)
-		}
-		if err := RecordSweep(442, 1, &r2); err != nil {
-			t.Fatal(err)
+		for _, w := range []*bytes.Buffer{&r1, &r2} {
+			rec, err := RecordSweep(442, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rec.Save(w); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if !bytes.Equal(r1.Bytes(), r2.Bytes()) {
 			t.Error("recorded sweeps differ byte-for-byte between runs")

@@ -23,7 +23,7 @@ type Fig5Options struct {
 // DefaultFig5 matches the paper: placement (e) — seed index 4 of the
 // Figure 4 run (BaseSeed 438 + 4) — 10 trials, 5 dB null threshold.
 func DefaultFig5() Fig5Options {
-	return Fig5Options{Seed: 442, Trials: 10, NullDepthDB: stats.DefaultNullDepthDB}
+	return Fig5Options{Seed: placementE, Trials: 10, NullDepthDB: stats.DefaultNullDepthDB}
 }
 
 // Fig5Result holds one null-movement CCDF per trial plus summary stats.
@@ -107,7 +107,7 @@ type Fig6Options struct {
 }
 
 // DefaultFig6 matches the paper: placement (e), 10 trials.
-func DefaultFig6() Fig6Options { return Fig6Options{Seed: 442, Trials: 10} }
+func DefaultFig6() Fig6Options { return Fig6Options{Seed: placementE, Trials: 10} }
 
 // Fig6Result holds the two panels of Figure 6 and the paper's in-text
 // statistics.

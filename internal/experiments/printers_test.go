@@ -2,139 +2,75 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
 
-// TestAllPrinters runs each harness at reduced size and checks that its
-// textual rendering and CSV export carry the figure's key content — the
-// rows/series cmd/pressim shows the user.
+// TestAllPrinters runs every Registry entry at reduced size and checks
+// that its printed result, and its CSV export where it has one, carry
+// the figure's key content: the rows and series cmd/pressim shows the
+// user. A new entry must add its expectations here.
 func TestAllPrinters(t *testing.T) {
-	var buf bytes.Buffer
-	expect := func(name string, wants ...string) {
+	spec := RunSpec{Trials: 2, Placements: 2, Snapshots: 3, Reps: 1, Budget: 80, Loops: 2}
+	prints := map[string][]string{
+		"los":          {"Line-of-sight", "paper: < 2 dB", "Active elements"},
+		"fig4":         {"Figure 4", "Placement (a)", "paper: 18.6 dB"},
+		"fig5":         {"CCDF of null movement", "trial0", "paper: ≈9"},
+		"fig6":         {"Figure 6 left", "Figure 6 right", "paper: ≈0.38"},
+		"fig7":         {"opposite frequency selectivity", "contrast"},
+		"fig8":         {"condition number", "Best (lowest) median", "paper: ≈1.5 dB"},
+		"coherence":    {"prototype budget", "4.992s"},
+		"controlplane": {"ultrasound", "gain@walk"},
+		"staleness":    {"regret dB", "static"},
+		"scaling":      {"MIMO dimension scaling", "spread dB"},
+		"arrayscale":   {"Array scaling", "hierarch"},
+		"faults":       {"Fault tolerance", "measured-loop"},
+		"ablation":     {"Ablation A1", "phases", "\n\nAblation A2", "parabolic", "omni", "\n\nAblation A3", "\n\nAblation A4", "SPSA", "quantized"},
+		"demo":         {"Control-loop deadline demo", "deadline none", "loops 2"},
+		"session":      {"baseline_db", "session"},
+	}
+	csvs := map[string][]string{
+		"fig4": {"placement,config_a", "(a)"},
+		"fig5": {"trial,movement_subcarriers,ccdf"},
+		"fig6": {"panel,trial,x_db,ccdf", "delta"},
+		"fig7": {"subcarrier,snr_lower_cfg_db"},
+		"fig8": {"series,config,x_cond_db,cdf", "best", "worst"},
+	}
+	expect := func(t *testing.T, what, got string, wants []string) {
 		t.Helper()
-		s := buf.String()
+		if wants == nil {
+			t.Errorf("no expected %s content: add the entry's key content to TestAllPrinters", what)
+		}
 		for _, w := range wants {
-			if !strings.Contains(s, w) {
-				t.Errorf("%s output missing %q:\n%.400s", name, w, s)
+			if !strings.Contains(got, w) {
+				t.Errorf("%s missing %q:\n%.400s", what, w, got)
 			}
 		}
-		buf.Reset()
 	}
-
-	f4, err := RunFig4(Fig4Options{Placements: 2, Trials: 2, BaseSeed: 438})
-	if err != nil {
-		t.Fatal(err)
+	for _, e := range Registry {
+		t.Run(e.Name, func(t *testing.T) {
+			res, err := e.Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			res.Print(&buf)
+			expect(t, "output", buf.String(), prints[e.Name])
+			c, ok := res.(interface{ WriteCSV(io.Writer) error })
+			if !ok {
+				if csvs[e.Name] != nil {
+					t.Error("result has no WriteCSV")
+				}
+				return
+			}
+			buf.Reset()
+			if err := c.WriteCSV(&buf); err != nil {
+				t.Fatal(err)
+			}
+			expect(t, "csv", buf.String(), csvs[e.Name])
+		})
 	}
-	f4.Print(&buf)
-	expect("fig4", "Figure 4", "Placement (a)", "paper: 18.6 dB")
-	if err := f4.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	expect("fig4 csv", "placement,config_a", "(a)")
-
-	f5, err := RunFig5(Fig5Options{Seed: 442, Trials: 2, NullDepthDB: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f5.Print(&buf)
-	expect("fig5", "CCDF of null movement", "trial0", "paper: ≈9")
-	if err := f5.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	expect("fig5 csv", "trial,movement_subcarriers,ccdf")
-
-	f6, err := RunFig6(Fig6Options{Seed: 442, Trials: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f6.Print(&buf)
-	expect("fig6", "Figure 6 left", "Figure 6 right", "paper: ≈0.38")
-	if err := f6.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	expect("fig6 csv", "panel,trial,x_db,ccdf", "delta")
-
-	f7, err := RunFig7(Fig7Options{Seed: 715, MaxSeedTries: 1, MinContrastDB: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f7.Print(&buf)
-	expect("fig7", "opposite frequency selectivity", "contrast")
-	if err := f7.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	expect("fig7 csv", "subcarrier,snr_lower_cfg_db")
-
-	f8, err := RunFig8(Fig8Options{Seed: 822, Snapshots: 3, Repetitions: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f8.Print(&buf)
-	expect("fig8", "condition number", "Best (lowest) median", "paper: ≈1.5 dB")
-	if err := f8.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	expect("fig8 csv", "series,config,x_cond_db,cdf", "best", "worst")
-
-	los, err := RunLoS(LoSOptions{Seed: 441, Trials: 1, ActiveGainDB: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	los.Print(&buf)
-	expect("los", "Line-of-sight", "paper: < 2 dB", "Active elements")
-
-	RunCoherence().Print(&buf)
-	expect("coherence", "prototype budget", "4.992s")
-
-	st, err := RunStaleness(442, []float64{0, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Print(&buf)
-	expect("staleness", "regret dB", "static")
-
-	a1, err := RunPhaseAblation(442, []int{2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1.Print(&buf)
-	expect("a1", "Ablation A1", "phases")
-
-	a2, err := RunElementAblation(442, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2.Print(&buf)
-	expect("a2", "Ablation A2", "parabolic", "omni")
-
-	a4, err := RunContinuousAblation(442, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a4.Print(&buf)
-	expect("a4", "Ablation A4", "SPSA", "quantized")
-
-	ms, err := RunMIMOScaling(822, []int{2}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms.Print(&buf)
-	expect("scaling", "MIMO dimension scaling", "spread dB")
-
-	as, err := RunArrayScaling(442, []int{4}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	as.Print(&buf)
-	expect("arrayscale", "Array scaling", "hierarch")
-
-	ft, err := RunFaultTolerance(442)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft.Print(&buf)
-	expect("faults", "Fault tolerance", "measured-loop")
 }
 
 // TestDefaultOptionConstructors pins the calibrated defaults so an

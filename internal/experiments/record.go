@@ -9,13 +9,19 @@ import (
 	"press/internal/trace"
 )
 
-// RecordSweepRecord measures the placement-(e) campaign (the dataset
-// behind Figures 4–6) and returns it as a trace.Record. When the
-// process-wide observer carries a TraceLog (-trace), each measurement
-// row gets a trace ID joining it to its "radio/measure" span.
-func RecordSweepRecord(seed uint64, trials int) (*trace.Record, error) {
+// RecordSweep measures the placement-(e) campaign (the dataset behind
+// Figures 4–6; seed 0 is placement (e) itself) and returns it as a
+// trace.Record, which serializes so the analyses can be re-run offline,
+// or swapped for a record captured on real hardware with the same
+// schema. When the process-wide observer carries a TraceLog (-trace),
+// each measurement row gets a trace ID joining it to its "radio/measure"
+// span.
+func RecordSweep(seed uint64, trials int) (*trace.Record, error) {
 	if trials < 1 {
 		return nil, fmt.Errorf("experiments: record needs ≥1 trial")
+	}
+	if seed == 0 {
+		seed = placementE
 	}
 	link, err := DefaultSISO(seed).Build()
 	if err != nil {
@@ -27,17 +33,6 @@ func RecordSweepRecord(seed uint64, trials int) (*trace.Record, error) {
 	}
 	return trace.FromSweepTrials(link, swept,
 		fmt.Sprintf("PRESS sweep, placement seed %d, %d trials, 64 configs", seed, trials))
-}
-
-// RecordSweep runs RecordSweepRecord and serializes the result with
-// internal/trace, so the analyses can be re-run offline — or swapped
-// for a record captured on real hardware with the same schema.
-func RecordSweep(seed uint64, trials int, w io.Writer) error {
-	rec, err := RecordSweepRecord(seed, trials)
-	if err != nil {
-		return err
-	}
-	return rec.Save(w)
 }
 
 // ReplayAnalysis loads a recorded sweep and re-runs the Figure 5/6

@@ -14,8 +14,7 @@ import (
 // iteration count. It round-trips through flight-log manifest params,
 // which is how `pressctl replay` reconstructs a recorded run.
 type RunSpec struct {
-	// Exp is the comma-separated experiment list ("fig4", "fig4,fig8",
-	// "all").
+	// Exp is the comma-separated list of Registry names, or "all".
 	Exp string
 	// Seed of 0 means each harness's calibrated default — recorded
 	// verbatim so replay makes the same choice.
@@ -34,16 +33,17 @@ type RunSpec struct {
 	SlowPhase time.Duration
 }
 
-// AllExperiments is the expansion of -exp all, in execution order.
-var AllExperiments = []string{
-	"los", "fig4", "fig5", "fig6", "fig7", "fig8", "coherence",
-	"controlplane", "staleness", "scaling", "arrayscale", "faults", "ablation",
-}
-
-// Experiments returns the expanded experiment list.
+// Experiments returns the expanded experiment list: for "all", the
+// Registry entries that -exp all runs, in table order.
 func (s RunSpec) Experiments() []string {
 	if s.Exp == "all" {
-		return append([]string(nil), AllExperiments...)
+		var names []string
+		for _, e := range Registry {
+			if e.inAll {
+				names = append(names, e.Name)
+			}
+		}
+		return names
 	}
 	parts := strings.Split(s.Exp, ",")
 	for i := range parts {
@@ -123,133 +123,19 @@ func SpecFromManifest(m *flight.Manifest) (RunSpec, error) {
 	return s, nil
 }
 
-// seedOr returns the spec's seed, or def when unset — mirroring
-// cmd/pressim's flag handling exactly (replay fidelity depends on it).
-func (s RunSpec) seedOr(def uint64) uint64 {
-	if s.Seed != 0 {
-		return s.Seed
-	}
-	return def
-}
-
-// Run re-executes every experiment in the spec, discarding printed
-// results: the point is the measurement side effects, which the
-// ambient telemetry scope (SetScope) captures. The dispatch must stay
-// in lockstep with cmd/pressim's runOne.
+// Run re-executes every experiment in the spec through Registry,
+// discarding printed results: the point is the measurement side effects,
+// which the ambient telemetry scope (SetScope) captures. A name outside
+// Registry, such as pressim's concurrent, record or replay, is an error.
 func (s RunSpec) Run() error {
 	for _, name := range s.Experiments() {
-		if err := s.runOne(name); err != nil {
+		e, ok := lookup(name)
+		if !ok {
+			return fmt.Errorf("%s: experiments: unknown or non-replayable experiment %q", name, name)
+		}
+		if _, err := e.Run(s); err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 	}
 	return nil
-}
-
-func (s RunSpec) runOne(name string) error {
-	switch name {
-	case "los":
-		o := DefaultLoS()
-		if s.Seed != 0 {
-			o.Seed = s.Seed
-		}
-		_, err := RunLoS(o)
-		return err
-	case "fig4":
-		o := DefaultFig4()
-		o.Trials = s.Trials
-		o.Placements = s.Placements
-		if s.Seed != 0 {
-			o.BaseSeed = s.Seed
-		}
-		_, err := RunFig4(o)
-		return err
-	case "fig5":
-		o := DefaultFig5()
-		o.Trials = s.Trials
-		if s.Seed != 0 {
-			o.Seed = s.Seed
-		}
-		_, err := RunFig5(o)
-		return err
-	case "fig6":
-		o := DefaultFig6()
-		o.Trials = s.Trials
-		if s.Seed != 0 {
-			o.Seed = s.Seed
-		}
-		_, err := RunFig6(o)
-		return err
-	case "fig7":
-		o := DefaultFig7()
-		if s.Seed != 0 {
-			o.Seed = s.Seed
-		}
-		_, err := RunFig7(o)
-		return err
-	case "fig8":
-		o := DefaultFig8()
-		o.Snapshots = s.Snapshots
-		o.Repetitions = s.Reps
-		if s.Seed != 0 {
-			o.Seed = s.Seed
-		}
-		_, err := RunFig8(o)
-		return err
-	case "coherence":
-		RunCoherence()
-		return nil
-	case "controlplane":
-		_, err := RunControlPlaneComparison(s.seedOr(442))
-		return err
-	case "staleness":
-		_, err := RunStaleness(s.seedOr(442), nil)
-		return err
-	case "ablation":
-		seed := s.seedOr(442)
-		if _, err := RunPhaseAblation(seed, nil); err != nil {
-			return err
-		}
-		if _, err := RunElementAblation(seed, nil); err != nil {
-			return err
-		}
-		if _, err := RunSearchAblation(seed, s.Budget); err != nil {
-			return err
-		}
-		_, err := RunContinuousAblation(seed, s.Budget)
-		return err
-	case "scaling":
-		_, err := RunMIMOScaling(s.seedOr(822), nil, s.Snapshots)
-		return err
-	case "arrayscale":
-		_, err := RunArrayScaling(s.seedOr(442), nil, s.Budget*2)
-		return err
-	case "faults":
-		_, err := RunFaultTolerance(s.seedOr(442))
-		return err
-	case "session":
-		// One room of the concurrent experiment: session manifests carry
-		// exp=session plus the session's absolute seed and budget, so the
-		// ambient (flight-adopting) scope re-records the same streams.
-		_, err := RunSession("session", s.seedOr(442), s.Budget, CurrentScope())
-		return err
-	case "demo":
-		// The deadline-tracing demo replays its searched configurations
-		// deterministically, but loop *latency* is wall-clock-real: the
-		// regenerated KindLoop frames carry this host's timings, which is
-		// exactly what `pressctl rundiff` compares across runs.
-		o := DefaultDemo()
-		o.Seed = s.seedOr(o.Seed)
-		if s.Loops > 0 {
-			o.Loops = s.Loops
-		}
-		o.SpeedMph = s.Speed
-		o.SlowPhase = s.SlowPhase
-		if s.Budget > 0 {
-			o.Budget = s.Budget
-		}
-		_, err := RunDemo(o)
-		return err
-	default:
-		return fmt.Errorf("experiments: unknown or non-replayable experiment %q", name)
-	}
 }

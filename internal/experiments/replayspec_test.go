@@ -42,12 +42,39 @@ func TestSpecFromManifestRejects(t *testing.T) {
 	}
 }
 
+// TestRunSpecExperiments pins the expansion of -exp all and the
+// invariants of Registry, the one table pressim and replay dispatch from.
 func TestRunSpecExperiments(t *testing.T) {
-	if got := (RunSpec{Exp: "all"}).Experiments(); !reflect.DeepEqual(got, AllExperiments) {
+	all := []string{
+		"los", "fig4", "fig5", "fig6", "fig7", "fig8", "coherence",
+		"controlplane", "staleness", "scaling", "arrayscale", "faults", "ablation",
+	}
+	if got := (RunSpec{Exp: "all"}).Experiments(); !reflect.DeepEqual(got, all) {
 		t.Errorf("all = %v", got)
 	}
 	if got := (RunSpec{Exp: " fig4 , fig8 "}).Experiments(); !reflect.DeepEqual(got, []string{"fig4", "fig8"}) {
 		t.Errorf("list = %v", got)
+	}
+	seen := map[string]bool{}
+	for _, e := range Registry {
+		if seen[e.Name] {
+			t.Errorf("experiment %q is registered twice", e.Name)
+		}
+		seen[e.Name] = true
+	}
+	// Every entry of all is replayable: RunSpec.Run dispatches exactly
+	// the Registry entries.
+	for _, name := range all {
+		if _, ok := lookup(name); !ok {
+			t.Errorf("all runs %q, which RunSpec.Run cannot replay", name)
+		}
+	}
+	// The pressim-only experiments need inputs a RunSpec does not carry,
+	// so replay rejects them, as it does an unknown name.
+	for _, name := range []string{"concurrent", "record", "replay", "bogus"} {
+		if err := (RunSpec{Exp: name}).Run(); err == nil {
+			t.Errorf("Run accepted %q", name)
+		}
 	}
 }
 

@@ -230,8 +230,9 @@ func TestSolveTracesOnce(t *testing.T) {
 	}
 }
 
-// TestSolveRejectsDegenerateInput: an invalid grid or environment, or
-// geometry that is not finite, is an error from Solve and Baseline,
+// TestSolveRejectsDegenerateInput: an invalid grid or environment,
+// geometry that is not finite, or a node outside the room (an endpoint
+// on a wall counts) is an error from Solve and Baseline,
 // returned before anything is traced, never a NaN solution.
 func TestSolveRejectsDegenerateInput(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
@@ -250,6 +251,10 @@ func TestSolveRejectsDegenerateInput(t *testing.T) {
 		{"NaN room width", func(p *Problem) { p.Env.Room.Size.Y = nan }},
 		{"NaN scatterer velocity", func(p *Problem) { p.Env.Scatterers[0].Velocity.X = nan }},
 		{"MaxOrder 9", func(p *Problem) { p.Env.MaxOrder = 9 }},
+		{"TX behind a wall", func(p *Problem) { p.TX.Pos.X = -3 }},
+		{"TX 100 m outside", func(p *Problem) { p.TX.Pos = geom.V(106, 105, 1.5) }},
+		{"TX on the wall", func(p *Problem) { p.TX.Pos.X = 0 }},
+		{"element outside", func(p *Problem) { p.Array.Elements[0].Pos.Z = -0.5 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := testProblem(7)

@@ -489,8 +489,9 @@ func TestElementOnEndpoint(t *testing.T) {
 
 // TestDegenerateGeometryRejected: a room size, an endpoint position or
 // velocity, an element position, or a scatterer velocity or gain that is
-// not finite is an error on
-// SISO and MIMO links alike, never NaN CSI with a nil error. The check
+// not finite, an endpoint not strictly inside the room, or an element
+// outside it is an error on SISO and MIMO links alike, never CSI with a
+// nil error. The check
 // runs when the model is built, before any trace or noise draw: once the
 // geometry is restored, the link measures what a fresh link of the same
 // seed measures. A SISO link is edited after its first sounding (and
@@ -521,6 +522,10 @@ func TestDegenerateGeometryRejected(t *testing.T) {
 		{"+Inf scatterer velocity", func(g geometry) { g.env.Scatterers[1].Velocity.Z = inf }},
 		{"NaN scatterer gain", func(g geometry) { g.env.Scatterers[2].Gain = complex(nan, 0) }},
 		{"-Inf scatterer gain", func(g geometry) { g.env.Scatterers[0].Gain = complex(1, -inf) }},
+		{"TX behind a wall", func(g geometry) { g.tx.Pos.X = -3 }},
+		{"TX 100 m outside", func(g geometry) { g.tx.Pos = geom.V(106, 105, 1.5) }},
+		{"TX on the wall", func(g geometry) { g.tx.Pos.X = 0 }},
+		{"element outside", func(g geometry) { g.arr.Elements[0].Pos.Z = -0.5 }},
 	}
 	// snapshot returns a function that restores everything a case edits.
 	snapshot := func(g geometry) func() {
@@ -617,5 +622,15 @@ func TestDegenerateGeometryRejected(t *testing.T) {
 		if _, err := NewMIMOLink(env, node, node, ofdm.WiFi20(), nil, 1); err == nil {
 			t.Errorf("%s: NewMIMOLink accepted", name)
 		}
+	}
+	// Elements are wall-mounted: one on the boundary is inside the room.
+	l, ml := testbed(t, 42), mimoTestbed(t, 42)
+	l.Array.Elements[0].Pos.X = 0
+	ml.Array.Elements[0].Pos.Z = ml.Env.Room.Size.Z
+	if _, err := l.MeasureCSI(cfg, 0); err != nil {
+		t.Errorf("element on a wall: %v", err)
+	}
+	if _, err := ml.MeasureChannel(cfg, 0); err != nil {
+		t.Errorf("element on the ceiling: %v", err)
 	}
 }

@@ -11,8 +11,6 @@ package stats
 import (
 	"math"
 	"sort"
-
-	"press/internal/obs"
 )
 
 // Mean returns the arithmetic mean of xs. It returns NaN for an empty slice,
@@ -149,22 +147,4 @@ func Summarize(xs []float64) Summary {
 	s.Max = Max(xs)
 	s.Median = Median(xs)
 	return s
-}
-
-// Fields flattens the summary into logger key-value pairs. This package
-// returns data rather than printing; Fields keeps that convention when a
-// harness wants the numbers in its structured event log.
-func (s Summary) Fields() []any {
-	return []any{"n", s.N, "mean", s.Mean, "stddev", s.StdDev,
-		"min", s.Min, "max", s.Max, "median", s.Median}
-}
-
-// Log emits the summary as one structured Info record on l. A nil or
-// gated logger makes it a no-op, so callers can thread an optional
-// logger through unconditionally.
-func (s Summary) Log(l *obs.Logger, msg string) {
-	if !l.Enabled(obs.LevelInfo) {
-		return
-	}
-	l.Info(msg, s.Fields()...)
 }

@@ -3,11 +3,8 @@ package stats
 import (
 	"math"
 	"math/rand/v2"
-	"strings"
 	"testing"
 	"testing/quick"
-
-	"press/internal/obs"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -172,40 +169,5 @@ func TestShiftInvarianceProperty(t *testing.T) {
 		if !almostEqual(Median(ys), Median(xs)+c, 1e-9) {
 			t.Fatalf("median not shift-equivariant (trial %d)", trial)
 		}
-	}
-}
-
-func TestSummaryFields(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	f := s.Fields()
-	if len(f) != 12 {
-		t.Fatalf("fields = %d entries, want 12 (6 kv pairs)", len(f))
-	}
-	got := map[string]any{}
-	for i := 0; i < len(f); i += 2 {
-		got[f[i].(string)] = f[i+1]
-	}
-	if got["n"] != 3 || got["mean"] != 2.0 || got["median"] != 2.0 {
-		t.Errorf("fields = %v", got)
-	}
-}
-
-func TestSummaryLog(t *testing.T) {
-	var buf strings.Builder
-	l := obs.NewLogger(&buf, obs.LevelInfo, obs.Logfmt)
-	Summarize([]float64{1, 2, 3}).Log(l, "snr summary")
-	out := buf.String()
-	for _, want := range []string{"msg=\"snr summary\"", "n=3", "mean=2", "min=1", "max=3"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("log output missing %q:\n%s", want, out)
-		}
-	}
-	// Nil logger and gated levels are no-ops, not panics.
-	Summarize(nil).Log(nil, "ignored")
-	gated := obs.NewLogger(&buf, obs.LevelError, obs.Logfmt)
-	before := buf.Len()
-	Summarize([]float64{1}).Log(gated, "gated")
-	if buf.Len() != before {
-		t.Error("gated logger still wrote")
 	}
 }
