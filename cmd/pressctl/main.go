@@ -234,7 +234,7 @@ func runDemo(args []string) error {
 		return objective.Score(csi), nil
 	}
 
-	searcher := press.InstrumentSearcherScope(
+	searcher := press.InstrumentSearcher(
 		press.Greedy{Rng: rand.New(rand.NewPCG(*seed, 2)), Restarts: demoRestarts}, sc)
 	res, err := searcher.Search(space.Array, eval, budget)
 	if err != nil && !errors.Is(err, press.ErrBudgetExhausted) {

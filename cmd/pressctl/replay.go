@@ -191,9 +191,9 @@ func replayDemo(man *flight.Manifest, rec *flight.Recorder) error {
 		now += timing.PerMeasurement + timing.SwitchLatency
 		return objective.Score(csi), nil
 	}
-	searcher := press.InstrumentSearcherFlight(
+	searcher := press.InstrumentSearcher(
 		press.Greedy{Rng: rand.New(rand.NewPCG(man.Seed, 2)), Restarts: int(restarts64)},
-		nil, nil, nil, rec)
+		scope.Adopt("", nil, nil, nil, rec, nil))
 	res, err := searcher.Search(space.Array, eval, int(budget64))
 	if err != nil && !errors.Is(err, press.ErrBudgetExhausted) {
 		return err

@@ -111,8 +111,7 @@ func runConvergence(args []string) error {
 			return err
 		}
 		ev := &control.LinkEvaluator{Link: link, Objective: control.MaxMinSNR{}}
-		res, err := control.Instrument(s, sc.Registry(), sc.Logger()).
-			Search(link.Array, ev.Eval, *budget)
+		res, err := control.InstrumentScope(s, sc).Search(link.Array, ev.Eval, *budget)
 		if err != nil && !errors.Is(err, control.ErrBudgetExhausted) {
 			return err
 		}
@@ -166,9 +165,8 @@ func runBudget(args []string) error {
 		if err != nil {
 			return err
 		}
-		res, err := control.Instrument(
-			control.Greedy{Rng: rand.New(rand.NewPCG(*seed, 9)), Restarts: 4},
-			sc.Registry(), sc.Logger()).
+		res, err := control.InstrumentScope(
+			control.Greedy{Rng: rand.New(rand.NewPCG(*seed, 9)), Restarts: 4}, sc).
 			Search(link.Array, ev.Eval, budget)
 		if err != nil && !errors.Is(err, control.ErrBudgetExhausted) {
 			return err

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"press/internal/obs/flight"
 	"press/internal/obs/obstest"
 )
 
@@ -103,6 +104,34 @@ func TestSweepTraceExport(t *testing.T) {
 	}
 	if !sawComplete {
 		t.Error("no complete (ph=X) events in trace")
+	}
+}
+
+// TestSweepFlightRecordsSearch runs a small convergence sweep with
+// -flight-dir and checks that the searches reach the run's flight log:
+// one decision record per CSI sample (5 searchers × 20 evaluations) and
+// a search_eval phase cost.
+func TestSweepFlightRecordsSearch(t *testing.T) {
+	dir := t.TempDir()
+	runCaptured(t, "convergence", "-elements", "3", "-budget", "20", "-flight-dir", dir)
+	runs, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(runs) != 1 {
+		t.Fatalf("flight runs under %s: %v (%v)", dir, runs, err)
+	}
+	run, err := flight.ReadRun(runs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(run.CSI) != 100 || len(run.Decisions) != len(run.CSI) {
+		t.Errorf("flight log has %d CSI samples and %d search decisions, want 100 each",
+			len(run.CSI), len(run.Decisions))
+	}
+	searchEval := false
+	for _, p := range run.PhaseCosts {
+		searchEval = searchEval || (p.Phase == "search_eval" && p.Calls > 0)
+	}
+	if !searchEval {
+		t.Errorf("no search_eval phase cost in %d phase records", len(run.PhaseCosts))
 	}
 }
 

@@ -6,103 +6,65 @@ import (
 
 	"press/internal/element"
 	"press/internal/obs"
-	"press/internal/obs/flight"
-	"press/internal/obs/health"
 	"press/internal/obs/prof"
 	"press/internal/obs/scope"
-	"press/internal/obs/slo"
 )
 
-// Instrumented wraps any Searcher with telemetry: a per-strategy span
-// ("search/<name>") for wall-time, the evaluations-consumed counter and
-// budget gauge, the best-objective gauge, and best-so-far trajectory
-// events on the structured log — the measure→search loop visibility the
-// controller needs to stay inside its coherence budget. With both Obs
-// and Log nil the wrapper degrades to bare pass-through bookkeeping.
-type Instrumented struct {
-	Searcher Searcher
-	Obs      *obs.Registry
-	Log      *obs.Logger
-	// Health, when set, receives best-objective updates as the search
-	// progresses — the feed behind the search_best / search_regret_db
-	// channel-health KPIs.
-	Health *health.Monitor
-	// Flight, when set, persists every evaluation (config, score,
-	// improved flag) as a search-decision record in the run log — the
-	// audit trail `pressctl replay` re-verifies.
-	Flight *flight.Recorder
-	// Prof, when set, accounts each evaluation to the search_eval root
-	// phase (wall time, configs scored) so hotspot reports can apportion
-	// the search loop's cost.
-	Prof *prof.Collector
-	// Tracer, when set, attaches the search to the loop iteration in
-	// flight: one "search" phase span per run with a per-measurement
-	// child span for every evaluation, so /tracez shows where a
-	// deadline-missing loop spent its coherence budget.
-	Tracer *slo.Tracer
+// instrumented wraps a Searcher with every sink a telemetry scope
+// carries: a per-strategy span ("search/<name>") for wall-time, the
+// evaluations-consumed counter and budget gauge, the best-objective
+// gauge, and best-so-far trajectory events on the structured log — the
+// measure→search loop visibility the controller needs to stay inside
+// its coherence budget. Beyond the registry and logger:
+//   - the health monitor receives best-objective updates as the search
+//     progresses (the search_best / search_regret_db KPIs);
+//   - the flight recorder persists every evaluation (config, score,
+//     improved flag) as a search-decision record, the audit trail
+//     `pressctl replay` re-verifies;
+//   - the phase collector accounts each evaluation to the search_eval
+//     root phase (wall time, configs scored) for hotspot reports;
+//   - the loop tracer gets one "search" phase span per run with a
+//     per-measurement child for every evaluation, so /tracez shows where
+//     a deadline-missing loop spent its coherence budget.
+//
+// The sinks are read from the scope once per Search.
+type instrumented struct {
+	searcher Searcher
+	sc       *scope.Scope
 }
 
-// Instrument wraps s unless telemetry is fully disabled, in which case
-// s itself is returned and no overhead is added.
-func Instrument(s Searcher, reg *obs.Registry, log *obs.Logger) Searcher {
-	return InstrumentHealth(s, reg, log, nil)
-}
-
-// InstrumentHealth is Instrument plus a channel-health monitor fed with
-// the best-so-far objective after every improving evaluation.
-func InstrumentHealth(s Searcher, reg *obs.Registry, log *obs.Logger, h *health.Monitor) Searcher {
-	return InstrumentFlight(s, reg, log, h, nil)
-}
-
-// InstrumentFlight is InstrumentHealth plus a flight recorder that logs
-// every evaluation as a durable search-decision record.
-func InstrumentFlight(s Searcher, reg *obs.Registry, log *obs.Logger, h *health.Monitor, rec *flight.Recorder) Searcher {
-	return InstrumentProf(s, reg, log, h, rec, nil)
-}
-
-// InstrumentProf is InstrumentFlight plus a work-accounting collector
-// that attributes search-evaluation cost to the search_eval phase.
-func InstrumentProf(s Searcher, reg *obs.Registry, log *obs.Logger, h *health.Monitor, rec *flight.Recorder, pc *prof.Collector) Searcher {
-	return InstrumentTracer(s, reg, log, h, rec, pc, nil)
-}
-
-// InstrumentTracer is InstrumentProf plus a control-loop deadline
-// tracer that turns each search run into a phase span with
-// per-measurement children.
-func InstrumentTracer(s Searcher, reg *obs.Registry, log *obs.Logger, h *health.Monitor, rec *flight.Recorder, pc *prof.Collector, tr *slo.Tracer) Searcher {
-	if reg == nil && log == nil && h == nil && rec == nil && pc == nil && tr == nil {
+// InstrumentScope wraps s with every sink the telemetry scope carries.
+// A nil scope, or one whose sinks are all nil, returns s itself, so
+// callers with telemetry off pay nothing.
+func InstrumentScope(s Searcher, sc *scope.Scope) Searcher {
+	if sc.Registry() == nil && sc.Logger() == nil && sc.Health() == nil &&
+		sc.Flight() == nil && sc.Prof() == nil && sc.Tracer() == nil {
 		return s
 	}
-	return Instrumented{Searcher: s, Obs: reg, Log: log, Health: h, Flight: rec, Prof: pc, Tracer: tr}
-}
-
-// InstrumentScope wraps s with every sink a telemetry scope carries —
-// the session-oriented form of the Instrument* chain. A nil (or fully
-// disabled) scope returns s unchanged.
-func InstrumentScope(s Searcher, sc *scope.Scope) Searcher {
-	return InstrumentTracer(s, sc.Registry(), sc.Logger(), sc.Health(), sc.Flight(), sc.Prof(), sc.Tracer())
+	return instrumented{searcher: s, sc: sc}
 }
 
 // Name implements Searcher.
-func (in Instrumented) Name() string { return in.Searcher.Name() }
+func (in instrumented) Name() string { return in.searcher.Name() }
 
 // Search implements Searcher: it runs the wrapped strategy with an
 // observed EvalFunc, mirroring exactly what tracker.measure sees (every
 // successful evaluation, in order), and records the run's wall time.
-func (in Instrumented) Search(arr *element.Array, eval EvalFunc, budget int) (*Result, error) {
-	name := in.Searcher.Name()
-	in.Obs.Counter("search_runs_total").Inc()
-	in.Obs.Gauge("search_budget").Set(float64(budget))
-	evals := in.Obs.Counter("search_evaluations_total")
-	bestGauge := in.Obs.Gauge("search_best_objective")
-	trajectory := in.Log.Enabled(obs.LevelDebug)
+func (in instrumented) Search(arr *element.Array, eval EvalFunc, budget int) (*Result, error) {
+	reg, log, mon, rec, pc := in.sc.Registry(), in.sc.Logger(), in.sc.Health(), in.sc.Flight(), in.sc.Prof()
+	name := in.searcher.Name()
+	reg.Counter("search_runs_total").Inc()
+	reg.Gauge("search_budget").Set(float64(budget))
+	evals := reg.Counter("search_evaluations_total")
+	bestGauge := reg.Gauge("search_best_objective")
+	trajectory := log.Enabled(obs.LevelDebug)
 
-	loop := in.Tracer.Current()
+	loop := in.sc.Tracer().Current()
 
 	best := math.Inf(-1)
 	n := 0
 	wrapped := func(cfg element.Config) (float64, error) {
-		esp := in.Prof.Start(prof.PhaseSearch)
+		esp := pc.Start(prof.PhaseSearch)
 		msp := loop.Child("measure")
 		score, err := eval(cfg)
 		msp.End()
@@ -110,7 +72,7 @@ func (in Instrumented) Search(arr *element.Array, eval EvalFunc, budget int) (*R
 			esp.End()
 			return score, err
 		}
-		in.Prof.Add(prof.PhaseSearch, prof.AuxConfigsScored, 1)
+		pc.Add(prof.PhaseSearch, prof.AuxConfigsScored, 1)
 		esp.End()
 		evals.Inc()
 		n++
@@ -118,29 +80,29 @@ func (in Instrumented) Search(arr *element.Array, eval EvalFunc, budget int) (*R
 		if improved {
 			best = score
 			bestGauge.Set(score)
-			in.Health.ObserveSearchBest(score)
+			mon.ObserveSearchBest(score)
 			if trajectory {
-				in.Log.Debug("search: best improved",
+				log.Debug("search: best improved",
 					"searcher", name, "evaluation", n, "score", score)
 			}
 		}
-		in.Flight.RecordDecision(uint64(n), score, improved, cfg)
+		rec.RecordDecision(uint64(n), score, improved, cfg)
 		return score, nil
 	}
 
-	sp := obs.StartSpan(in.Obs, "search/"+name)
+	sp := obs.StartSpan(reg, "search/"+name)
 	lsp := loop.Phase("search")
-	res, err := in.Searcher.Search(arr, wrapped, budget)
+	res, err := in.searcher.Search(arr, wrapped, budget)
 	lsp.End()
 	wall := sp.End()
 
 	if res != nil {
-		in.Log.Info("search: finished",
+		log.Info("search: finished",
 			"searcher", name, "evaluations", res.Evaluations, "budget", budget,
 			"best", res.BestScore, "exhausted", errors.Is(err, ErrBudgetExhausted),
 			"wall", wall)
 	} else if err != nil {
-		in.Log.Error("search: failed", "searcher", name, "evaluations", n, "err", err)
+		log.Error("search: failed", "searcher", name, "evaluations", n, "err", err)
 	}
 	return res, err
 }

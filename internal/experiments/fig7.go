@@ -50,9 +50,9 @@ type Fig7Result struct {
 // buildFig7Link assembles the §3.2.2 testbed: USRP grid, two elements
 // each with four reflective cable lengths and no absorptive load.
 func buildFig7Link(seed uint64) (*radio.Link, error) {
+	sc := CurrentScope()
 	env := propagation.NewEnvironment(12, 9, 3)
-	env.Obs = obsRegistry()
-	env.Prof = profC()
+	env.AttachScope(sc)
 	env.AddScatterers(rand.New(rand.NewPCG(seed, 0xa11ce)), 10, 35)
 	cx, cy := 6.0, 4.5
 	env.Blockers = append(env.Blockers,
@@ -83,9 +83,7 @@ func buildFig7Link(seed uint64) (*radio.Link, error) {
 	if err != nil {
 		return nil, err
 	}
-	link.Obs = obsRegistry()
-	link.Prof = profC()
-	attachObservers(link)
+	link.AttachScope(sc)
 	return link, nil
 }
 

@@ -5,11 +5,8 @@ import (
 
 	"press/internal/control"
 	"press/internal/obs"
-	"press/internal/obs/flight"
-	"press/internal/obs/health"
 	"press/internal/obs/prof"
 	"press/internal/obs/scope"
-	"press/internal/radio"
 )
 
 // currentScope is the ambient telemetry scope for harnesses that are
@@ -38,17 +35,6 @@ func CurrentScope() *scope.Scope { return currentScope.Load() }
 // off — safe to assign to Link.Obs / Environment.Obs either way.
 func obsRegistry() *obs.Registry { return CurrentScope().Registry() }
 
-// obsLogger returns the ambient logger, or nil.
-func obsLogger() *obs.Logger { return CurrentScope().Logger() }
-
-// healthMon returns the ambient channel-health monitor, or nil (every
-// consumer is nil-safe).
-func healthMon() *health.Monitor { return CurrentScope().Health() }
-
-// flightRec returns the ambient flight recorder, or nil (every consumer
-// is nil-safe).
-func flightRec() *flight.Recorder { return CurrentScope().Flight() }
-
 // profC returns the ambient work-accounting collector, or nil (every
 // consumer is nil-safe).
 func profC() *prof.Collector { return CurrentScope().Prof() }
@@ -58,15 +44,6 @@ func profC() *prof.Collector { return CurrentScope().Prof() }
 // it returns s unchanged.
 func instrument(s control.Searcher) control.Searcher {
 	return control.InstrumentScope(s, CurrentScope())
-}
-
-// attachObservers points a link's CSI hook at the ambient scope's
-// health monitor and flight recorder. With neither the hook stays nil
-// and measurement stays zero-overhead.
-func attachObservers(link *radio.Link) {
-	if hook := CurrentScope().CSIHook(); hook != nil {
-		link.OnCSI = hook
-	}
 }
 
 // observeCondProfile fans a per-subcarrier condition-number profile (dB)

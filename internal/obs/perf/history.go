@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"press/internal/obs"
+	"press/internal/stats"
 )
 
 // NewRecord starts a canonical record stamped with the current date and
@@ -244,20 +245,7 @@ func allocMedian(set *SampleSet) (float64, bool) {
 	if len(vals) == 0 {
 		return 0, false
 	}
-	sort.Float64s(vals)
-	return median(vals), true
-}
-
-// median of an already-sorted slice.
-func median(sorted []float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
+	return stats.Median(vals), true
 }
 
 // describeBaseline renders a short provenance string for gate output.

@@ -33,7 +33,7 @@ const (
 	// PhaseSweep covers one full configuration sweep (radio.Link.Sweep).
 	PhaseSweep Phase = iota
 	// PhaseSearch covers one searcher objective evaluation
-	// (control.Instrumented eval loop).
+	// (the control.InstrumentScope eval loop).
 	PhaseSearch
 	// PhaseTrace covers image-method path enumeration
 	// (propagation.TracePaths and per-config element-path enumeration).

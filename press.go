@@ -42,7 +42,6 @@
 package press
 
 import (
-	"io"
 	"net"
 	"time"
 
@@ -55,10 +54,8 @@ import (
 	"press/internal/mimo"
 	"press/internal/obs"
 	"press/internal/obs/flight"
-	"press/internal/obs/health"
 	"press/internal/obs/prof"
 	"press/internal/obs/scope"
-	"press/internal/obs/slo"
 	"press/internal/ofdm"
 	"press/internal/propagation"
 	"press/internal/radio"
@@ -415,16 +412,8 @@ type (
 	// Registry is a concurrency-safe registry of counters, gauges, and
 	// histograms with JSON and Prometheus-text exposition.
 	Registry = obs.Registry
-	// Logger is the structured leveled key-value logger.
-	Logger = obs.Logger
-	// LogLevel is a logger severity threshold.
-	LogLevel = obs.Level
-	// LogFormat selects the logger's wire format.
-	LogFormat = obs.Format
 	// Span times one named phase into a registry.
 	Span = obs.Span
-	// MetricsSnapshot is a point-in-time export of a registry.
-	MetricsSnapshot = obs.Snapshot
 	// TelemetryCLI is the shared telemetry command line: Register installs
 	// its 25 flags, Start validates them all, brings up the configured
 	// stack (metrics snapshot and live server, trace and pprof files,
@@ -433,177 +422,37 @@ type (
 	// history), and returns it as the process's root TelemetryScope, and
 	// Finish tears it down and writes the requested outputs.
 	TelemetryCLI = scope.CLI
-	// LoopTracer assembles per-iteration control-loop span trees, scores
-	// them against a coherence deadline, and tail-samples exemplars for
-	// /tracez. A nil tracer is the zero-cost disabled default.
-	LoopTracer = slo.Tracer
-	// LoopTracerConfig parameterizes NewLoopTracer.
-	LoopTracerConfig = slo.Config
-	// TracedLoop is one control-loop iteration under construction.
-	TracedLoop = slo.Loop
-	// LoopStats is a traced iteration's verdict: latency, slack, missed.
-	LoopStats = slo.Stats
+	// TelemetryScope bundles one session's registry, logger, health
+	// monitor, flight recorder, phase collector, and loop tracer behind a
+	// single nil-safe handle; scoped metrics roll up into the parent
+	// registry.
+	TelemetryScope = scope.Scope
 	// ProfCollector accumulates phase-scoped work accounting (wall time,
 	// calls, bytes, domain counters per named phase). A nil collector is
 	// the zero-cost disabled default.
 	ProfCollector = prof.Collector
-	// FlightRecorder appends a durable, crash-safe run log (manifest,
-	// actuations, CSI/KPI samples, alerts, search decisions) to
-	// size-rotated CRC-framed segment files. A nil recorder discards
-	// everything at zero cost.
-	FlightRecorder = flight.Recorder
 	// FlightManifest identifies one recorded run: seeds, parameters,
 	// and build provenance.
 	FlightManifest = flight.Manifest
-	// HealthMonitor computes channel-health KPIs (null depth, MIMO
-	// condition number, search regret, control staleness) as bounded time
-	// series and evaluates alert rules over them.
-	HealthMonitor = health.Monitor
-	// HealthRule is one parsed alert rule over a channel-health KPI.
-	HealthRule = health.Rule
-	// AlertEvent is one alert-rule state transition
-	// (inactive→pending→firing→resolved).
-	AlertEvent = health.Event
-	// TelemetryServer serves a registry live over HTTP: /metrics,
-	// /metrics.json, /healthz, /events (SSE), and /debug/pprof/*.
-	TelemetryServer = obs.Server
-	// TelemetryRecorder periodically samples a registry into a bounded
-	// ring for the live /events stream.
-	TelemetryRecorder = obs.Recorder
-	// TelemetrySample is one sampled snapshot of counters and gauges.
-	TelemetrySample = obs.Sample
-	// TraceLog collects completed spans for Chrome trace-event export
-	// (viewable at ui.perfetto.dev).
-	TraceLog = obs.TraceLog
-	// TraceSpan is one completed span in a TraceLog.
-	TraceSpan = obs.TraceSpan
-	// TelemetryScope bundles one session's registry, logger, health
-	// monitor, flight recorder, and phase collector behind a single
-	// nil-safe handle; scoped metrics roll up into the parent registry.
-	TelemetryScope = scope.Scope
-	// TelemetryScopeSet is a bounded process-level registry of live
-	// session scopes with LRU eviction and /sessions HTTP routes.
-	TelemetryScopeSet = scope.Set
-	// TelemetryScopeConfig parameterizes NewTelemetryScope.
-	TelemetryScopeConfig = scope.Config
 )
-
-// Logger severity levels and formats.
-const (
-	LevelDebug = obs.LevelDebug
-	LevelInfo  = obs.LevelInfo
-	LevelWarn  = obs.LevelWarn
-	LevelError = obs.LevelError
-	LevelOff   = obs.LevelOff
-
-	Logfmt     = obs.Logfmt
-	JSONFormat = obs.JSONFormat
-)
-
-// LatencyBuckets are histogram bounds suited to sub-second latencies.
-var LatencyBuckets = obs.LatencyBuckets
-
-// NewRegistry returns an empty live metrics registry.
-func NewRegistry() *Registry { return obs.NewRegistry() }
-
-// NewLogger returns a structured logger writing records at or above
-// level to w.
-func NewLogger(w io.Writer, level LogLevel, format LogFormat) *Logger {
-	return obs.NewLogger(w, level, format)
-}
 
 // StartSpan starts a named timing span; End() records its duration in
 // the registry. A nil registry yields an inert span.
 func StartSpan(r *Registry, name string) Span { return obs.StartSpan(r, name) }
 
-// NewTelemetryServer builds a live telemetry server over reg; rec may be
-// nil to disable the /events stream. Call Start(addr), then Close.
-func NewTelemetryServer(reg *Registry, rec *TelemetryRecorder) *TelemetryServer {
-	return obs.NewServer(reg, rec)
-}
-
-// NewTelemetryRecorder samples reg every interval into a ring of the
-// given capacity (zero values pick sensible defaults).
-func NewTelemetryRecorder(reg *Registry, interval time.Duration, capacity int) *TelemetryRecorder {
-	return obs.NewRecorder(reg, interval, capacity)
-}
-
-// NewTraceLog returns an empty span collector; attach it with
-// Registry.SetTraceLog and export with WriteJSON.
-func NewTraceLog() *TraceLog { return obs.NewTraceLog() }
-
-// NewTraceID returns a process-unique nonzero trace ID for correlating
-// controller and agent spans.
-func NewTraceID() uint64 { return obs.NewTraceID() }
-
-// InstrumentSearcher wraps a searcher so every run records evaluation
-// counts, best-objective trajectory, and wall-time into reg/log.
-func InstrumentSearcher(s Searcher, reg *Registry, log *Logger) Searcher {
-	return control.Instrument(s, reg, log)
-}
-
-// InstrumentSearcherHealth is InstrumentSearcher plus a channel-health
-// monitor fed with the best objective after every improving evaluation.
-func InstrumentSearcherHealth(s Searcher, reg *Registry, log *Logger, h *HealthMonitor) Searcher {
-	return control.InstrumentHealth(s, reg, log, h)
-}
-
-// InstrumentSearcherFlight is InstrumentSearcherHealth plus a flight
-// recorder that persists every evaluation as a durable search-decision
-// record for post-hoc audit and replay.
-func InstrumentSearcherFlight(s Searcher, reg *Registry, log *Logger, h *HealthMonitor, rec *FlightRecorder) Searcher {
-	return control.InstrumentFlight(s, reg, log, h, rec)
-}
-
-// InstrumentSearcherProf is InstrumentSearcherFlight plus a
-// work-accounting collector that attributes every evaluation's cost to
-// the search_eval phase for `pressctl hotspots` reports.
-func InstrumentSearcherProf(s Searcher, reg *Registry, log *Logger, h *HealthMonitor, rec *FlightRecorder, pc *ProfCollector) Searcher {
-	return control.InstrumentProf(s, reg, log, h, rec, pc)
-}
-
-// InstrumentSearcherScope wraps a searcher with every sink a telemetry
-// scope carries — the session-oriented form of the InstrumentSearcher*
-// chain. A nil (or fully disabled) scope returns s unchanged.
-func InstrumentSearcherScope(s Searcher, sc *TelemetryScope) Searcher {
+// InstrumentSearcher wraps a searcher with every sink the telemetry
+// scope carries: evaluation counts, best-objective trajectory and
+// wall-time into its registry and logger, best-so-far into its health
+// monitor, one search-decision record per evaluation into its flight
+// recorder, search_eval phase costs into its collector, and a "search"
+// phase span into its loop tracer. A nil (or fully disabled) scope
+// returns s unchanged.
+func InstrumentSearcher(s Searcher, sc *TelemetryScope) Searcher {
 	return control.InstrumentScope(s, sc)
-}
-
-// NewLoopTracer builds a control-loop deadline tracer recording into
-// reg (nil = identity/reservoir bookkeeping only): per-iteration span
-// trees, coherence-deadline verdicts, slack histograms, and the
-// tail-sampling reservoir behind /tracez. A nil *LoopTracer is the
-// zero-cost disabled default every call site tolerates.
-func NewLoopTracer(reg *Registry, cfg LoopTracerConfig) *LoopTracer {
-	return slo.NewTracer(reg, cfg)
-}
-
-// NewTelemetryScope creates an owned session scope: a child registry
-// rolling up into parent plus whichever components cfg enables. Close
-// releases them. See internal/obs/scope for the session model.
-func NewTelemetryScope(id string, parent *Registry, cfg TelemetryScopeConfig) (*TelemetryScope, error) {
-	return scope.New(id, parent, cfg)
-}
-
-// NewTelemetryScopeSet builds a bounded registry of session scopes
-// parented on reg; maxScopes <= 0 picks the default cardinality budget.
-func NewTelemetryScopeSet(reg *Registry, maxScopes int) *TelemetryScopeSet {
-	return scope.NewSet(reg, maxScopes)
 }
 
 // NewFlightManifest starts a run manifest stamped with the current time
 // and build provenance; see flight.NewManifest.
 func NewFlightManifest(binary, scenario string, seed uint64) *FlightManifest {
 	return flight.NewManifest(binary, scenario, seed)
-}
-
-// ParseAlertRules parses a ';'-separated -alert-rules list ("default"
-// expands to the built-in set).
-func ParseAlertRules(s string) ([]HealthRule, error) { return health.ParseRules(s) }
-
-// NewHealthMonitor builds a channel-health monitor sampling KPIs every
-// interval into series of the given capacity (zero values pick
-// defaults); reg may be nil.
-func NewHealthMonitor(reg *Registry, rules []HealthRule, interval time.Duration, capacity int) *HealthMonitor {
-	return health.NewMonitor(reg, rules, interval, capacity)
 }
