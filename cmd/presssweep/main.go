@@ -23,6 +23,7 @@ import (
 	"press/internal/experiments"
 	"press/internal/obs"
 	"press/internal/obs/flight"
+	"press/internal/obs/prof"
 	"press/internal/obs/scope"
 	"press/internal/radio"
 )
@@ -161,7 +162,17 @@ func runBudget(args []string) error {
 		if !ok {
 			base = make([]int, link.Array.N())
 		}
+		// The baseline is scored under the search_eval root, like the
+		// search's own evaluations. It also runs the link's lazy path
+		// trace; outside any root, that leaf time would count against
+		// no wall clock and push hotspot coverage past 100 %.
+		pc := sc.Prof()
+		esp := pc.Start(prof.PhaseSearch)
 		baseline, err := ev.Eval(base)
+		if err == nil {
+			pc.Add(prof.PhaseSearch, prof.AuxConfigsScored, 1)
+		}
+		esp.End()
 		if err != nil {
 			return err
 		}

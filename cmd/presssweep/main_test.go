@@ -9,6 +9,7 @@ import (
 
 	"press/internal/obs/flight"
 	"press/internal/obs/obstest"
+	"press/internal/obs/prof"
 )
 
 func TestCountsUpTo(t *testing.T) {
@@ -110,28 +111,45 @@ func TestSweepTraceExport(t *testing.T) {
 // TestSweepFlightRecordsSearch runs a small convergence sweep with
 // -flight-dir and checks that the searches reach the run's flight log:
 // one decision record per CSI sample (5 searchers × 20 evaluations) and
-// a search_eval phase cost.
+// a search_eval phase cost. For convergence and budget it checks that
+// every leaf phase ran under a root: the hotspot report's leaf time is
+// at most its root wall clock.
 func TestSweepFlightRecordsSearch(t *testing.T) {
-	dir := t.TempDir()
-	runCaptured(t, "convergence", "-elements", "3", "-budget", "20", "-flight-dir", dir)
-	runs, err := filepath.Glob(filepath.Join(dir, "*"))
-	if err != nil || len(runs) != 1 {
-		t.Fatalf("flight runs under %s: %v (%v)", dir, runs, err)
-	}
-	run, err := flight.ReadRun(runs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(run.CSI) != 100 || len(run.Decisions) != len(run.CSI) {
-		t.Errorf("flight log has %d CSI samples and %d search decisions, want 100 each",
-			len(run.CSI), len(run.Decisions))
-	}
-	searchEval := false
-	for _, p := range run.PhaseCosts {
-		searchEval = searchEval || (p.Phase == "search_eval" && p.Calls > 0)
-	}
-	if !searchEval {
-		t.Errorf("no search_eval phase cost in %d phase records", len(run.PhaseCosts))
+	for _, args := range [][]string{
+		{"convergence", "-elements", "3", "-budget", "20"},
+		{"budget"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			dir := t.TempDir()
+			runCaptured(t, append(args, "-flight-dir", dir)...)
+			runs, err := filepath.Glob(filepath.Join(dir, "*"))
+			if err != nil || len(runs) != 1 {
+				t.Fatalf("flight runs under %s: %v (%v)", dir, runs, err)
+			}
+			run, err := flight.ReadRun(runs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if args[0] == "convergence" && (len(run.CSI) != 100 || len(run.Decisions) != len(run.CSI)) {
+				t.Errorf("flight log has %d CSI samples and %d search decisions, want 100 each",
+					len(run.CSI), len(run.Decisions))
+			}
+			searchEval := false
+			for _, p := range run.PhaseCosts {
+				searchEval = searchEval || (p.Phase == "search_eval" && p.Calls > 0)
+			}
+			if !searchEval {
+				t.Errorf("no search_eval phase cost in %d phase records", len(run.PhaseCosts))
+			}
+			rep, err := prof.BuildReport(run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Coverage > 1 {
+				t.Errorf("hotspot coverage %.1f%%: %.3f ms of leaf time under %.3f ms of root wall clock",
+					100*rep.Coverage, float64(rep.AttributedNs)/1e6, float64(rep.WallNs)/1e6)
+			}
+		})
 	}
 }
 

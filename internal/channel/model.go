@@ -300,65 +300,41 @@ func (m *Model) Narrowband(env []complex128) *Model {
 	return nb
 }
 
-// addRotated adds v, rotated by the Doppler phasor at t, into h.
-func addRotated(h, v []complex128, dopplerHz, t float64) {
-	if dopplerHz == 0 {
-		for k := range h {
-			h[k] += v[k]
-		}
-		return
-	}
-	ph := rfphys.Cis(2 * math.Pi * dopplerHz * t)
-	for k := range h {
-		h[k] += v[k] * ph
-	}
-}
-
-// addRotated4 adds v[0..3], each rotated by its nonzero Doppler shift's
-// phasor at t, into h in one pass. Every subcarrier gets the four
-// additions of four addRotated calls, in the same order, so the result
-// is bit-identical to them while h[k] is loaded and stored once.
-func addRotated4(h []complex128, v [][]complex128, dopplerHz []float64, t float64) {
-	v0, v1, v2, v3 := v[0][:len(h)], v[1][:len(h)], v[2][:len(h)], v[3][:len(h)]
-	p0 := rfphys.Cis(2 * math.Pi * dopplerHz[0] * t)
-	p1 := rfphys.Cis(2 * math.Pi * dopplerHz[1] * t)
-	p2 := rfphys.Cis(2 * math.Pi * dopplerHz[2] * t)
-	p3 := rfphys.Cis(2 * math.Pi * dopplerHz[3] * t)
-	for k := range h {
-		h[k] = h[k] + v0[k]*p0 + v1[k]*p1 + v2[k]*p2 + v3[k]*p3
-	}
-}
-
 // Environment writes the environment's response at t into h
 // (len(freqs)) and returns the number of vectors summed. On a moving
-// link each run of four paths that all have a Doppler shift is added in
-// one fused pass; any other path goes through addRotated alone
-// (DESIGN.md §12).
+// link the paths go through a rotator, which adds each run of four
+// paths with a Doppler shift in one pass (DESIGN.md §12, §15).
 func (m *Model) Environment(h []complex128, t float64) int {
+	r := rotator{h: h, t: t}
+	n := m.environment(&r)
+	r.flush()
+	return n
+}
+
+// environment starts r's sum with the environment: the static sum
+// copied into r.h, or on a moving link each path's terms queued on r
+// after r.h is cleared. It returns the number of vectors summed.
+func (m *Model) environment(r *rotator) int {
 	if !m.moving {
-		copy(h, m.env)
+		copy(r.h, m.env)
 		return 1
 	}
-	clear(h)
-	terms, dop := m.envTerms, m.envDoppler
-	for l := 0; l < len(terms); {
-		if l+4 <= len(terms) && dop[l] != 0 && dop[l+1] != 0 && dop[l+2] != 0 && dop[l+3] != 0 {
-			addRotated4(h, terms[l:l+4], dop[l:l+4], t)
-			l += 4
-			continue
-		}
-		addRotated(h, terms[l], dop[l], t)
-		l++
+	clear(r.h)
+	for l, v := range m.envTerms {
+		r.add(v, m.envDoppler[l])
 	}
-	return len(terms)
+	return len(m.envTerms)
 }
 
 // Sum writes the response under the discrete configuration cfg, with
 // faults applied, at time t into h (len(freqs)) and returns the number
 // of vectors summed. cfg and faults must have passed ValidateSelection
-// against the model's array; a nil array ignores cfg.
+// against the model's array; a nil array ignores cfg. The selected
+// element vectors follow the environment paths through the same
+// rotator, so on a moving link the four-path passes run across both.
 func (m *Model) Sum(h []complex128, cfg element.Config, faults element.Faults, t float64) int {
-	n := m.Environment(h, t)
+	r := rotator{h: h, t: t}
+	n := m.environment(&r)
 	for i := range m.elems {
 		si := cfg[i]
 		if fault, broken := faults[i]; broken {
@@ -371,10 +347,11 @@ func (m *Model) Sum(h []complex128, cfg element.Config, faults element.Faults, t
 		}
 		et := &m.elems[i]
 		if v := et.states[si]; v != nil {
-			addRotated(h, v, et.path.DopplerHz, t)
+			r.add(v, et.path.DopplerHz)
 			n++
 		}
 	}
+	r.flush()
 	return n
 }
 

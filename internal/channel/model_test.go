@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"press/internal/element"
 	"press/internal/fpexact"
 )
 
@@ -101,6 +102,91 @@ func TestFusedEnvironmentMatchesSequential(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestFoldedSumMatchesSequential checks that Model.Sum, which sends the
+// selected element vectors through the same four-path passes as the
+// environment, equals the environment followed by one addRotated per
+// selected element in array order, in Float64bits (sameBits): random
+// moving models with 0–9 environment paths and 0–9 elements, zero
+// Doppler on some paths and elements, missing state vectors, stuck and
+// dead elements, and ±Inf and NaN terms.
+func TestFoldedSumMatchesSequential(t *testing.T) {
+	if fpexact.Contracts() {
+		t.Skip("this target fuses multiply-adds; the two passes may round differently")
+	}
+	rng := rand.New(rand.NewPCG(23, 2))
+	randVec := func(k int) []complex128 {
+		v := make([]complex128, k)
+		for i := range v {
+			v[i] = complex(randPart(rng), randPart(rng))
+		}
+		return v
+	}
+	randDoppler := func() float64 {
+		if rng.IntN(5) == 0 {
+			return 0
+		}
+		return (rng.Float64() - 0.5) * 40
+	}
+	for trial := 0; trial < 2000; trial++ {
+		k := []int{52, 1, 3, 114}[trial%4]
+		nEnv, nElem := rng.IntN(10), rng.IntN(10)
+		m := &Model{moving: true, envTerms: make([][]complex128, nEnv), envDoppler: make([]float64, nEnv),
+			elems: make([]elementTerms, nElem)}
+		for l := range m.envTerms {
+			m.envTerms[l], m.envDoppler[l] = randVec(k), randDoppler()
+		}
+		cfg := make(element.Config, nElem)
+		faults := element.Faults{}
+		for i := range m.elems {
+			et := &m.elems[i]
+			et.path.DopplerHz = randDoppler()
+			et.states = make([][]complex128, 4)
+			for si := range et.states {
+				if rng.IntN(4) != 0 {
+					et.states[si] = randVec(k)
+				}
+			}
+			cfg[i] = rng.IntN(4)
+			switch rng.IntN(8) {
+			case 0:
+				faults[i] = element.Fault{Kind: element.Dead}
+			case 1:
+				faults[i] = element.Fault{Kind: element.StuckAt, State: rng.IntN(4)}
+			}
+		}
+		at := rng.Float64() * math.Ldexp(1e4, -rng.IntN(20))
+		got := make([]complex128, k)
+		vecs := m.Sum(got, cfg, faults, at)
+		want := make([]complex128, k)
+		wantVecs := nEnv
+		for l, v := range m.envTerms {
+			addRotated(want, v, m.envDoppler[l], at)
+		}
+		for i, et := range m.elems {
+			si := cfg[i]
+			if f, ok := faults[i]; ok {
+				if f.Kind == element.Dead {
+					continue
+				}
+				si = f.State
+			}
+			if v := et.states[si]; v != nil {
+				addRotated(want, v, et.path.DopplerHz, at)
+				wantVecs++
+			}
+		}
+		if vecs != wantVecs {
+			t.Fatalf("trial %d: Sum summed %d vectors, want %d", trial, vecs, wantVecs)
+		}
+		for i := range want {
+			if !sameBits(real(got[i]), real(want[i])) || !sameBits(imag(got[i]), imag(want[i])) {
+				t.Fatalf("trial %d (%d paths, %d elements), t=%v, subcarrier %d: folded %v, sequential %v",
+					trial, nEnv, nElem, at, i, got[i], want[i])
 			}
 		}
 	}

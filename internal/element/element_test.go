@@ -268,6 +268,76 @@ func TestPlacementCandidates(t *testing.T) {
 			t.Fatalf("candidate %v at %v m from RX", p, d)
 		}
 	}
+
+	// Candidates skips grid lines too far from an endpoint; it must
+	// return exactly what the unpruned scan does, in the same order, on
+	// random rooms, endpoints (some outside the room) and specs,
+	// including a NaN, a negative and an infinite MaxDist.
+	rng := rand.New(rand.NewPCG(23, 3))
+	for trial := 0; trial < 3000; trial++ {
+		room := geom.NewRoom(0.5+rng.Float64()*12, 0.5+rng.Float64()*12, 3)
+		pt := func() geom.Vec {
+			return geom.V(rng.Float64()*room.Size.X*1.4-0.2*room.Size.X,
+				rng.Float64()*room.Size.Y*1.4-0.2*room.Size.Y, rng.Float64()*3)
+		}
+		tx, rx := pt(), pt()
+		spec := PlacementSpec{
+			MinDist:   rng.Float64() * 2,
+			GridPitch: []float64{0, 0.1, 0.25, 0.3 + rng.Float64()}[rng.IntN(4)],
+			Height:    []float64{0, rng.Float64() * 3}[rng.IntN(2)],
+		}
+		spec.MaxDist = spec.MinDist + rng.Float64()*4
+		switch trial % 10 {
+		case 0:
+			spec.MaxDist = math.NaN()
+		case 1:
+			spec.MaxDist = -rng.Float64()
+		case 2:
+			spec.MaxDist = math.Inf(1)
+		case 3:
+			// Endpoints on grid points at the mounting height, and a
+			// MaxDist of whole grid steps: some candidates lie exactly
+			// MaxDist from an endpoint along x or y.
+			spec.GridPitch, spec.Height, spec.MinDist = 0.25, 1.5, 0
+			spec.MaxDist = 0.25 * float64(1+rng.IntN(12))
+			tx = geom.V(0.25*float64(rng.IntN(40)), 0.25*float64(rng.IntN(40)), 1.5)
+			rx = geom.V(0.25*float64(rng.IntN(40)), 0.25*float64(rng.IntN(40)), 1.5)
+		}
+		got, want := spec.Candidates(room, tx, rx), unprunedCandidates(spec, room, tx, rx)
+		if len(got) != len(want) {
+			t.Fatalf("spec %+v, room %v, tx %v, rx %v: %d candidates, unpruned scan %d",
+				spec, room.Size, tx, rx, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("spec %+v: candidate %d is %v, unpruned scan %v", spec, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// unprunedCandidates is Candidates without the pruning: every grid
+// point's two distances are tested.
+func unprunedCandidates(s PlacementSpec, room geom.Room, tx, rx geom.Vec) []geom.Vec {
+	pitch := s.GridPitch
+	if pitch <= 0 {
+		pitch = 0.25
+	}
+	h := s.Height
+	if h == 0 {
+		h = 1.5
+	}
+	var out []geom.Vec
+	for x := pitch; x < room.Size.X; x += pitch {
+		for y := pitch; y < room.Size.Y; y += pitch {
+			p := geom.V(x, y, h)
+			dt, dr := p.Dist(tx), p.Dist(rx)
+			if dt >= s.MinDist && dt <= s.MaxDist && dr >= s.MinDist && dr <= s.MaxDist {
+				out = append(out, p)
+			}
+		}
+	}
+	return out
 }
 
 func TestPlaceDeterministicAndDistinct(t *testing.T) {

@@ -2,6 +2,7 @@ package element
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"press/internal/geom"
@@ -28,6 +29,12 @@ var DefaultPlacement = PlacementSpec{MinDist: 1, MaxDist: 2, GridPitch: 0.25, He
 
 // Candidates enumerates every grid point inside the room satisfying the
 // distance constraints to tx and rx.
+//
+// A grid column or row farther than MaxDist from an endpoint along x or
+// y holds no candidate, so its distances are not computed. The bound
+// carries a margin far above the rounding of Dist, so a point it skips
+// is one the distance test would reject too, and the output is the
+// same points in the same order. A NaN or infinite bound skips nothing.
 func (s PlacementSpec) Candidates(room geom.Room, tx, rx geom.Vec) []geom.Vec {
 	pitch := s.GridPitch
 	if pitch <= 0 {
@@ -37,9 +44,20 @@ func (s PlacementSpec) Candidates(room geom.Room, tx, rx geom.Vec) []geom.Vec {
 	if h == 0 {
 		h = 1.5
 	}
+	bound := s.MaxDist*(1+1e-9) + 1e-9
+	prune := !math.IsNaN(bound) && !math.IsInf(bound, 0)
+	far := func(c, a, b float64) bool {
+		return prune && (math.Abs(c-a) > bound || math.Abs(c-b) > bound)
+	}
 	var out []geom.Vec
 	for x := pitch; x < room.Size.X; x += pitch {
+		if far(x, tx.X, rx.X) {
+			continue
+		}
 		for y := pitch; y < room.Size.Y; y += pitch {
+			if far(y, tx.Y, rx.Y) {
+				continue
+			}
 			p := geom.V(x, y, h)
 			dt, dr := p.Dist(tx), p.Dist(rx)
 			if dt >= s.MinDist && dt <= s.MaxDist && dr >= s.MinDist && dr <= s.MaxDist {

@@ -73,3 +73,60 @@ func TestKSEmptyIsNaN(t *testing.T) {
 		t.Errorf("KS with empty sample = %v, want NaN", d)
 	}
 }
+
+// TestKolmogorovQTabulated checks the Kolmogorov tail against tabulated
+// values (Q(1.36) ≈ 0.049 and Q(1.63) ≈ 0.010, the 5 % and 1 % critical
+// points, Q(0.5) and Q(1)), and against the alternating series summed
+// to 200 terms on both sides of the switch between its two forms.
+func TestKolmogorovQTabulated(t *testing.T) {
+	for _, c := range []struct{ lambda, want, tol float64 }{
+		{1.36, 0.049, 0.0005},
+		{1.63, 0.010, 0.0005},
+		{0.5, 0.9639, 0.0001},
+		{1.0, 0.2700, 0.0001},
+	} {
+		if got := kolmogorovQ(c.lambda); math.Abs(got-c.want) > c.tol {
+			t.Errorf("Q(%v) = %.6f, want %v ± %v", c.lambda, got, c.want, c.tol)
+		}
+	}
+	for lambda := 0.3; lambda < 3; lambda += 0.01 {
+		var series float64
+		for k := 200; k >= 1; k-- {
+			series += 2 * math.Pow(-1, float64(k-1)) * math.Exp(-2*float64(k*k)*lambda*lambda)
+		}
+		if got := kolmogorovQ(lambda); math.Abs(got-series) > 1e-14 {
+			t.Errorf("Q(%v) = %v, series %v", lambda, got, series)
+		}
+	}
+}
+
+// TestKSPValue checks the p-value's edge cases and that it falls as the
+// distance grows, and that it is Q at Stephens' λ.
+func TestKSPValue(t *testing.T) {
+	if p := KSPValue(0, 10, 20); p != 1 {
+		t.Errorf("KSPValue(0) = %v, want 1", p)
+	}
+	for _, c := range []struct {
+		d    float64
+		n, m int
+	}{{math.NaN(), 10, 10}, {0.3, 0, 10}, {0.3, 10, 0}, {0.3, -1, 10}, {-0.1, 10, 10}} {
+		if p := KSPValue(c.d, c.n, c.m); !math.IsNaN(p) {
+			t.Errorf("KSPValue(%v, %d, %d) = %v, want NaN", c.d, c.n, c.m, p)
+		}
+	}
+	ne := math.Sqrt(40.0 * 60 / 100)
+	if got, want := KSPValue(0.3, 40, 60), kolmogorovQ((ne+0.12+0.11/ne)*0.3); got != want {
+		t.Errorf("KSPValue(0.3, 40, 60) = %v, want Q(λ) = %v", got, want)
+	}
+	for _, nm := range [][2]int{{1, 1}, {5, 7}, {52, 52}, {1000, 3000}} {
+		prev := 1.0
+		for i := 0; i <= 2000; i++ {
+			d := float64(i) / 1000
+			p := KSPValue(d, nm[0], nm[1])
+			if !(p >= 0 && p <= prev) {
+				t.Fatalf("n=%d m=%d: KSPValue(%v) = %v after %v: not in [0, previous]", nm[0], nm[1], d, p, prev)
+			}
+			prev = p
+		}
+	}
+}
