@@ -54,23 +54,35 @@ func condOf(s []float64) float64 {
 
 // checkKernel compares jacobiValues(a) with Decompose(a).S in
 // Float64bits, and with public set, SingularValues(a) and Cond(a) too
-// (off the closed-form 2×2 path).
-func checkKernel(a *Matrix, public bool) error {
+// (off the closed-form 2×2 path). It returns Decompose's values.
+func checkKernel(a *Matrix, public bool) ([]float64, error) {
 	want := Decompose(a).S
 	var buf [4]float64
 	got := buf[:len(want)]
 	jacobiValues(a, got)
 	if !sameBits(got, want) {
-		return fmt.Errorf("jacobiValues %v, Decompose %v\n%v", got, want, a)
+		return want, fmt.Errorf("jacobiValues %v, Decompose %v\n%v", got, want, a)
 	}
 	if !public || a.Rows == 2 && a.Cols == 2 {
-		return nil
+		return want, nil
 	}
 	if sv := SingularValues(a); !sameBits(sv, want) {
-		return fmt.Errorf("SingularValues %v, Decompose %v\n%v", sv, want, a)
+		return want, fmt.Errorf("SingularValues %v, Decompose %v\n%v", sv, want, a)
 	}
 	if c, w := Cond(a), condOf(want); !sameBits([]float64{c}, []float64{w}) {
-		return fmt.Errorf("Cond %v, Decompose's quotient %v\n%v", c, w, a)
+		return want, fmt.Errorf("Cond %v, Decompose's quotient %v\n%v", c, w, a)
+	}
+	return want, nil
+}
+
+// checkPair compares jacobiValuesPair(a, b), for a and b of one shape,
+// with their Decompose values wantA and wantB in Float64bits.
+func checkPair(a, b *Matrix, wantA, wantB []float64) error {
+	var bufA, bufB [4]float64
+	gotA, gotB := bufA[:len(wantA)], bufB[:len(wantB)]
+	jacobiValuesPair(a, b, gotA, gotB)
+	if !sameBits(gotA, wantA) || !sameBits(gotB, wantB) {
+		return fmt.Errorf("jacobiValuesPair %v and %v, Decompose %v and %v\n%v\n%v", gotA, gotB, wantA, wantB, a, b)
 	}
 	return nil
 }
@@ -252,7 +264,9 @@ var families = [32]int{
 // TestJacobiValuesBitIdentical: on 100,000 matrices of every shape of up
 // to 16 entries, drawn from variedMatrix's eight families, jacobiValues,
 // SingularValues and Cond (on one in eight) give Decompose's values bit
-// for bit. -short runs 2,000 per shape.
+// for bit, and so does jacobiValuesPair on each pair of consecutive
+// trials, whose families and sweep counts differ. -short runs 2,000 per
+// shape.
 func TestJacobiValuesBitIdentical(t *testing.T) {
 	if fpexact.Contracts() {
 		t.Skip("the compiler fuses a*b+c here, so the kernel and Decompose may round differently")
@@ -266,13 +280,51 @@ func TestJacobiValuesBitIdentical(t *testing.T) {
 		t.Run(fmt.Sprintf("%dx%d", rows, cols), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewPCG(uint64(rows), uint64(cols)))
+			var prev *Matrix
+			var prevWant []float64
 			for trial := 0; trial < trials; trial++ {
 				a := variedMatrix(rng, rows, cols, families[trial%len(families)])
-				if err := checkKernel(a, trial%8 == 0); err != nil {
+				want, err := checkKernel(a, trial%8 == 0)
+				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
+				if trial%2 == 1 {
+					if err := checkPair(prev, a, prevWant, want); err != nil {
+						t.Fatalf("trials %d and %d: %v", trial-1, trial, err)
+					}
+				}
+				prev, prevWant = a, want
 			}
 		})
+	}
+}
+
+// TestCondsMatchesCond: Conds gives Cond's values bit for bit on runs
+// that pair matrices of one shape, pairs whose shapes differ, 2×2 pairs
+// (Cond's closed form), pairs with a part beyond the guard, more than 16
+// entries and an odd last matrix, and allocates nothing on 4×4 pairs.
+func TestCondsMatchesCond(t *testing.T) {
+	if fpexact.Contracts() {
+		t.Skip("the compiler fuses a*b+c here, so the kernel and Decompose may round differently")
+	}
+	rng := rand.New(rand.NewPCG(105, 106))
+	var ms []*Matrix
+	for _, sh := range [][2]int{{4, 4}, {4, 4}, {3, 2}, {2, 3}, {2, 2}, {2, 2}, {4, 4}, {4, 4}, {1, 5}, {1, 5}, {5, 4}, {5, 4}, {3, 3}} {
+		ms = append(ms, variedMatrix(rng, sh[0], sh[1], 0))
+	}
+	ms[7].Data[3] = complex(1e300, 0)
+	for n := range len(ms) + 1 {
+		out := make([]float64, n)
+		Conds(ms[:n], out)
+		for k, m := range ms[:n] {
+			if w := Cond(m); !sameBits(out[k:k+1], []float64{w}) {
+				t.Fatalf("%d matrices: Conds[%d] = %v, Cond %v\n%v", n, k, out[k], w, m)
+			}
+		}
+	}
+	out := make([]float64, 2)
+	if n := testing.AllocsPerRun(100, func() { Conds(ms[:2], out) }); n != 0 {
+		t.Errorf("Conds on a 4x4 pair allocates %v times", n)
 	}
 }
 
@@ -293,8 +345,10 @@ func TestJacobiThresholdStraddled(t *testing.T) {
 // FuzzCondMatchesDecompose builds a matrix of up to 16 entries from the
 // fuzz bytes: the first byte picks the shape, then each 8 bytes give one
 // part's float64 bits, so NaN, ±Inf, subnormals and parts beyond the
-// guard all occur. Cond, SingularValues and jacobiValues must give
-// Decompose's values bit for bit.
+// guard all occur. The remaining bytes build a second matrix of the same
+// shape, whose parts are 0 once the bytes run out. Cond, SingularValues
+// and jacobiValues on the first, and jacobiValuesPair on the two, must
+// give Decompose's values bit for bit.
 func FuzzCondMatchesDecompose(f *testing.F) {
 	if fpexact.Contracts() {
 		f.Skip("the compiler fuses a*b+c here, so the kernel and Decompose may round differently")
@@ -309,8 +363,9 @@ func FuzzCondMatchesDecompose(f *testing.F) {
 	}
 	rng := rand.New(rand.NewPCG(103, 104))
 	sq3 := -1 // the index of the 3×3 shape
+	// Two matrices of each shape.
 	for shape, sh := range all {
-		parts := make([]float64, 2*sh[0]*sh[1])
+		parts := make([]float64, 4*sh[0]*sh[1])
 		for i := range parts {
 			parts[i] = rng.NormFloat64()
 		}
@@ -323,12 +378,13 @@ func FuzzCondMatchesDecompose(f *testing.F) {
 	seed(sq3, 1, 0, 0, 1, math.NaN(), 0, 2, 2, 1, 1, 0, 3, 1, 2, 3, 4, 5, 6)
 	seed(sq3, jacobiGuard, -jacobiGuard, 1, 0, 0, 1, math.Nextafter(jacobiGuard, math.Inf(1)), 3)
 	seed(sq3, 4e-320, 1, math.Inf(-1), 0, 1e-310, 5e-324, negZero, 1, negZero, negZero)
+	// A second matrix beyond the guard sends both through jacobiValues.
+	seed(sq3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1e300, 1)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) == 0 {
 			return
 		}
 		sh := all[int(b[0])%len(all)]
-		a := New(sh[0], sh[1])
 		b = b[1:]
 		part := func() float64 {
 			if len(b) < 8 {
@@ -338,11 +394,20 @@ func FuzzCondMatchesDecompose(f *testing.F) {
 			b = b[8:]
 			return x
 		}
-		for i := range a.Data {
-			re := part()
-			a.Data[i] = complex(re, part())
+		matrix := func() *Matrix {
+			a := New(sh[0], sh[1])
+			for i := range a.Data {
+				re := part()
+				a.Data[i] = complex(re, part())
+			}
+			return a
 		}
-		if err := checkKernel(a, true); err != nil {
+		a, a2 := matrix(), matrix()
+		want, err := checkKernel(a, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkPair(a, a2, want, Decompose(a2).S); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -145,37 +145,13 @@ func SingularValues(a *Matrix) []float64 {
 // more than 16 entries, and any part that is not finite or exceeds
 // jacobiGuard, go to Decompose itself.
 func jacobiValues(a *Matrix, s []float64) {
-	m, n := a.Rows, a.Cols
-	if m*n > 16 || !withinJacobiGuard(a.Data) {
+	if a.Rows*a.Cols > 16 || !withinJacobiGuard(a.Data) {
 		copy(s, Decompose(a).S)
 		return
 	}
-	// Column-major working copy: entry (i, j) at j*m+i, so each column is
-	// one contiguous run. Decompose works on the conjugate transpose of a
-	// wide matrix, which has the same singular values; a's row-major
-	// layout is then that matrix's column-major one.
 	var re, im [16]float64
-	if m < n {
-		for k, x := range a.Data {
-			re[k], im[k] = real(x), -imag(x)
-		}
-		m, n = n, m
-	} else {
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				x := a.Data[i*n+j]
-				re[j*m+i], im[j*m+i] = real(x), imag(x)
-			}
-		}
-	}
-
-	const (
-		eps       = 1e-14
-		eps2      = eps * eps
-		margin    = 1e-12 // far above the few ulps between the squared and original tests
-		maxSweeps = 60
-	)
-	for sweep := 0; sweep < maxSweeps; sweep++ {
+	m, n := jacobiLoad(a, &re, &im)
+	for sweep := 0; sweep < jacobiMaxSweeps; sweep++ {
 		rotated := false
 		for p := 0; p < n-1; p++ {
 			// Columns resliced to len(pr) need no bounds checks below.
@@ -197,9 +173,9 @@ func jacobiValues(a *Matrix, s []float64) {
 				// when both lie in normal range and differ by more than
 				// margin; otherwise evaluate Decompose's test.
 				aa := app * aqq
-				g2, r2 := gr*gr+gi*gi, eps2*aa
+				g2, r2 := gr*gr+gi*gi, jacobiEps2*aa
 				decided := minNormal <= g2 && g2 <= math.MaxFloat64 && minNormal <= r2 && r2 <= math.MaxFloat64
-				if decided && g2 < r2*(1-margin) {
+				if decided && g2 < r2*(1-jacobiMargin) {
 					continue
 				}
 				// off = math.Hypot(gr, gi), as cmplx.Abs computes it; off is
@@ -211,7 +187,7 @@ func jacobiValues(a *Matrix, s []float64) {
 				}
 				small /= big
 				off := big * math.Sqrt(1+small*small)
-				if !(decided && g2 > r2*(1+margin)) && off <= eps*math.Sqrt(aa) {
+				if !(decided && g2 > r2*(1+jacobiMargin)) && off <= jacobiEps*math.Sqrt(aa) {
 					continue
 				}
 				rotated = true
@@ -236,7 +212,44 @@ func jacobiValues(a *Matrix, s []float64) {
 			break
 		}
 	}
+	jacobiNorms(&re, &im, m, n, s)
+}
 
+// The constants of jacobiValues' sweep; the pair kernel loads them as Go
+// rounds them (DESIGN.md §16).
+const (
+	jacobiEps       = 1e-14
+	jacobiEps2      = jacobiEps * jacobiEps
+	jacobiMargin    = 1e-12 // far above the few ulps between the squared and original tests
+	jacobiMaxSweeps = 60
+)
+
+// jacobiLoad writes a, of at most 16 entries, into re and im as the
+// column-major working copy of jacobiValues' sweep: entry (i, j) at
+// j*m+i, so each column is one contiguous run. Decompose works on the
+// conjugate transpose of a wide matrix, which has the same singular
+// values; a's row-major layout is then that matrix's column-major one.
+// It returns the working copy's shape, m ≥ n.
+func jacobiLoad(a *Matrix, re, im *[16]float64) (m, n int) {
+	m, n = a.Rows, a.Cols
+	if m < n {
+		for k, x := range a.Data {
+			re[k], im[k] = real(x), -imag(x)
+		}
+		return n, m
+	}
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			x := a.Data[i*n+j]
+			re[j*m+i], im[j*m+i] = real(x), imag(x)
+		}
+	}
+	return m, n
+}
+
+// jacobiNorms writes the norms of the n swept columns of length m in re
+// and im into s, in descending order.
+func jacobiNorms(re, im *[16]float64, m, n int, s []float64) {
 	for j := 0; j < n; j++ {
 		var ss float64
 		for i := j * m; i < j*m+m; i++ {
@@ -325,10 +338,39 @@ func Cond(a *Matrix) float64 {
 		jacobiValues(a, s)
 		smax, smin = s[0], s[len(s)-1]
 	}
+	return condRatio(smax, smin)
+}
+
+// condRatio is Cond's quotient of the largest and smallest singular value.
+func condRatio(smax, smin float64) float64 {
 	if smin == 0 {
 		return math.Inf(1)
 	}
 	return smax / smin
+}
+
+// Conds writes Cond(ms[k]) into out[k] for every k, bit for bit, and
+// allocates nothing where Cond does not. It takes the matrices in pairs,
+// ms[0] with ms[1], ms[2] with ms[3] and so on: on amd64 the two of a
+// pair of one shape of up to 16 entries, other than 2×2, are swept at
+// once by a two-lane SSE2 kernel (DESIGN.md §16). Any other pair, and an
+// odd last matrix, go through Cond one matrix at a time.
+func Conds(ms []*Matrix, out []float64) {
+	for k := 0; k < len(ms); k += 2 {
+		if k+1 == len(ms) {
+			out[k] = Cond(ms[k])
+			break
+		}
+		a, b := ms[k], ms[k+1]
+		if a.Rows != b.Rows || a.Cols != b.Cols || a.Rows*a.Cols > 16 || a.Rows == 2 && a.Cols == 2 {
+			out[k], out[k+1] = Cond(a), Cond(b)
+			continue
+		}
+		var sa, sb [4]float64
+		n := min(a.Rows, a.Cols)
+		jacobiValuesPair(a, b, sa[:n], sb[:n])
+		out[k], out[k+1] = condRatio(sa[0], sa[n-1]), condRatio(sb[0], sb[n-1])
+	}
 }
 
 // PseudoInverse returns the Moore–Penrose pseudo-inverse a⁺ = V·Σ⁺·U^H.

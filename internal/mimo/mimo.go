@@ -42,20 +42,22 @@ func FromResponses(resp [][][]complex128) (*Channel, error) {
 			}
 		}
 	}
-	// All matrices share one header array and one data array.
-	mats := make([]*cmat.Matrix, nsc)
-	backing := make([]cmat.Matrix, nsc)
+	// All matrices share one header array and one data array; entry
+	// (i, j) of subcarrier k's matrix is data[k*size+i*nt+j].
 	size := nr * nt
 	data := make([]complex128, nsc*size)
-	for k := range mats {
-		m := &backing[k]
-		*m = cmat.Matrix{Rows: nr, Cols: nt, Data: data[k*size : (k+1)*size : (k+1)*size]}
-		for i := 0; i < nr; i++ {
-			for j := 0; j < nt; j++ {
-				m.Set(i, j, resp[i][j][k])
+	for i := range resp {
+		for j, r := range resp[i] {
+			for k, x := range r {
+				data[k*size+i*nt+j] = x
 			}
 		}
-		mats[k] = m
+	}
+	mats := make([]*cmat.Matrix, nsc)
+	backing := make([]cmat.Matrix, nsc)
+	for k := range mats {
+		backing[k] = cmat.Matrix{Rows: nr, Cols: nt, Data: data[k*size : (k+1)*size : (k+1)*size]}
+		mats[k] = &backing[k]
 	}
 	return &Channel{Matrices: mats}, nil
 }
@@ -74,12 +76,20 @@ func CondNumberDB(m *cmat.Matrix) float64 {
 
 // CondProfileDB returns the per-subcarrier condition number in dB — the
 // sample set one PRESS configuration contributes to Figure 8's CDF.
+// out[k] is CondNumberDB(c.Matrices[k]) bit for bit; cmat.Conds takes
+// neighbouring subcarriers two at a time.
 func (c *Channel) CondProfileDB() []float64 {
 	out := make([]float64, len(c.Matrices))
-	for k, m := range c.Matrices {
-		out[k] = CondNumberDB(m)
-	}
+	c.condProfileDB(out)
 	return out
+}
+
+// condProfileDB writes CondProfileDB into out, of one entry per matrix.
+func (c *Channel) condProfileDB(out []float64) {
+	cmat.Conds(c.Matrices, out)
+	for k, x := range out {
+		out[k] = rfphys.AmplitudeToDB(x)
+	}
 }
 
 // CapacityBpsHz returns the equal-power MIMO Shannon capacity of one

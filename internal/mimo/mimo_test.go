@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"press/internal/cmat"
+	"press/internal/fpexact"
 	"press/internal/rfphys"
 )
 
@@ -306,6 +307,31 @@ func TestCondNumberDBMatchesSingularValues(t *testing.T) {
 	}
 }
 
+// TestCondProfileMatchesCondNumberDB: CondProfileDB gives CondNumberDB
+// of each matrix bit for bit, on an odd and an even subcarrier count, and
+// condProfileDB allocates nothing.
+func TestCondProfileMatchesCondNumberDB(t *testing.T) {
+	if fpexact.Contracts() {
+		t.Skip("the compiler fuses a*b+c here, so the Go path and the SSE2 kernel may round differently")
+	}
+	rng := rand.New(rand.NewPCG(11, 12))
+	for _, shape := range [][3]int{{4, 4, 52}, {4, 4, 7}, {3, 2, 5}, {2, 2, 3}} {
+		ch, err := FromResponses(randResponses(rng, shape[0], shape[1], shape[2]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof := ch.CondProfileDB()
+		for k, m := range ch.Matrices {
+			if got, want := prof[k], CondNumberDB(m); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v: CondProfileDB[%d] = %v, CondNumberDB %v", shape, k, got, want)
+			}
+		}
+		if n := testing.AllocsPerRun(20, func() { ch.condProfileDB(prof) }); n != 0 {
+			t.Errorf("%v: condProfileDB allocates %v times", shape, n)
+		}
+	}
+}
+
 // randResponses returns nr×nt×nsc random complex responses.
 func randResponses(rng *rand.Rand, nr, nt, nsc int) [][][]complex128 {
 	resp := make([][][]complex128, nr)
@@ -322,8 +348,9 @@ func randResponses(rng *rand.Rand, nr, nt, nsc int) [][][]complex128 {
 }
 
 // BenchmarkCondProfile4x4 times Figure 8's per-configuration work on a
-// 4×4 WiFi20 channel: CondNumberDB on each of the 52 subcarrier
-// matrices. It allocates nothing.
+// 4×4 WiFi20 channel: CondProfileDB's condition numbers of the 52
+// subcarrier matrices, written into a reused slice so that it allocates
+// nothing.
 var sinkCond float64
 
 func BenchmarkCondProfile4x4(b *testing.B) {
@@ -331,11 +358,11 @@ func BenchmarkCondProfile4x4(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	out := make([]float64, ch.NumSubcarriers())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, m := range ch.Matrices {
-			sinkCond = CondNumberDB(m)
-		}
+		ch.condProfileDB(out)
 	}
+	sinkCond = out[0]
 }

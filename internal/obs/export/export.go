@@ -60,7 +60,8 @@ const (
 	DefaultRetryBase = 250 * time.Millisecond
 	// DefaultRetryMax caps the exponential backoff.
 	DefaultRetryMax = 15 * time.Second
-	// DefaultFlushTimeout bounds the final drain attempt at Stop.
+	// DefaultFlushTimeout bounds the final drain at Stop, retries
+	// included.
 	DefaultFlushTimeout = 2 * time.Second
 	// maxCoalesce bounds how many queued batches one send carries.
 	maxCoalesce = 32
@@ -192,6 +193,9 @@ type Exporter struct {
 	dropped   atomic.Int64
 	unflushed atomic.Int64
 	started   time.Time
+	// flushBy is the deadline, in Unix nanoseconds, of the shutdown
+	// sends: FlushTimeout after the latest Stop began.
+	flushBy atomic.Int64
 
 	lastSuccessNs atomic.Int64
 	errMu         sync.Mutex
@@ -314,7 +318,9 @@ func (e *Exporter) Start() {
 }
 
 // Stop runs one final collection, drains the queue into the sink within
-// FlushTimeout, and closes the sink. Idempotent; nil-safe. The returned
+// FlushTimeout, and closes the sink. A batch that was in retry backoff
+// and the rest of the queue, then the run's tail, keep retrying with the
+// shipper's backoff until that deadline. Idempotent; nil-safe. The returned
 // error is the sink's close error (batches that could not be flushed
 // are counted, not failed on — losing the tail of telemetry must not
 // fail the run that produced it).
@@ -330,7 +336,8 @@ func (e *Exporter) Stop() error {
 		e.ship.Stop()
 		return e.closeSink()
 	}
-	e.ship.Stop() // shipper drains the queue + one flush attempt on exit
+	e.flushBy.Store(time.Now().Add(e.opt.FlushTimeout).UnixNano())
+	e.ship.Stop() // shipper drains the queue into a bounded flush on exit
 	// The tail of the run — whatever accrued after the last timer tick,
 	// including deltas folded back by overflow drops — goes around the
 	// queue entirely: with the shipper gone nothing would drain it, and
@@ -539,9 +546,9 @@ func (e *Exporter) advanceBaseline(base *srcBaseline, snap obs.Snapshot) {
 	base.seen = true
 }
 
-// flushFinal collects the run's tail directly into one bounded send,
-// bypassing the queue (the shipper is already gone). Undeliverable
-// batches are counted as unflushed and dropped, not retried.
+// flushFinal collects the run's tail directly into one bounded flush,
+// bypassing the queue (the shipper is already gone). Batches still
+// undelivered at Stop's deadline are counted as unflushed and dropped.
 func (e *Exporter) flushFinal() {
 	e.diffMu.Lock()
 	now := time.Now()
@@ -565,7 +572,7 @@ func (e *Exporter) flushFinal() {
 	if len(batch) == 0 {
 		return
 	}
-	if !e.trySend(batch, e.opt.FlushTimeout) {
+	if !e.sendFinal(batch) {
 		n := int64(len(batch))
 		e.unflushed.Add(n)
 		e.dropped.Add(n)
@@ -638,16 +645,48 @@ func (e *Exporter) sendWithRetry(batch []Batch, stop <-chan struct{}) bool {
 		}
 		e.retries.Add(1)
 		e.mRetries.Inc()
-		sleep := backoff/2 + time.Duration(rand.Int64N(int64(backoff)))
 		select {
 		case <-stop:
 			return false
-		case <-time.After(sleep):
+		case <-time.After(jitter(backoff)):
 		}
 		if backoff *= 2; backoff > e.opt.RetryMax {
 			backoff = e.opt.RetryMax
 		}
 	}
+}
+
+// sendFinal is the shutdown's send of batch: attempts with the
+// shipper's backoff until one succeeds or Stop's deadline passes. An
+// attempt never outlasts the deadline, and none starts after it. It
+// reports whether batch was delivered.
+func (e *Exporter) sendFinal(batch []Batch) bool {
+	deadline := time.Unix(0, e.flushBy.Load())
+	backoff := e.opt.RetryBase
+	for {
+		left := time.Until(deadline)
+		if left <= 0 {
+			return false
+		}
+		if e.trySend(batch, left) {
+			return true
+		}
+		sleep := jitter(backoff)
+		if sleep >= time.Until(deadline) {
+			return false
+		}
+		e.retries.Add(1)
+		e.mRetries.Inc()
+		time.Sleep(sleep)
+		if backoff *= 2; backoff > e.opt.RetryMax {
+			backoff = e.opt.RetryMax
+		}
+	}
+}
+
+// jitter spreads a backoff by ±50%.
+func jitter(backoff time.Duration) time.Duration {
+	return backoff/2 + time.Duration(rand.Int64N(int64(backoff)))
 }
 
 // trySend makes one send attempt and updates the self-telemetry.
@@ -678,9 +717,9 @@ func (e *Exporter) trySend(batch []Batch, timeout time.Duration) bool {
 	return true
 }
 
-// flush drains carried plus queued batches into one final bounded send
-// attempt — the shutdown path. Undeliverable batches are counted as
-// unflushed (and dropped) rather than retried: the process is exiting.
+// flush drains carried plus queued batches into one bounded send — the
+// shutdown path. Batches still undelivered at Stop's deadline are
+// counted as unflushed (and dropped): the process is exiting.
 func (e *Exporter) flush(carried []Batch) {
 	batch := carried
 drain:
@@ -696,7 +735,7 @@ drain:
 	if len(batch) == 0 {
 		return
 	}
-	if !e.trySend(batch, e.opt.FlushTimeout) {
+	if !e.sendFinal(batch) {
 		e.unflushed.Add(int64(len(batch)))
 		e.dropped.Add(int64(len(batch)))
 		e.mDropped.Add(int64(len(batch)))

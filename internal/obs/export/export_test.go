@@ -296,17 +296,47 @@ func TestMidBatchSinkCrash(t *testing.T) {
 	c.Add(4)
 	e.CollectNow()
 	// Let the retries ride out the crash window before shutting down, so
-	// the recovery is exercised by the retry loop, not the final flush.
+	// the recovery is exercised by the retry loop, not the final flush:
+	// wait for the +4 delta itself, since the start-up heartbeat is a
+	// payload too.
 	waitFor(t, "recovery after crash window", func() bool {
-		sink.mu.Lock()
-		defer sink.mu.Unlock()
-		return len(sink.payloads) >= 2
+		return totals(sink.batches(t))[""]["work_total"] == 7
 	})
 	if err := e.Stop(); err != nil {
 		t.Fatal(err)
 	}
 	if got := totals(sink.batches(t))[""]["work_total"]; got != 7 {
 		t.Errorf("work_total = %d across crash, want 7", got)
+	}
+}
+
+func TestStopRetriesBatchInBackoff(t *testing.T) {
+	// Stop arrives while a batch is in retry backoff against a sink that
+	// recovers two failures later: the shutdown flush keeps retrying
+	// within FlushTimeout and delivers it, rather than dropping it after
+	// one more failed attempt.
+	reg := obs.NewRegistry()
+	sink := &memSink{}
+	e := New(reg, sink, Options{
+		Interval: time.Hour, RetryBase: 20 * time.Millisecond,
+		RetryMax: 20 * time.Millisecond, FlushTimeout: 5 * time.Second,
+	})
+	e.Start()
+	waitFor(t, "start-up heartbeat", func() bool { return e.State().Sent > 0 })
+	sink.mu.Lock()
+	sink.failN = 3
+	sink.mu.Unlock()
+	reg.Counter("work_total").Add(5)
+	e.CollectNow()
+	waitFor(t, "a failed send", func() bool { return e.State().SendFailures > 0 })
+	if err := e.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if got := totals(sink.batches(t))[""]["work_total"]; got != 5 {
+		t.Errorf("work_total = %d, want 5; state %+v", got, e.State())
+	}
+	if st := e.State(); st.Unflushed != 0 || st.Dropped != 0 {
+		t.Errorf("unflushed %d, dropped %d batches, want none", st.Unflushed, st.Dropped)
 	}
 }
 

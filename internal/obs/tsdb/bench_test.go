@@ -46,6 +46,7 @@ func BenchmarkStoreApplyBatch(b *testing.B) {
 		},
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		batch.UnixMs++
 		s.applyBatch(batch)
@@ -80,6 +81,7 @@ func BenchmarkInstantQuery(b *testing.B) {
 	s.mu.Unlock()
 	end := time.UnixMilli(base + 59_000)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Instant("rate(bench_q_total[1m])", end); err != nil {
 			b.Fatal(err)
