@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"press"
+	"press/internal/control"
 	"press/internal/obs/flight"
 )
 
@@ -215,28 +216,24 @@ func runDemo(args []string) error {
 
 	// Live loop: every candidate is actuated over the control plane,
 	// then measured with whatever the agent really applied.
-	var now time.Duration
-	objective := press.MaxMinSNR{}
-	eval := func(cfg press.Config) (float64, error) {
-		cctx, ccancel := context.WithTimeout(ctx, 2*time.Second)
-		defer ccancel()
-		if err := ctrl.SetConfig(cctx, cfg); err != nil {
-			return 0, err
-		}
-		mu.Lock()
-		actuated := applied.Clone()
-		mu.Unlock()
-		csi, err := link.MeasureCSI(actuated, now.Seconds())
-		if err != nil {
-			return 0, err
-		}
-		now += timing.PerMeasurement + timing.SwitchLatency
-		return objective.Score(csi), nil
+	ev := &control.Evaluator{
+		Goals:  []control.Goal{{Link: link, Objective: press.MaxMinSNR{}}},
+		Timing: timing,
+		Actuate: func(cfg press.Config) (press.Config, error) {
+			cctx, ccancel := context.WithTimeout(ctx, 2*time.Second)
+			defer ccancel()
+			if err := ctrl.SetConfig(cctx, cfg); err != nil {
+				return nil, err
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			return applied.Clone(), nil
+		},
 	}
 
 	searcher := press.InstrumentSearcher(
 		press.Greedy{Rng: rand.New(rand.NewPCG(*seed, 2)), Restarts: demoRestarts}, sc)
-	res, err := searcher.Search(space.Array, eval, budget)
+	res, err := searcher.Search(space.Array, ev.Eval, budget)
 	if err != nil && !errors.Is(err, press.ErrBudgetExhausted) {
 		return err
 	}
@@ -252,7 +249,7 @@ func runDemo(args []string) error {
 		return err
 	}
 	asp.End()
-	after, err := link.MeasureCSI(res.Best, now.Seconds())
+	after, err := link.MeasureCSI(res.Best, ev.Elapsed().Seconds())
 	if err != nil {
 		return err
 	}

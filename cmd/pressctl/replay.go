@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"press"
+	"press/internal/control"
 	"press/internal/experiments"
 	"press/internal/obs/flight"
 	"press/internal/obs/scope"
@@ -176,30 +177,26 @@ func replayDemo(man *flight.Manifest, rec *flight.Recorder) error {
 		return err
 	}
 
-	timing := press.Timing{
-		PerMeasurement: time.Duration(perMeasNs),
-		SwitchLatency:  time.Duration(switchNs),
-	}
-	var now time.Duration
-	objective := press.MaxMinSNR{}
-	eval := func(cfg press.Config) (float64, error) {
-		rec.RecordActuation(flight.SourceReplay, 0, cfg)
-		csi, err := link.MeasureCSI(cfg, now.Seconds())
-		if err != nil {
-			return 0, err
-		}
-		now += timing.PerMeasurement + timing.SwitchLatency
-		return objective.Score(csi), nil
+	ev := &control.Evaluator{
+		Goals: []control.Goal{{Link: link, Objective: press.MaxMinSNR{}}},
+		Timing: press.Timing{
+			PerMeasurement: time.Duration(perMeasNs),
+			SwitchLatency:  time.Duration(switchNs),
+		},
+		Actuate: func(cfg press.Config) (press.Config, error) {
+			rec.RecordActuation(flight.SourceReplay, 0, cfg)
+			return cfg, nil
+		},
 	}
 	searcher := press.InstrumentSearcher(
 		press.Greedy{Rng: rand.New(rand.NewPCG(man.Seed, 2)), Restarts: int(restarts64)},
 		scope.Adopt("", nil, nil, nil, rec, nil))
-	res, err := searcher.Search(space.Array, eval, int(budget64))
+	res, err := searcher.Search(space.Array, ev.Eval, int(budget64))
 	if err != nil && !errors.Is(err, press.ErrBudgetExhausted) {
 		return err
 	}
 	rec.RecordActuation(flight.SourceReplay, 0, res.Best)
-	_, err = link.MeasureCSI(res.Best, now.Seconds())
+	_, err = link.MeasureCSI(res.Best, ev.Elapsed().Seconds())
 	return err
 }
 

@@ -111,7 +111,7 @@ func runConvergence(args []string) error {
 		if err != nil {
 			return err
 		}
-		ev := &control.LinkEvaluator{Link: link, Objective: control.MaxMinSNR{}}
+		ev := &control.Evaluator{Goals: []control.Goal{{Link: link, Objective: control.MaxMinSNR{}}}}
 		res, err := control.InstrumentScope(s, sc).Search(link.Array, ev.Eval, *budget)
 		if err != nil && !errors.Is(err, control.ErrBudgetExhausted) {
 			return err
@@ -157,7 +157,7 @@ func runBudget(args []string) error {
 			return err
 		}
 		budget := press.CoherenceBudgetAtSpeed(mph, press.DefaultCarrierHz, timing)
-		ev := &control.LinkEvaluator{Link: link, Objective: control.MaxMinSNR{}, Timing: timing}
+		ev := &control.Evaluator{Goals: []control.Goal{{Link: link, Objective: control.MaxMinSNR{}}}, Timing: timing}
 		base, ok := link.Array.AllTerminated()
 		if !ok {
 			base = make([]int, link.Array.N())

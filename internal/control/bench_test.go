@@ -13,10 +13,10 @@ import (
 	"press/internal/rfphys"
 )
 
-// BenchmarkLinkEvaluatorEval times one search evaluation: LinkEvaluator.Eval
-// with MaxMinSNR (one sounding plus its score) on a warmed 8-element SP4T
-// link in a 12×9×3 m room, cycling through 64 fixed random
-// configurations. walking moves the receiver at 3 mph, so each sounding
+// BenchmarkLinkEvaluatorEval times one search evaluation: Evaluator.Eval
+// with a single MaxMinSNR goal (one sounding plus its score) on a warmed
+// 8-element SP4T link in a 12×9×3 m room, cycling through 64 fixed
+// random configurations. walking moves the receiver at 3 mph, so each sounding
 // sums the time-varying channel.
 func BenchmarkLinkEvaluatorEval(b *testing.B) {
 	for _, bc := range []struct {
@@ -34,7 +34,7 @@ func BenchmarkLinkEvaluatorEval(b *testing.B) {
 			for i := range cfgs {
 				cfgs[i] = link.Array.ConfigAt(rng.IntN(link.Array.NumConfigs()))
 			}
-			ev := &LinkEvaluator{Link: link, Objective: MaxMinSNR{}, Timing: radio.PrototypeTiming}
+			ev := &Evaluator{Goals: []Goal{{Link: link, Objective: MaxMinSNR{}}}, Timing: radio.PrototypeTiming}
 			if _, err := ev.Eval(cfgs[0]); err != nil { // builds the channel model and scratch
 				b.Fatal(err)
 			}

@@ -7,37 +7,73 @@ import (
 	"press/internal/element"
 	"press/internal/radio"
 	"press/internal/rfphys"
-	"press/internal/stats"
 )
 
-// LinkEvaluator turns a radio.Link plus an Objective into the EvalFunc the
-// searchers consume, advancing simulated time by the timing model per
-// measurement so that searches experience the same channel drift the
-// paper's testbed does.
-type LinkEvaluator struct {
+// Goal binds one link to the objective it is scored by, with a weight,
+// for joint optimization across the links sharing an array — the §2
+// trade-off between per-link agility and joint optimality.
+type Goal struct {
 	Link      *radio.Link
 	Objective Objective
-	Timing    radio.Timing
+	// Weight scales the goal's score; 0 means 1.
+	Weight float64
+}
+
+// Evaluator turns weighted goals into the EvalFunc the searchers consume.
+// One goal of weight 1 is the per-link case; several goals sharing the
+// array are a joint optimization, such as §3.2.2's spectrum split (one
+// link's lower half band against another's upper half). Each evaluation
+// advances a simulated clock by the timing model, so that searches
+// experience the same channel drift the paper's testbed does.
+type Evaluator struct {
+	Goals  []Goal
+	Timing radio.Timing
+	// Actuate, when set, applies each candidate before it is measured
+	// (over a control plane, say) and returns the configuration that was
+	// really applied, which is the one measured.
+	Actuate func(element.Config) (element.Config, error)
 
 	now time.Duration
 }
 
-// Eval measures cfg once and scores it.
-func (e *LinkEvaluator) Eval(cfg element.Config) (float64, error) {
-	csi, err := e.Link.MeasureCSI(cfg, e.now.Seconds())
-	if err != nil {
-		return 0, err
+// Eval actuates cfg (when Actuate is set), measures every goal's link
+// at the current simulated time, and returns the weighted sum of their
+// scores. The sum starts from the first goal's term, so one goal of
+// weight 1 returns its objective's score bit for bit. Only a successful
+// evaluation advances the clock.
+func (e *Evaluator) Eval(cfg element.Config) (float64, error) {
+	if e.Actuate != nil {
+		var err error
+		if cfg, err = e.Actuate(cfg); err != nil {
+			return 0, err
+		}
+	}
+	var sum float64
+	for i, g := range e.Goals {
+		csi, err := g.Link.MeasureCSI(cfg, e.now.Seconds())
+		if err != nil {
+			return 0, fmt.Errorf("control: goal %d: %w", i, err)
+		}
+		term := g.Objective.Score(csi)
+		if g.Weight != 0 {
+			term *= g.Weight
+		}
+		if i == 0 {
+			sum = term
+		} else {
+			sum += term
+		}
 	}
 	e.now += e.Timing.PerMeasurement + e.Timing.SwitchLatency
-	return e.Objective.Score(csi), nil
+	return sum, nil
 }
 
 // Elapsed returns the simulated wall-clock the evaluator has consumed.
-func (e *LinkEvaluator) Elapsed() time.Duration { return e.now }
+func (e *Evaluator) Elapsed() time.Duration { return e.now }
 
-// ContinuousLinkEvaluator is LinkEvaluator for continuously-variable
-// phase hardware (§4.1): it measures the link under arbitrary element
-// phases.
+// ContinuousLinkEvaluator is the single-goal Evaluator for
+// continuously-variable phase hardware (§4.1): it measures the link
+// under arbitrary element phases.
 type ContinuousLinkEvaluator struct {
 	Link      *radio.Link
 	Objective Objective
@@ -54,62 +90,6 @@ func (e *ContinuousLinkEvaluator) Eval(phases element.ContinuousConfig) (float64
 	}
 	e.now += e.Timing.PerMeasurement + e.Timing.SwitchLatency
 	return e.Objective.Score(csi), nil
-}
-
-// Elapsed returns the simulated wall-clock consumed.
-func (e *ContinuousLinkEvaluator) Elapsed() time.Duration { return e.now }
-
-// HarmonizeEvaluator scores one PRESS configuration against *two* links
-// sharing the array — the §3.2.2 goal: link A strong in the lower half
-// band, link B strong in the upper half, so the networks can split the
-// spectrum ("each one favors its own half of the band", Figure 7).
-type HarmonizeEvaluator struct {
-	LinkA, LinkB *radio.Link
-	Timing       radio.Timing
-
-	now time.Duration
-}
-
-// Eval measures both links under cfg and returns the combined contrast.
-func (e *HarmonizeEvaluator) Eval(cfg element.Config) (float64, error) {
-	csiA, err := e.LinkA.MeasureCSI(cfg, e.now.Seconds())
-	if err != nil {
-		return 0, fmt.Errorf("control: link A: %w", err)
-	}
-	csiB, err := e.LinkB.MeasureCSI(cfg, e.now.Seconds())
-	if err != nil {
-		return 0, fmt.Errorf("control: link B: %w", err)
-	}
-	e.now += e.Timing.PerMeasurement + e.Timing.SwitchLatency
-	a := HalfBandContrast{PreferLower: true}.Score(csiA)
-	b := HalfBandContrast{PreferLower: false}.Score(csiB)
-	return a + b, nil
-}
-
-// MIMOEvaluator scores configurations by 2×2 (or larger) channel
-// conditioning: the negated median per-subcarrier condition number in dB,
-// so that higher is better — §3.2.3's goal.
-type MIMOEvaluator struct {
-	Link *radio.MIMOLink
-	// Snapshots averaged per evaluation (default 1; Figure 8 uses 50).
-	Snapshots int
-	Timing    radio.Timing
-
-	now time.Duration
-}
-
-// Eval measures cfg and returns −median(condition number dB).
-func (e *MIMOEvaluator) Eval(cfg element.Config) (float64, error) {
-	snaps := e.Snapshots
-	if snaps < 1 {
-		snaps = 1
-	}
-	ch, err := e.Link.MeasureAveraged(cfg, snaps, e.Timing, e.now)
-	if err != nil {
-		return 0, err
-	}
-	e.now += time.Duration(snaps) * (e.Timing.PerMeasurement + e.Timing.SwitchLatency)
-	return -stats.Median(ch.CondProfileDB()), nil
 }
 
 // CoherenceBudget converts a channel coherence time and a per-measurement

@@ -1,6 +1,8 @@
 package control
 
 import (
+	"errors"
+	"math"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -47,7 +49,7 @@ func controlTestbed(t *testing.T, seed uint64) *radio.Link {
 
 func TestLinkEvaluatorEndToEnd(t *testing.T) {
 	link := controlTestbed(t, 21)
-	ev := &LinkEvaluator{Link: link, Objective: MaxMinSNR{}, Timing: radio.Timing{PerMeasurement: time.Millisecond}}
+	ev := &Evaluator{Goals: []Goal{{Link: link, Objective: MaxMinSNR{}}}, Timing: radio.Timing{PerMeasurement: time.Millisecond}}
 
 	res, err := (Exhaustive{}).Search(link.Array, ev.Eval, 0)
 	if err != nil {
@@ -73,7 +75,7 @@ func TestLinkEvaluatorEndToEnd(t *testing.T) {
 
 func TestGreedyCompetitiveOnRealChannel(t *testing.T) {
 	link := controlTestbed(t, 22)
-	evEx := &LinkEvaluator{Link: link, Objective: MaxMinSNR{}}
+	evEx := &Evaluator{Goals: []Goal{{Link: link, Objective: MaxMinSNR{}}}}
 	exact, err := (Exhaustive{}).Search(link.Array, evEx.Eval, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +83,7 @@ func TestGreedyCompetitiveOnRealChannel(t *testing.T) {
 	// One restart: with measurement noise each greedy pass can "improve"
 	// spuriously and trigger another pass, so multi-restart runs are not
 	// guaranteed to undercut exhaustive on a space this small.
-	evGr := &LinkEvaluator{Link: link, Objective: MaxMinSNR{}}
+	evGr := &Evaluator{Goals: []Goal{{Link: link, Objective: MaxMinSNR{}}}}
 	greedy, err := (Greedy{Rng: rand.New(rand.NewPCG(1, 2)), Restarts: 1}).Search(link.Array, evGr.Eval, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -140,41 +142,6 @@ func TestCoherenceBudgetAtSpeed(t *testing.T) {
 	}
 }
 
-func TestMIMOEvaluator(t *testing.T) {
-	env := propagation.NewEnvironment(14, 10, 3)
-	env.AddScatterers(rand.New(rand.NewPCG(31, 99)), 10, 40)
-	lambda := rfphys.Wavelength(2.462e9)
-	omni := rfphys.Omni{PeakGainDBi: 2}
-	txAnts := []propagation.Node{
-		{Pos: geom.V(5.5, 5.0, 1.5), Pattern: omni},
-		{Pos: geom.V(5.5, 5.0+lambda/2, 1.5), Pattern: omni},
-	}
-	rxAnts := []propagation.Node{
-		{Pos: geom.V(8, 5.2, 1.3), Pattern: omni},
-		{Pos: geom.V(8, 5.2+lambda/2, 1.3), Pattern: omni},
-	}
-	arr := element.NewArray(
-		element.NewOmniElement(geom.V(5.5, 5.0+2*lambda, 1.5)),
-		element.NewOmniElement(geom.V(5.5, 5.0+3*lambda, 1.5)),
-	)
-	ml, err := radio.NewMIMOLink(env, txAnts, rxAnts, ofdm.WiFi20(), arr, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := &MIMOEvaluator{Link: ml, Snapshots: 3}
-	res, err := (Exhaustive{}).Search(arr, ev.Eval, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Evaluations != 16 {
-		t.Errorf("evaluations = %d, want 16", res.Evaluations)
-	}
-	// Score is a negated condition number: must be finite and negative-ish.
-	if res.BestScore > 0 {
-		t.Errorf("best score %v; negated condition number cannot be positive", res.BestScore)
-	}
-}
-
 func TestHarmonizeEvaluator(t *testing.T) {
 	env := propagation.NewEnvironment(6, 5, 3)
 	env.AddScatterers(rand.New(rand.NewPCG(41, 99)), 6, 30)
@@ -202,15 +169,94 @@ func TestHarmonizeEvaluator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := &HarmonizeEvaluator{LinkA: linkA, LinkB: linkB}
-	res, err := (Exhaustive{}).Search(arr, ev.Eval, 0)
+	// Each link hands its estimate's SNRs to OnCSI, so every score can be
+	// recomputed from the very soundings the evaluator took.
+	var snrA, snrB []float64
+	linkA.OnCSI = func(snr []float64) { snrA = append(snrA[:0], snr...) }
+	linkB.OnCSI = func(snr []float64) { snrB = append(snrB[:0], snr...) }
+
+	// Link A wants the lower half band and link B the upper (§3.2.2).
+	ev := &Evaluator{Goals: []Goal{
+		{Link: linkA, Objective: HalfBandContrast{PreferLower: true}},
+		{Link: linkB, Objective: HalfBandContrast{PreferLower: false}},
+	}}
+	checked := 0
+	eval := func(cfg element.Config) (float64, error) {
+		got, err := ev.Eval(cfg)
+		if err != nil {
+			return 0, err
+		}
+		want := HalfBandContrast{PreferLower: true}.Score(&ofdm.CSI{SNRdB: snrA}) +
+			HalfBandContrast{PreferLower: false}.Score(&ofdm.CSI{SNRdB: snrB})
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%v: score %v, want A+B contrast %v", cfg, got, want)
+		}
+		checked++
+		return got, nil
+	}
+	res, err := (Exhaustive{}).Search(arr, eval, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Evaluations != 16 {
-		t.Errorf("evaluations = %d, want 16", res.Evaluations)
+	if res.Evaluations != 16 || checked != 16 {
+		t.Errorf("evaluations = %d, checked %d, want 16", res.Evaluations, checked)
 	}
 	if len(res.Best) != 2 {
 		t.Error("no best configuration")
+	}
+}
+
+func TestEvaluatorWeightsAndActuate(t *testing.T) {
+	timing := radio.Timing{PerMeasurement: time.Millisecond, SwitchLatency: time.Millisecond}
+	cfg, other := element.Config{0, 1, 2}, element.Config{3, 2, 1}
+	boom := errors.New("actuation failed")
+	for _, tc := range []struct {
+		name    string
+		weight  float64
+		actuate func(element.Config) (element.Config, error)
+		// measured is the configuration the score must come from.
+		measured element.Config
+		scale    float64
+		wantErr  error
+	}{
+		{name: "weight 0 is 1", measured: cfg, scale: 1},
+		{name: "weight 2 doubles", weight: 2, measured: cfg, scale: 2},
+		{name: "actuate substitutes", measured: other, scale: 1,
+			actuate: func(element.Config) (element.Config, error) { return other, nil }},
+		{name: "actuate error", wantErr: boom,
+			actuate: func(element.Config) (element.Config, error) { return nil, boom }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// twin is built from the same seed, so its n-th sounding of
+			// a configuration matches the evaluator link's n-th bit for bit.
+			link, twin := controlTestbed(t, 21), controlTestbed(t, 21)
+			soundings := 0
+			link.OnCSI = func([]float64) { soundings++ }
+			ev := &Evaluator{
+				Goals:   []Goal{{Link: link, Objective: MaxMinSNR{}, Weight: tc.weight}},
+				Timing:  timing,
+				Actuate: tc.actuate,
+			}
+			got, err := ev.Eval(cfg)
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) || soundings != 0 || ev.Elapsed() != 0 {
+					t.Fatalf("err %v, %d soundings, elapsed %v; want %v, none, 0", err, soundings, ev.Elapsed(), tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			csi, err := twin.MeasureCSI(tc.measured, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := tc.scale * (MaxMinSNR{}).Score(csi); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("score %v, want %v", got, want)
+			}
+			if soundings != 1 || ev.Elapsed() != timing.PerMeasurement+timing.SwitchLatency {
+				t.Errorf("%d soundings, elapsed %v; want 1, %v", soundings, ev.Elapsed(), timing.PerMeasurement+timing.SwitchLatency)
+			}
+		})
 	}
 }

@@ -27,7 +27,7 @@ func TestModelGuidedBeatsBaseline(t *testing.T) {
 	link := controlTestbed(t, 61)
 	prob := modelProblem(link)
 
-	ev := &LinkEvaluator{Link: link, Objective: MaxMinSNR{}}
+	ev := &Evaluator{Goals: []Goal{{Link: link, Objective: MaxMinSNR{}}}}
 	term, _ := link.Array.AllTerminated()
 	baseline, err := ev.Eval(term)
 	if err != nil {
@@ -49,12 +49,12 @@ func TestModelGuidedBeatsBaseline(t *testing.T) {
 
 func TestModelGuidedCompetitiveWithExhaustive(t *testing.T) {
 	link := controlTestbed(t, 62)
-	evEx := &LinkEvaluator{Link: link, Objective: MaxMinSNR{}}
+	evEx := &Evaluator{Goals: []Goal{{Link: link, Objective: MaxMinSNR{}}}}
 	exact, err := (Exhaustive{}).Search(link.Array, evEx.Eval, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evMG := &LinkEvaluator{Link: link, Objective: MaxMinSNR{}}
+	evMG := &Evaluator{Goals: []Goal{{Link: link, Objective: MaxMinSNR{}}}}
 	mg := ModelGuided{Problem: modelProblem(link)}
 	res, err := mg.Search(link.Array, evMG.Eval, 0)
 	if err != nil {
@@ -76,7 +76,7 @@ func TestModelGuidedCustomTarget(t *testing.T) {
 		},
 		RefinePasses: 1,
 	}
-	ev := &LinkEvaluator{Link: link, Objective: HalfBandContrast{PreferLower: false}}
+	ev := &Evaluator{Goals: []Goal{{Link: link, Objective: HalfBandContrast{PreferLower: false}}}}
 	if _, err := mg.Search(link.Array, ev.Eval, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestModelGuidedCustomTarget(t *testing.T) {
 
 func TestModelGuidedValidation(t *testing.T) {
 	link := controlTestbed(t, 64)
-	ev := &LinkEvaluator{Link: link, Objective: MaxMinSNR{}}
+	ev := &Evaluator{Goals: []Goal{{Link: link, Objective: MaxMinSNR{}}}}
 	if _, err := (ModelGuided{}).Search(link.Array, ev.Eval, 0); err == nil {
 		t.Error("missing Problem accepted")
 	}
@@ -140,7 +140,7 @@ func TestModelGuidedRejectsDegenerateInput(t *testing.T) {
 
 func TestModelGuidedBudget(t *testing.T) {
 	link := controlTestbed(t, 65)
-	ev := &LinkEvaluator{Link: link, Objective: MaxMinSNR{}}
+	ev := &Evaluator{Goals: []Goal{{Link: link, Objective: MaxMinSNR{}}}}
 	mg := ModelGuided{Problem: modelProblem(link), RefinePasses: 5}
 	res, err := mg.Search(link.Array, ev.Eval, 4)
 	if !errors.Is(err, ErrBudgetExhausted) {

@@ -116,8 +116,8 @@ type OptimizeOptions struct {
 	Budget int
 	// Timing is the per-measurement cost model.
 	Timing radio.Timing
-	// Apply applies the best configuration to the space on success
-	// (default true when unset via Optimize).
+	// SkipApply leaves the space's applied configuration unchanged;
+	// by default Optimize applies the winner on success.
 	SkipApply bool
 }
 
@@ -138,47 +138,23 @@ func (s *Space) Optimize(goals []Goal, opts OptimizeOptions) (*Outcome, error) {
 	if len(goals) == 0 {
 		return nil, fmt.Errorf("core: no goals")
 	}
-	type bound struct {
-		link   *radio.Link
-		obj    control.Objective
-		weight float64
-		name   string
-	}
-	bounds := make([]bound, 0, len(goals))
-	for _, g := range goals {
+	ev := &control.Evaluator{Goals: make([]control.Goal, len(goals)), Timing: opts.Timing}
+	for i, g := range goals {
 		link, ok := s.links[g.Link]
 		if !ok {
 			return nil, fmt.Errorf("core: unknown link %q", g.Link)
 		}
-		w := g.Weight
-		if w == 0 {
-			w = 1
-		}
 		if g.Objective == nil {
 			return nil, fmt.Errorf("core: goal on %q has no objective", g.Link)
 		}
-		bounds = append(bounds, bound{link: link, obj: g.Objective, weight: w, name: g.Link})
-	}
-
-	var now time.Duration
-	eval := func(cfg element.Config) (float64, error) {
-		var sum float64
-		for _, b := range bounds {
-			csi, err := b.link.MeasureCSI(cfg, now.Seconds())
-			if err != nil {
-				return 0, fmt.Errorf("core: link %q: %w", b.name, err)
-			}
-			sum += b.weight * b.obj.Score(csi)
-		}
-		now += opts.Timing.PerMeasurement + opts.Timing.SwitchLatency
-		return sum, nil
+		ev.Goals[i] = control.Goal{Link: link, Objective: g.Objective, Weight: g.Weight}
 	}
 
 	searcher := opts.Searcher
 	if searcher == nil {
 		searcher = control.Exhaustive{}
 	}
-	res, err := searcher.Search(s.Array, eval, opts.Budget)
+	res, err := searcher.Search(s.Array, ev.Eval, opts.Budget)
 	if err != nil && res == nil {
 		return nil, err
 	}
@@ -187,14 +163,14 @@ func (s *Space) Optimize(goals []Goal, opts OptimizeOptions) (*Outcome, error) {
 		Best:        res.Best,
 		BestScore:   res.BestScore,
 		Evaluations: res.Evaluations,
-		PerLink:     make(map[string]float64, len(bounds)),
+		PerLink:     make(map[string]float64, len(goals)),
 	}
-	for _, b := range bounds {
-		csi, merr := b.link.MeasureCSI(res.Best, now.Seconds())
+	for i, g := range ev.Goals {
+		csi, merr := g.Link.MeasureCSI(res.Best, ev.Elapsed().Seconds())
 		if merr != nil {
 			return nil, merr
 		}
-		out.PerLink[b.name] = b.obj.Score(csi)
+		out.PerLink[goals[i].Link] = g.Objective.Score(csi)
 	}
 	if !opts.SkipApply {
 		if aerr := s.Apply(res.Best); aerr != nil {

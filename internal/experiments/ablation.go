@@ -14,7 +14,7 @@ import (
 // baselineAndBest measures the all-terminated baseline (or state-0 when
 // no absorber exists) and runs an exhaustive max-min-SNR search.
 func baselineAndBest(link *radio.Link) (baseline, best float64, evals int, err error) {
-	ev := &control.LinkEvaluator{Link: link, Objective: control.MaxMinSNR{}}
+	ev := &control.Evaluator{Goals: []control.Goal{{Link: link, Objective: control.MaxMinSNR{}}}}
 	base, ok := link.Array.AllTerminated()
 	if !ok {
 		base = make(element.Config, link.Array.N())
@@ -195,7 +195,7 @@ func RunSearchAblation(seed uint64, budget int) (*SearchAblationResult, error) {
 	}
 	span := exhaustive - base
 	for _, s := range searchers {
-		ev := &control.LinkEvaluator{Link: link, Objective: control.MaxMinSNR{}}
+		ev := &control.Evaluator{Goals: []control.Goal{{Link: link, Objective: control.MaxMinSNR{}}}}
 		r, err := instrument(s).Search(link.Array, ev.Eval, budget)
 		if err != nil && !errors.Is(err, control.ErrBudgetExhausted) {
 			return nil, fmt.Errorf("experiments: %s: %w", s.Name(), err)

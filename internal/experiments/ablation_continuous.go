@@ -59,7 +59,7 @@ func RunContinuousAblation(seed uint64, budget int) (*ContinuousAblationResult, 
 	if err != nil {
 		return nil, err
 	}
-	ev8 := &control.LinkEvaluator{Link: link8, Objective: control.MaxMinSNR{}}
+	ev8 := &control.Evaluator{Goals: []control.Goal{{Link: link8, Objective: control.MaxMinSNR{}}}}
 	r8, err := (control.Greedy{Rng: rand.New(rand.NewPCG(seed, 81)), Restarts: 4}).
 		Search(link8.Array, ev8.Eval, budget)
 	if err != nil && !errors.Is(err, control.ErrBudgetExhausted) {

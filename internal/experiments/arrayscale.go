@@ -51,7 +51,7 @@ func RunArrayScaling(seed uint64, sizes []int, budget int) (*ArrayScalingResult,
 			if err != nil {
 				return nil, err
 			}
-			ev := &control.LinkEvaluator{Link: link, Objective: control.MaxMinSNR{}}
+			ev := &control.Evaluator{Goals: []control.Goal{{Link: link, Objective: control.MaxMinSNR{}}}}
 			base, ok := link.Array.AllTerminated()
 			if !ok {
 				base = make(element.Config, link.Array.N())

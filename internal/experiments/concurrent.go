@@ -60,7 +60,7 @@ func runSession(id string, seed uint64, budget int, sc *scope.Scope) (SessionRes
 	if err != nil {
 		return SessionResult{}, err
 	}
-	ev := &control.LinkEvaluator{Link: link, Objective: control.MaxMinSNR{}}
+	ev := &control.Evaluator{Goals: []control.Goal{{Link: link, Objective: control.MaxMinSNR{}}}}
 	base, ok := link.Array.AllTerminated()
 	if !ok {
 		base = make([]int, link.Array.N())

@@ -63,7 +63,7 @@ func RunControlPlaneComparison(seed uint64) (*ControlPlaneResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ev := &control.LinkEvaluator{Link: link, Objective: control.MaxMinSNR{}, Timing: timing}
+		ev := &control.Evaluator{Goals: []control.Goal{{Link: link, Objective: control.MaxMinSNR{}}}, Timing: timing}
 		base, ok := link.Array.AllTerminated()
 		if !ok {
 			base = make([]int, link.Array.N())

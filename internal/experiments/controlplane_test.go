@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -55,9 +56,28 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.String()
-	for _, want := range []string{"64 configurations × 2 trials", "max null movement", "≥10 dB"} {
+	if !strings.Contains(s, "64 configurations × 2 trials") {
+		t.Errorf("replay output missing the record's shape:\n%s", s)
+	}
+
+	// The replayed headlines must be the live Figure 5/6 headlines of the
+	// same seed and trial count, formatted alike.
+	f5, err := RunFig5(Fig5Options{Seed: 442, Trials: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f6, err := RunFig6(Fig6Options{Seed: 442, Trials: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("Figure 5 (from record): max null movement = %d subcarriers\n", f5.MaxMovement),
+		fmt.Sprintf("Figure 5 (from record): fraction of pairs moving >3 subcarriers = %.3f\n", f5.FracBeyond3),
+		fmt.Sprintf("Figure 6 (from record): fraction of changes ≥10 dB = %.3f\n", f6.FracChangeGE10),
+		fmt.Sprintf("Figure 6 (from record): fraction of configs below 20 dB = %.3f\n", f6.FracMinBelow20),
+	} {
 		if !strings.Contains(s, want) {
-			t.Errorf("replay output missing %q:\n%s", want, s)
+			t.Errorf("replay disagrees with the live run: want %q in\n%s", want, s)
 		}
 	}
 }

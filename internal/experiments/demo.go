@@ -128,7 +128,7 @@ func runDemo(o DemoOptions) (*DemoResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev := &control.LinkEvaluator{Link: link, Objective: control.MaxMinSNR{}}
+	ev := &control.Evaluator{Goals: []control.Goal{{Link: link, Objective: control.MaxMinSNR{}}}}
 
 	// A real (in-process) control plane so actuation has an ack round
 	// trip for the tracer's actuate/ack spans.

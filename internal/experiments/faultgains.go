@@ -21,7 +21,7 @@ func faultGains(seed uint64, faults element.Faults) (measured, model float64, er
 			return nil, err
 		}
 		link.Faults = faults
-		ev := &control.LinkEvaluator{Link: link, Objective: control.MaxMinSNR{}}
+		ev := &control.Evaluator{Goals: []control.Goal{{Link: link, Objective: control.MaxMinSNR{}}}}
 		base, ok := link.Array.AllTerminated()
 		if !ok {
 			base = make(element.Config, link.Array.N())
@@ -68,6 +68,6 @@ func faultGains(seed uint64, faults element.Faults) (measured, model float64, er
 
 type linkWithBaseline struct {
 	link     *radio.Link
-	ev       *control.LinkEvaluator
+	ev       *control.Evaluator
 	baseline float64
 }
