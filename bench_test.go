@@ -96,7 +96,7 @@ func BenchmarkExpFig4(b *testing.B) {
 func BenchmarkExpFig5(b *testing.B) {
 	var maxMove float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig5(experiments.Fig5Options{Seed: 442, Trials: 3, NullDepthDB: 5})
+		res, err := experiments.RunFig5(experiments.Fig5Options{Seed: 442, Trials: 3})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,7 +11,7 @@ import (
 	"press/internal/fpexact"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/all.golden from the current code")
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
 
 // TestExpAllGolden pins every figure's output byte for byte: the
 // experiments are deterministic per seed, so any change to the science,
@@ -25,9 +25,35 @@ func TestExpAllGolden(t *testing.T) {
 	if err := run([]string{"-exp", "all"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "all.golden")
+	checkGolden(t, "all.golden", buf.Bytes())
+}
+
+// TestReplayGolden pins the replay of a two-trial recorded sweep byte for
+// byte: the header, and the four Figure 5/6 headlines that the replay
+// computes with the live figures' reductions.
+func TestReplayGolden(t *testing.T) {
+	if fpexact.Contracts() {
+		t.Skip("this target fuses multiply-adds; testdata/replay.golden holds only where they round separately")
+	}
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	var buf bytes.Buffer
+	if err := run([]string{"-exp", "record", "-record", path, "-trials", "2"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := run([]string{"-exp", "replay", "-record", path}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "replay.golden", buf.Bytes())
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -36,7 +62,7 @@ func TestExpAllGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := buf.Bytes(); !bytes.Equal(got, want) {
+	if !bytes.Equal(got, want) {
 		gotLines := strings.Split(string(got), "\n")
 		wantLines := strings.Split(string(want), "\n")
 		for i := 0; i < len(gotLines) || i < len(wantLines); i++ {

@@ -34,7 +34,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 	})
 
 	t.Run("fig5", func(t *testing.T) {
-		o := Fig5Options{Seed: 442, Trials: 2, NullDepthDB: 5}
+		o := Fig5Options{Seed: 442, Trials: 2}
 		a, err := RunFig5(o)
 		if err != nil {
 			t.Fatal(err)

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
 
-	"press/internal/radio"
 	"press/internal/stats"
+	"press/internal/trace"
 )
 
 // Fig4Options parameterizes the Figure 4 reproduction.
@@ -63,43 +64,50 @@ func RunFig4(opts Fig4Options) (*Fig4Result, error) {
 	}
 	res := &Fig4Result{}
 	for p := 0; p < opts.Placements; p++ {
-		scen := DefaultSISO(opts.BaseSeed + uint64(p))
-		link, err := scen.Build()
+		link, err := DefaultSISO(opts.BaseSeed + uint64(p)).Build()
 		if err != nil {
 			return nil, fmt.Errorf("experiments: placement %d: %w", p, err)
 		}
-		trials, err := link.SweepTrials(radio.PrototypeTiming, opts.Trials)
+		rec, err := measure(link, opts.Trials)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: placement %d: %w", p, err)
 		}
-		mean := meanCurves(trials)
-
-		i, j, meanDiff, ok := stats.LargestPairDifference(mean)
-		if !ok {
-			return nil, fmt.Errorf("experiments: placement %d: no config pair", p)
+		pl, err := fig4Analysis(rec)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: placement %d: %w", p, err)
 		}
-		// Largest within-one-trial difference across all pairs.
-		var single float64
-		for _, tr := range trials {
-			curves := radio.SNRCurves(tr)
-			if _, _, d, ok := stats.LargestPairDifference(curves); ok && d > single {
-				single = d
-			}
-		}
-		pl := Fig4Placement{
-			Label:           fmt.Sprintf("(%c)", 'a'+p%26),
-			ConfigA:         link.Array.String(trials[0][i].Config),
-			ConfigB:         link.Array.String(trials[0][j].Config),
-			SNRA:            mean[i],
-			SNRB:            mean[j],
-			MaxMeanDiffDB:   meanDiff,
-			MaxSingleDiffDB: single,
-		}
+		pl.Label = fmt.Sprintf("(%c)", 'a'+p%26)
 		res.Placements = append(res.Placements, pl)
-		res.LargestMeanChangeDB = math.Max(res.LargestMeanChangeDB, meanDiff)
-		res.LargestSingleChangeDB = math.Max(res.LargestSingleChangeDB, single)
+		res.LargestMeanChangeDB = math.Max(res.LargestMeanChangeDB, pl.MaxMeanDiffDB)
+		res.LargestSingleChangeDB = math.Max(res.LargestSingleChangeDB, pl.MaxSingleDiffDB)
 	}
 	return res, nil
+}
+
+// fig4Analysis reduces one placement's recorded sweep to its Figure 4
+// panel (without its label): the pair of configurations whose mean
+// curves differ most on one subcarrier, and the largest such difference
+// between any pair within one trial.
+func fig4Analysis(rec *trace.Record) (Fig4Placement, error) {
+	names, mean := meanCurves(rec)
+	i, j, meanDiff, ok := stats.LargestPairDifference(mean)
+	if !ok {
+		return Fig4Placement{}, errors.New("no config pair")
+	}
+	var single float64
+	for ti := range rec.Trials {
+		if _, _, d, ok := stats.LargestPairDifference(measuredCurves(rec, ti)); ok && d > single {
+			single = d
+		}
+	}
+	return Fig4Placement{
+		ConfigA:         names[i],
+		ConfigB:         names[j],
+		SNRA:            mean[i],
+		SNRB:            mean[j],
+		MaxMeanDiffDB:   meanDiff,
+		MaxSingleDiffDB: single,
+	}, nil
 }
 
 // Print renders the figure as paper-style series: per placement, the two

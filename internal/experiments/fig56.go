@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"press/internal/radio"
 	"press/internal/stats"
+	"press/internal/trace"
 )
 
 // Fig5Options parameterizes the Figure 5 reproduction (null movement).
@@ -16,15 +16,12 @@ type Fig5Options struct {
 	// Trials is the number of experimental repetitions (one CCDF curve
 	// each; the paper plots 10).
 	Trials int
-	// NullDepthDB is the qualification threshold (the paper's 5 dB).
-	NullDepthDB float64
 }
 
 // DefaultFig5 matches the paper: placement (e) — seed index 4 of the
-// Figure 4 run (BaseSeed 438 + 4) — 10 trials, 5 dB null threshold.
-func DefaultFig5() Fig5Options {
-	return Fig5Options{Seed: placementE, Trials: 10, NullDepthDB: stats.DefaultNullDepthDB}
-}
+// Figure 4 run (BaseSeed 438 + 4) — 10 trials. Nulls qualify at the
+// paper's 5 dB (stats.DefaultNullDepthDB).
+func DefaultFig5() Fig5Options { return Fig5Options{Seed: placementE, Trials: 10} }
 
 // Fig5Result holds one null-movement CCDF per trial plus summary stats.
 type Fig5Result struct {
@@ -47,37 +44,46 @@ func RunFig5(opts Fig5Options) (*Fig5Result, error) {
 	if opts.Trials < 1 {
 		return nil, fmt.Errorf("experiments: fig5 needs ≥1 trial")
 	}
-	if opts.NullDepthDB == 0 {
-		opts.NullDepthDB = stats.DefaultNullDepthDB
-	}
 	link, err := DefaultSISO(opts.Seed).Build()
 	if err != nil {
 		return nil, err
 	}
-	trials, err := link.SweepTrials(radio.PrototypeTiming, opts.Trials)
+	rec, err := measure(link, opts.Trials)
 	if err != nil {
 		return nil, err
 	}
+	return fig5Analysis(rec), nil
+}
+
+// fig5Analysis reduces a recorded sweep to Figure 5: per trial, the null
+// movement between every ordered pair of measured configurations.
+func fig5Analysis(rec *trace.Record) *Fig5Result {
 	res := &Fig5Result{}
-	var pooledBeyond3, pooledTotal int
-	for _, tr := range trials {
-		curves := radio.SNRCurves(tr)
-		moves := stats.PairwiseNullMovements(curves, opts.NullDepthDB)
+	var pooled []float64
+	for ti := range rec.Trials {
+		moves := stats.PairwiseNullMovements(measuredCurves(rec, ti), stats.DefaultNullDepthDB)
 		res.PerTrial = append(res.PerTrial, stats.NewECDF(moves))
-		for _, m := range moves {
-			pooledTotal++
-			if m > 3 {
-				pooledBeyond3++
-			}
-			if int(m) > res.MaxMovement {
-				res.MaxMovement = int(m)
-			}
+		pooled = append(pooled, moves...)
+	}
+	for _, m := range pooled {
+		res.MaxMovement = max(res.MaxMovement, int(m))
+	}
+	res.FracBeyond3 = fraction(pooled, func(m float64) bool { return m > 3 })
+	return res
+}
+
+// fraction returns the share of xs for which keep holds (0 for no xs).
+func fraction(xs []float64, keep func(float64) bool) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	n := 0
+	for _, x := range xs {
+		if keep(x) {
+			n++
 		}
 	}
-	if pooledTotal > 0 {
-		res.FracBeyond3 = float64(pooledBeyond3) / float64(pooledTotal)
-	}
-	return res, nil
+	return float64(n) / float64(len(xs))
 }
 
 // Print renders the per-trial CCDF curves as columns.
@@ -136,41 +142,30 @@ func RunFig6(opts Fig6Options) (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	trials, err := link.SweepTrials(radio.PrototypeTiming, opts.Trials)
+	rec, err := measure(link, opts.Trials)
 	if err != nil {
 		return nil, err
 	}
+	return fig6Analysis(rec), nil
+}
+
+// fig6Analysis reduces a recorded sweep to Figure 6: the change in
+// minimum SNR between every ordered pair of measured configurations,
+// pooled over trials, and each trial's minimum-SNR distribution.
+func fig6Analysis(rec *trace.Record) *Fig6Result {
 	res := &Fig6Result{}
-	var allDeltas []float64
-	var ge10, pairs int
-	var below20, cfgs int
-	for _, tr := range trials {
-		curves := radio.SNRCurves(tr)
-		deltas := stats.PairwiseMinSNRChanges(curves)
-		allDeltas = append(allDeltas, deltas...)
-		for _, d := range deltas {
-			pairs++
-			if d >= 10 {
-				ge10++
-			}
-		}
-		mins := stats.MinPerCurve(curves)
-		res.PerTrialMin = append(res.PerTrialMin, stats.NewECDF(mins))
-		for _, m := range mins {
-			cfgs++
-			if m < 20 {
-				below20++
-			}
-		}
+	var deltas, mins []float64
+	for ti := range rec.Trials {
+		curves := measuredCurves(rec, ti)
+		deltas = append(deltas, stats.PairwiseMinSNRChanges(curves)...)
+		trialMins := stats.MinPerCurve(curves)
+		res.PerTrialMin = append(res.PerTrialMin, stats.NewECDF(trialMins))
+		mins = append(mins, trialMins...)
 	}
-	res.DeltaMin = stats.NewECDF(allDeltas)
-	if pairs > 0 {
-		res.FracChangeGE10 = float64(ge10) / float64(pairs)
-	}
-	if cfgs > 0 {
-		res.FracMinBelow20 = float64(below20) / float64(cfgs)
-	}
-	return res, nil
+	res.DeltaMin = stats.NewECDF(deltas)
+	res.FracChangeGE10 = fraction(deltas, func(d float64) bool { return d >= 10 })
+	res.FracMinBelow20 = fraction(mins, func(m float64) bool { return m < 20 })
+	return res
 }
 
 // Print renders both panels.

@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 
-	"press/internal/radio"
+	"press/internal/stats"
 )
 
 // LoSOptions parameterizes the §3 line-of-sight preliminary experiment.
@@ -71,21 +70,14 @@ func losMaxEffect(opts LoSOptions, activeGainDB float64) (float64, error) {
 			e.LossDB = 0
 		}
 	}
-	trials, err := link.SweepTrials(radio.PrototypeTiming, opts.Trials)
+	rec, err := measure(link, opts.Trials)
 	if err != nil {
 		return 0, err
 	}
-	mean := meanCurves(trials)
-	// Max over subcarriers of (max over configs − min over configs).
-	var worst float64
-	for k := range mean[0] {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for c := range mean {
-			lo = math.Min(lo, mean[c][k])
-			hi = math.Max(hi, mean[c][k])
-		}
-		worst = math.Max(worst, hi-lo)
-	}
+	_, mean := meanCurves(rec)
+	// A subcarrier's largest pair difference is its max − min spread; ok
+	// is false only for fewer than two configurations, whose spread is 0.
+	_, _, worst, _ := stats.LargestPairDifference(mean)
 	return worst, nil
 }
 

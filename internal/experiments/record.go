@@ -3,11 +3,64 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"press/internal/radio"
 	"press/internal/stats"
 	"press/internal/trace"
 )
+
+// measure sweeps every configuration of link trials times at the
+// prototype's timing and returns the sweep as a trace.Record. It is the
+// one measurement behind Figures 4–6, the LoS check and RecordSweep;
+// their analyses read only the record, so a record loaded from a file
+// (ReplayAnalysis) goes through the same reductions as a live sweep.
+func measure(link *radio.Link, trials int) (*trace.Record, error) {
+	swept, err := link.SweepTrials(radio.PrototypeTiming, trials)
+	if err != nil {
+		return nil, err
+	}
+	return trace.FromSweepTrials(link, swept, "")
+}
+
+// measuredCurves returns trial ti's SNR curves without the
+// configurations that trial did not measure.
+func measuredCurves(rec *trace.Record, ti int) [][]float64 {
+	all, _ := rec.Curves(ti) // callers range over rec.Trials, so ti is valid
+	return slices.DeleteFunc(all, func(c []float64) bool { return c == nil })
+}
+
+// meanCurves averages each configuration's SNR curve over the trials
+// that measured it: mean[c][k] is the mean at subcarrier k of the c-th
+// measured configuration, named names[c]. Configurations no trial
+// measured are left out.
+func meanCurves(rec *trace.Record) (names []string, mean [][]float64) {
+	sums := make([][]float64, len(rec.ConfigNames))
+	counts := make([]float64, len(rec.ConfigNames))
+	for _, tr := range rec.Trials {
+		for _, m := range tr.Measurements {
+			if sums[m.ConfigIdx] == nil {
+				sums[m.ConfigIdx] = make([]float64, len(m.SNRdB))
+			}
+			for k, x := range m.SNRdB {
+				sums[m.ConfigIdx][k] += x
+			}
+			counts[m.ConfigIdx]++
+		}
+	}
+	for c, sum := range sums {
+		if sum == nil {
+			continue
+		}
+		inv := 1 / counts[c]
+		for k := range sum {
+			sum[k] *= inv
+		}
+		names = append(names, rec.ConfigNames[c])
+		mean = append(mean, sum)
+	}
+	return names, mean
+}
 
 // RecordSweep measures the placement-(e) campaign (the dataset behind
 // Figures 4–6; seed 0 is placement (e) itself) and returns it as a
@@ -27,17 +80,17 @@ func RecordSweep(seed uint64, trials int) (*trace.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	swept, err := link.SweepTrials(radio.PrototypeTiming, trials)
+	rec, err := measure(link, trials)
 	if err != nil {
 		return nil, err
 	}
-	return trace.FromSweepTrials(link, swept,
-		fmt.Sprintf("PRESS sweep, placement seed %d, %d trials, 64 configs", seed, trials))
+	rec.Description = fmt.Sprintf("PRESS sweep, placement seed %d, %d trials, 64 configs", seed, trials)
+	return rec, nil
 }
 
-// ReplayAnalysis loads a recorded sweep and re-runs the Figure 5/6
-// statistics on it, printing the same headline rows the live harnesses
-// produce.
+// ReplayAnalysis loads a recorded sweep and runs the live Figure 5/6
+// reductions on it, printing their headline rows. A fraction whose
+// sample set is empty is left out.
 func ReplayAnalysis(r io.Reader, w io.Writer) error {
 	rec, err := trace.Load(r)
 	if err != nil {
@@ -47,58 +100,25 @@ func ReplayAnalysis(r io.Reader, w io.Writer) error {
 	fmt.Fprintf(w, "%d configurations × %d trials × %d subcarriers\n\n",
 		len(rec.ConfigNames), len(rec.Trials), rec.NumSubcarriers())
 
-	var (
-		maxMove          int
-		beyond3, pairs   int
-		ge10, deltaPairs int
-		below20, cfgs    int
-	)
-	for ti := range rec.Trials {
-		curves, err := rec.Curves(ti)
-		if err != nil {
-			return err
-		}
-		// Drop unmeasured configs (nil curves) for the statistics.
-		var present [][]float64
-		for _, c := range curves {
-			if c != nil {
-				present = append(present, c)
-			}
-		}
-		for _, m := range stats.PairwiseNullMovements(present, stats.DefaultNullDepthDB) {
-			pairs++
-			if m > 3 {
-				beyond3++
-			}
-			if int(m) > maxMove {
-				maxMove = int(m)
-			}
-		}
-		for _, d := range stats.PairwiseMinSNRChanges(present) {
-			deltaPairs++
-			if d >= 10 {
-				ge10++
-			}
-		}
-		for _, m := range stats.MinPerCurve(present) {
-			cfgs++
-			if m < 20 {
-				below20++
-			}
-		}
+	f5, f6 := fig5Analysis(rec), fig6Analysis(rec)
+	fmt.Fprintf(w, "Figure 5 (from record): max null movement = %d subcarriers\n", f5.MaxMovement)
+	if samples(f5.PerTrial...) > 0 {
+		fmt.Fprintf(w, "Figure 5 (from record): fraction of pairs moving >3 subcarriers = %.3f\n", f5.FracBeyond3)
 	}
-	fmt.Fprintf(w, "Figure 5 (from record): max null movement = %d subcarriers\n", maxMove)
-	if pairs > 0 {
-		fmt.Fprintf(w, "Figure 5 (from record): fraction of pairs moving >3 subcarriers = %.3f\n",
-			float64(beyond3)/float64(pairs))
+	if samples(f6.DeltaMin) > 0 {
+		fmt.Fprintf(w, "Figure 6 (from record): fraction of changes ≥10 dB = %.3f\n", f6.FracChangeGE10)
 	}
-	if deltaPairs > 0 {
-		fmt.Fprintf(w, "Figure 6 (from record): fraction of changes ≥10 dB = %.3f\n",
-			float64(ge10)/float64(deltaPairs))
-	}
-	if cfgs > 0 {
-		fmt.Fprintf(w, "Figure 6 (from record): fraction of configs below 20 dB = %.3f\n",
-			float64(below20)/float64(cfgs))
+	if samples(f6.PerTrialMin...) > 0 {
+		fmt.Fprintf(w, "Figure 6 (from record): fraction of configs below 20 dB = %.3f\n", f6.FracMinBelow20)
 	}
 	return nil
+}
+
+// samples counts the samples behind the distributions.
+func samples(es ...*stats.ECDF) int {
+	n := 0
+	for _, e := range es {
+		n += e.N()
+	}
+	return n
 }

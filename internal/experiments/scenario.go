@@ -199,34 +199,6 @@ func (s MIMOScenario) Build() (*radio.MIMOLink, error) {
 	return ml, nil
 }
 
-// meanCurves averages per-config SNR curves across trials:
-// result[cfg][k] = mean over trials of trial[cfg].SNRdB[k].
-func meanCurves(trials [][]radio.Measurement) [][]float64 {
-	if len(trials) == 0 {
-		return nil
-	}
-	nCfg := len(trials[0])
-	nSC := len(trials[0][0].CSI.SNRdB)
-	out := make([][]float64, nCfg)
-	for c := 0; c < nCfg; c++ {
-		out[c] = make([]float64, nSC)
-	}
-	for _, tr := range trials {
-		for c := 0; c < nCfg; c++ {
-			for k := 0; k < nSC; k++ {
-				out[c][k] += tr[c].CSI.SNRdB[k]
-			}
-		}
-	}
-	inv := 1 / float64(len(trials))
-	for c := range out {
-		for k := range out[c] {
-			out[c][k] *= inv
-		}
-	}
-	return out
-}
-
 // newSeededRand returns a deterministic RNG for experiment sub-tasks.
 func newSeededRand(seed, stream uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, stream))

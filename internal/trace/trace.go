@@ -2,8 +2,9 @@
 // paper's figures — to a portable JSON form, so a sweep measured once
 // (or on real hardware, eventually) can be re-analyzed offline: null
 // statistics, min-SNR distributions, alternative objectives, all without
-// re-measuring. Figures 4–6 are exactly this workflow: one dataset,
-// three analyses.
+// re-measuring. Figures 4–6 are this workflow, one dataset and three
+// analyses: internal/experiments' fig4Analysis, fig5Analysis and
+// fig6Analysis read only a Record, live or loaded by pressim -exp replay.
 package trace
 
 import (
@@ -108,7 +109,8 @@ func Load(rd io.Reader) (*Record, error) {
 	return &rec, nil
 }
 
-// Validate checks the record's internal consistency.
+// Validate checks the record's internal consistency: some measurement,
+// no configuration twice in one trial, one subcarrier count throughout.
 func (r *Record) Validate() error {
 	if r.Version != FormatVersion {
 		return fmt.Errorf("trace: unsupported version %d (want %d)", r.Version, FormatVersion)
@@ -121,10 +123,15 @@ func (r *Record) Validate() error {
 	}
 	var nsc = -1
 	for ti, tr := range r.Trials {
+		seen := make([]bool, len(r.ConfigNames))
 		for mi, m := range tr.Measurements {
 			if m.ConfigIdx < 0 || m.ConfigIdx >= len(r.ConfigNames) {
 				return fmt.Errorf("trace: trial %d measurement %d: config %d out of range", ti, mi, m.ConfigIdx)
 			}
+			if seen[m.ConfigIdx] {
+				return fmt.Errorf("trace: trial %d measurement %d: config %d measured twice", ti, mi, m.ConfigIdx)
+			}
+			seen[m.ConfigIdx] = true
 			if len(m.SNRdB) == 0 {
 				return fmt.Errorf("trace: trial %d measurement %d: empty SNR", ti, mi)
 			}
@@ -134,6 +141,9 @@ func (r *Record) Validate() error {
 				return fmt.Errorf("trace: trial %d measurement %d: %d subcarriers, want %d", ti, mi, len(m.SNRdB), nsc)
 			}
 		}
+	}
+	if nsc == -1 {
+		return fmt.Errorf("trace: no measurements")
 	}
 	return nil
 }

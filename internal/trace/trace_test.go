@@ -104,20 +104,34 @@ func TestRecordedAnalysisMatchesLive(t *testing.T) {
 }
 
 func TestLoadRejectsBadRecords(t *testing.T) {
-	cases := map[string]string{
-		"bad version":     `{"version":99,"center_hz":2.4e9,"spacing_hz":312500,"config_names":["a"],"trials":[]}`,
-		"no configs":      `{"version":1,"center_hz":2.4e9,"spacing_hz":312500,"config_names":[],"trials":[]}`,
-		"bad grid":        `{"version":1,"center_hz":0,"spacing_hz":312500,"config_names":["a"],"trials":[]}`,
-		"config range":    `{"version":1,"center_hz":2.4e9,"spacing_hz":312500,"config_names":["a"],"trials":[{"measurements":[{"config":5,"at_s":0,"snr_db":[1]}]}]}`,
-		"empty snr":       `{"version":1,"center_hz":2.4e9,"spacing_hz":312500,"config_names":["a"],"trials":[{"measurements":[{"config":0,"at_s":0,"snr_db":[]}]}]}`,
-		"ragged snr":      `{"version":1,"center_hz":2.4e9,"spacing_hz":312500,"config_names":["a"],"trials":[{"measurements":[{"config":0,"at_s":0,"snr_db":[1,2]},{"config":0,"at_s":1,"snr_db":[1]}]}]}`,
-		"unknown field":   `{"version":1,"center_hz":2.4e9,"spacing_hz":312500,"config_names":["a"],"trials":[],"surprise":1}`,
-		"not json at all": `hello`,
+	const (
+		head = `"center_hz":2.4e9,"spacing_hz":312500`
+		one  = `"trials":[{"measurements":[{"config":0,"at_s":0,"snr_db":[1]}]}]`
+	)
+	cases := []struct{ name, raw, want string }{
+		{"bad version", `{"version":99,` + head + `,"config_names":["a"],` + one + `}`, "unsupported version"},
+		{"no configs", `{"version":1,` + head + `,"config_names":[],"trials":[]}`, "no configurations"},
+		{"bad grid", `{"version":1,"center_hz":0,"spacing_hz":312500,"config_names":["a"],` + one + `}`, "grid"},
+		{"config range", `{"version":1,` + head + `,"config_names":["a"],"trials":[{"measurements":[{"config":5,"at_s":0,"snr_db":[1]}]}]}`, "out of range"},
+		{"empty snr", `{"version":1,` + head + `,"config_names":["a"],"trials":[{"measurements":[{"config":0,"at_s":0,"snr_db":[]}]}]}`, "empty SNR"},
+		{"ragged snr", `{"version":1,` + head + `,"config_names":["a","b"],"trials":[{"measurements":[{"config":0,"at_s":0,"snr_db":[1,2]},{"config":1,"at_s":1,"snr_db":[1]}]}]}`, "subcarriers"},
+		{"config measured twice", `{"version":1,` + head + `,"config_names":["a","b"],"trials":[{"measurements":[{"config":1,"at_s":0,"snr_db":[1]},{"config":1,"at_s":1,"snr_db":[2]}]}]}`, "measured twice"},
+		{"no trials", `{"version":1,` + head + `,"config_names":["a"],"trials":[]}`, "no measurements"},
+		{"only empty trials", `{"version":1,` + head + `,"config_names":["a"],"trials":[{"measurements":[]},{}]}`, "no measurements"},
+		{"unknown field", `{"version":1,` + head + `,"config_names":["a"],` + one + `,"surprise":1}`, "unknown field"},
+		{"not json at all", `hello`, "load"},
 	}
-	for name, raw := range cases {
-		if _, err := Load(strings.NewReader(raw)); err == nil {
-			t.Errorf("%s: accepted", name)
+	for _, c := range cases {
+		_, err := Load(strings.NewReader(c.raw))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
 		}
+	}
+	// The same config in two different trials is a repetition, not a
+	// duplicate.
+	ok := `{"version":1,` + head + `,"config_names":["a"],"trials":[{"measurements":[{"config":0,"at_s":0,"snr_db":[1]}]},{"measurements":[{"config":0,"at_s":1,"snr_db":[2]}]}]}`
+	if _, err := Load(strings.NewReader(ok)); err != nil {
+		t.Errorf("two trials of one config rejected: %v", err)
 	}
 }
 
