@@ -91,6 +91,30 @@ func TestDemoReplayDetectsTamper(t *testing.T) {
 	}
 }
 
+// TestReplayOutRefusesRecording replays a run with -out pointing at the
+// recording itself: replay must fail rather than overwrite the log it
+// is verifying, and the recorded segment must be left byte for byte.
+func TestReplayOutRefusesRecording(t *testing.T) {
+	runDir := recordDemo(t, t.TempDir())
+	seg := filepath.Join(runDir, "seg-00000.flr")
+	before, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err = runReplay([]string{"-out", runDir, runDir}, &out)
+	if err == nil || !strings.Contains(err.Error(), "seg-00000.flr") {
+		t.Fatalf("replay -out onto the recording: err %v, want one naming the segment\n%s", err, out.String())
+	}
+	after, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("recording changed: %d bytes before, %d after", len(before), len(after))
+	}
+}
+
 func TestRunDiff(t *testing.T) {
 	root := t.TempDir()
 	a := recordDemo(t, root)

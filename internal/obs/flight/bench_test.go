@@ -90,13 +90,13 @@ func BenchmarkDecodeFrames(b *testing.B) {
 		e.i64(int64(i))
 		e.u64(uint64(i))
 		e.f64s(curve)
-		data = appendFrame(data, KindCSI, e.b)
+		data = flightLog.Append(data, byte(KindCSI), e.b)
 	}
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats, err := decodeFrames(data, func(Kind, []byte) error { return nil })
+		stats, err := flightLog.Decode(data, func(byte, []byte) error { return nil })
 		if err != nil || stats.Frames != 1000 {
 			b.Fatalf("stats %+v err %v", stats, err)
 		}

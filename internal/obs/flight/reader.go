@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"press/internal/obs/seglog"
 )
 
 // Run is a fully decoded run log.
@@ -19,17 +21,16 @@ type Run struct {
 	Runtime    []RuntimeSample   `json:"runtime,omitempty"`
 	PhaseCosts []PhaseCost       `json:"phase_costs,omitempty"`
 	Loops      []LoopRecord      `json:"loops,omitempty"`
-	Stats      DecodeStats       `json:"stats"`
+	Stats      seglog.Stats      `json:"stats"`
 }
 
 // segments lists a run directory's segment files in write order.
-func segments(dir string) ([]string, error) {
-	names, err := filepath.Glob(filepath.Join(dir, "seg-*.flr"))
-	if err != nil {
-		return nil, err
+func segments(dir string) ([]seglog.Segment, error) {
+	segs, err := flightLog.List(dir)
+	if err == nil && len(segs) == 0 {
+		err = fmt.Errorf("flight: no segment files in %s", dir)
 	}
-	sort.Strings(names)
-	return names, nil
+	return segs, err
 }
 
 // ReadRun decodes every segment of the run directory. Torn tails and
@@ -40,20 +41,17 @@ func ReadRun(dir string) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(segs) == 0 {
-		return nil, fmt.Errorf("flight: no segment files in %s", dir)
-	}
 	run := &Run{Dir: dir}
 	for _, seg := range segs {
-		data, err := os.ReadFile(seg)
+		data, err := os.ReadFile(seg.Path)
 		if err != nil {
 			return nil, err
 		}
-		stats, _ := decodeFrames(data, func(kind Kind, payload []byte) error {
-			run.apply(kind, payload)
+		stats, _ := flightLog.Decode(data, func(kind byte, payload []byte) error {
+			run.apply(Kind(kind), payload)
 			return nil
 		})
-		run.Stats.add(stats)
+		run.Stats.Add(stats)
 	}
 	return run, nil
 }
@@ -140,17 +138,14 @@ func ReadManifest(dir string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(segs) == 0 {
-		return nil, fmt.Errorf("flight: no segment files in %s", dir)
-	}
-	data, err := os.ReadFile(segs[0])
+	data, err := os.ReadFile(segs[0].Path)
 	if err != nil {
 		return nil, err
 	}
 	var found *Manifest
 	errStop := fmt.Errorf("stop")
-	_, _ = decodeFrames(data, func(kind Kind, payload []byte) error {
-		if kind != KindManifest {
+	_, _ = flightLog.Decode(data, func(kind byte, payload []byte) error {
+		if Kind(kind) != KindManifest {
 			return nil
 		}
 		m, err := decodeManifest(payload)

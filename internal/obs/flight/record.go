@@ -1,3 +1,19 @@
+// Package flight is the durable flight recorder behind every PRESS
+// binary: an append-only, crash-safe run log of everything the control
+// loop did — the run manifest (seeds, parameters, build provenance),
+// element actuations, CSI/KPI samples, alert transitions, and search
+// decisions — plus the decode/summary/diff machinery that turns a log
+// back into an auditable, replayable, comparable run.
+//
+// Where internal/obs and internal/obs/health are live telemetry (they
+// die with the process), flight persists: a run recorded today can be
+// replayed tomorrow (`pressctl replay`) or diffed against last week
+// (`pressctl rundiff`). A run is a directory of size-rotated segment
+// files in the framed-log format of internal/obs/seglog, shared with
+// internal/obs/tsdb: CRC32C-framed, length-prefixed records whose
+// decoder tolerates torn tails (a truncated final record after a crash)
+// and resynchronizes past corrupt frames instead of aborting. This
+// package holds the record payloads and the group-commit writer.
 package flight
 
 import (
@@ -6,6 +22,8 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
+
+	"press/internal/obs/seglog"
 )
 
 // FormatVersion is the flight-log format revision stamped into every
@@ -13,6 +31,10 @@ import (
 // changes incompatibly; the decoder skips unknown record kinds, so
 // additive changes do not need a bump.
 const FormatVersion = 1
+
+// flightLog is the run log's framing: frames start F1 7E, segments are
+// seg-NNNNN.flr.
+var flightLog = seglog.Format{Magic: [2]byte{0xF1, 0x7E}, Suffix: ".flr"}
 
 // Kind identifies a record's type on the wire.
 type Kind uint8

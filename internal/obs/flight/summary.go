@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"press/internal/obs/seglog"
 	"press/internal/stats"
 )
 
@@ -92,7 +93,7 @@ type Summary struct {
 	LoopLatencyMs Dist `json:"loop_latency_ms,omitempty"`
 	LoopSlackMs   Dist `json:"loop_slack_ms,omitempty"`
 
-	Decode DecodeStats `json:"decode"`
+	Decode seglog.Stats `json:"decode"`
 }
 
 // PhaseSummary is one phase's final cumulative work totals. Because

@@ -22,9 +22,6 @@ const (
 	flushHighWater = 256 << 10
 )
 
-// segmentName formats the idx'th segment file name ("seg-00000.flr").
-func segmentName(idx int) string { return fmt.Sprintf("seg-%05d.flr", idx) }
-
 // Recorder appends flight-log records to size-rotated segment files in
 // one run directory. The producer path encodes the record into a
 // pending buffer under a mutex — a few hundred nanoseconds, no
@@ -59,7 +56,8 @@ type Recorder struct {
 
 // Open creates (if needed) the run directory dir and starts a recorder
 // rotating segments at segMB megabytes (0 = DefaultSegmentMB). The
-// directory's base name is the run ID.
+// directory's base name is the run ID. A directory that already holds
+// a run's first segment is an error: a recording is never overwritten.
 func Open(dir string, segMB int) (*Recorder, error) {
 	if segMB <= 0 {
 		segMB = DefaultSegmentMB
@@ -76,9 +74,9 @@ func open(dir string, segBytes int64) (*Recorder, error) {
 		runID:    filepath.Base(dir),
 		segBytes: segBytes,
 	}
-	f, err := os.Create(filepath.Join(dir, segmentName(0)))
+	f, err := flightLog.Create(dir, 0)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("flight: %w", err)
 	}
 	r.f = f
 	r.life.Start(nil, r.loop)
@@ -158,7 +156,7 @@ func (r *Recorder) begin() *enc {
 // commit frames the encoded payload into the pending buffer and unlocks.
 func (r *Recorder) commit(kind Kind) {
 	r.scratch = r.e.b
-	r.buf = appendFrame(r.buf, kind, r.e.b)
+	r.buf = flightLog.Append(r.buf, byte(kind), r.e.b)
 	r.records++
 	if len(r.buf) >= flushHighWater {
 		r.flushLocked(false)
@@ -199,7 +197,7 @@ func (r *Recorder) flushLocked(sync bool) {
 			return
 		}
 		r.seg++
-		f, err := os.Create(filepath.Join(r.dir, segmentName(r.seg)))
+		f, err := flightLog.Create(r.dir, r.seg)
 		if err != nil {
 			r.err = err
 			r.f = nil

@@ -1,10 +1,14 @@
 package flight
 
 import (
+	"bytes"
+	"errors"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -217,13 +221,13 @@ func TestRecorderTornTailRecovery(t *testing.T) {
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	seg := filepath.Join(dir, segmentName(0))
+	seg := filepath.Join(dir, flightLog.Name(0))
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One CSI record frame: 8 (ts) + 8 (seq) + 4 (len) + 2*8 (curve) + overhead.
-	recLen := 8 + 8 + 4 + 16 + frameOverhead
+	// One CSI record frame: 8 (ts) + 8 (seq) + 4 (len) + 2*8 (curve), framed.
+	recLen := len(flightLog.Append(nil, byte(KindCSI), make([]byte, 8+8+4+16)))
 	last := len(data) - recLen
 	for cut := last + 1; cut < len(data); cut++ {
 		if err := os.WriteFile(seg, data[:cut], 0o644); err != nil {
@@ -298,5 +302,41 @@ func TestListRunsAndReadManifest(t *testing.T) {
 	}
 	if m.RunID != "older" || m.Scenario != "fig4" {
 		t.Errorf("ReadManifest = %+v", m)
+	}
+}
+
+// TestOpenRefusesExistingRun opens a recorder on a directory that
+// already holds a run: Open fails naming the segment, and the recorded
+// bytes are untouched.
+func TestOpenRefusesExistingRun(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run-once")
+	rec, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.RecordKPI("x", 1)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, flightLog.Name(0))
+	before, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	again, err := Open(dir, 0)
+	if err == nil {
+		again.Close()
+		t.Fatal("Open over an existing run succeeded")
+	}
+	if !errors.Is(err, fs.ErrExist) || !strings.Contains(err.Error(), flightLog.Name(0)) {
+		t.Errorf("Open error %q, want an exists error naming %s", err, flightLog.Name(0))
+	}
+	after, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Errorf("segment changed: %d bytes before, %d after", len(before), len(after))
 	}
 }

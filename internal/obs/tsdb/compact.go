@@ -95,7 +95,7 @@ func (s *Store) compactTierLocked(now time.Time, target int) bool {
 			}
 			if !ts.declared[a.sr.id] {
 				ts.declared[a.sr.id] = true
-				ts.buf = appendFrame(ts.buf, kindSeries,
+				ts.buf = tsdbLog.Append(ts.buf, kindSeries,
 					encodeSeriesDecl(nil, a.sr.id, a.sr.kind, a.key))
 			}
 			block = append(block, blockSample{a.sr.id, v})
@@ -105,12 +105,12 @@ func (s *Store) compactTierLocked(now time.Time, target int) bool {
 			}
 		}
 		if len(block) > 0 {
-			ts.buf = appendFrame(ts.buf, kindBlock, encodeBlock(nil, wEnd, block))
+			ts.buf = tsdbLog.Append(ts.buf, kindBlock, encodeBlock(nil, wEnd, block))
 			ts.note(wEnd)
 		}
 	}
 	s.wm[target] = limit
-	ts.buf = appendFrame(ts.buf, kindWatermark, encodeWatermark(nil, limit))
+	ts.buf = tsdbLog.Append(ts.buf, kindWatermark, encodeWatermark(nil, limit))
 	ts.flush()
 	ts.rotateIfNeeded(now, s.opt.SegmentBytes, s.segMaxAge(target))
 	return true

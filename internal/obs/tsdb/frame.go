@@ -14,9 +14,11 @@
 // next one, export's reconciliation invariant), are turned into
 // samples — counters re-accumulated to cumulative totals, gauges as-is,
 // histograms and spans as _count/_sum cumulative pairs — and appended
-// to CRC32C-framed, size-rotated segment files, the same durability
-// idiom as internal/obs/flight: group-committed writes, torn tails
-// tolerated, corruption resynced past rather than fatal.
+// to size-rotated segment files in the framed-log format of
+// internal/obs/seglog, which the flight recorder shares: CRC32C frames,
+// group-committed writes, torn tails tolerated, corruption resynced
+// past rather than fatal. This package holds the frame payloads and its
+// own tiered writer.
 //
 // Storage is tiered: raw samples are kept briefly, then downsampled
 // into 10s and 1m resolution tiers with independent retention windows,
@@ -32,29 +34,15 @@ package tsdb
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"math"
+
+	"press/internal/obs/seglog"
 )
 
-// Frame layout (little-endian), deliberately the flight recorder's:
-//
-//	offset size
-//	0      2    magic 0x75 0xDB
-//	2      1    frame kind
-//	3      4    payload length
-//	7      n    payload
-//	7+n    4    CRC32C (Castagnoli) over kind+length+payload
-//
-// The magic differs from flight's so a tsdb segment misfiled into a
-// flight dir (or vice versa) reads as zero frames, not garbage data.
-const (
-	magic0 = 0x75
-	magic1 = 0xDB
-
-	frameHeaderLen  = 7
-	frameOverhead   = 11
-	maxFramePayload = 1 << 24
-)
+// tsdbLog is the store's framing: frames start 75 DB, segments are
+// seg-NNNNN.tsq. The magic differs from the flight recorder's so a
+// segment misfiled into the other's directory reads as zero frames.
+var tsdbLog = seglog.Format{Magic: [2]byte{0x75, 0xDB}, Suffix: ".tsq"}
 
 // Frame kinds. Unknown kinds are skipped (forward compatibility).
 const (
@@ -81,102 +69,6 @@ const (
 	seriesCounter = 1 // monotone cumulative total (counters, hist/span _count/_sum)
 	seriesGauge   = 2 // latest-value
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// appendFrame appends one framed record to dst and returns the
-// extended slice.
-func appendFrame(dst []byte, kind byte, payload []byte) []byte {
-	dst = append(dst, magic0, magic1, kind)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	crc := crc32.Update(0, castagnoli, dst[len(dst)-len(payload)-5:])
-	return binary.LittleEndian.AppendUint32(dst, crc)
-}
-
-// DecodeStats reports what a decode pass encountered; corruption is
-// counted, never fatal.
-type DecodeStats struct {
-	Frames       int   `json:"frames"`
-	Unknown      int   `json:"unknown,omitempty"`
-	Corrupt      int   `json:"corrupt,omitempty"`
-	Resyncs      int   `json:"resyncs,omitempty"`
-	BytesSkipped int64 `json:"bytes_skipped,omitempty"`
-	TornTail     bool  `json:"torn_tail,omitempty"`
-}
-
-func (s *DecodeStats) add(o DecodeStats) {
-	s.Frames += o.Frames
-	s.Unknown += o.Unknown
-	s.Corrupt += o.Corrupt
-	s.Resyncs += o.Resyncs
-	s.BytesSkipped += o.BytesSkipped
-	s.TornTail = s.TornTail || o.TornTail
-}
-
-// decodeFrames walks data emitting every valid frame. CRC mismatches
-// and garbage are skipped with a resync scan for the next magic; a
-// truncated final frame is reported as a torn tail — the expected
-// signature of a kill -9 between group commits.
-func decodeFrames(data []byte, emit func(kind byte, payload []byte) error) (DecodeStats, error) {
-	var stats DecodeStats
-	pos := 0
-	resync := func(from int) int {
-		stats.Resyncs++
-		for i := from; i+1 < len(data); i++ {
-			if data[i] == magic0 && data[i+1] == magic1 {
-				stats.BytesSkipped += int64(i - pos)
-				return i
-			}
-		}
-		stats.BytesSkipped += int64(len(data) - pos)
-		return len(data)
-	}
-	for pos < len(data) {
-		if data[pos] != magic0 || pos+1 >= len(data) || data[pos+1] != magic1 {
-			pos = resync(pos + 1)
-			continue
-		}
-		if pos+frameHeaderLen > len(data) {
-			stats.TornTail = true
-			stats.BytesSkipped += int64(len(data) - pos)
-			return stats, nil
-		}
-		kind := data[pos+2]
-		n := int(binary.LittleEndian.Uint32(data[pos+3 : pos+7]))
-		if n > maxFramePayload {
-			stats.Corrupt++
-			pos = resync(pos + 2)
-			continue
-		}
-		end := pos + frameOverhead + n
-		if end > len(data) {
-			// Plausible header but the payload runs past the end:
-			// either a torn tail or a corrupt length. Another magic
-			// ahead means corrupt length; bare end means tail.
-			next := resync(pos + 2)
-			if next >= len(data) {
-				stats.TornTail = true
-				return stats, nil
-			}
-			stats.Corrupt++
-			pos = next
-			continue
-		}
-		want := binary.LittleEndian.Uint32(data[end-4 : end])
-		if crc32.Checksum(data[pos+2:end-4], castagnoli) != want {
-			stats.Corrupt++
-			pos = resync(pos + 2)
-			continue
-		}
-		stats.Frames++
-		if err := emit(kind, data[pos+frameHeaderLen:end-4]); err != nil {
-			return stats, err
-		}
-		pos = end
-	}
-	return stats, nil
-}
 
 // seriesKey identifies one series: which session's registry it came
 // from ("" = the process root) and the metric name.

@@ -1,8 +1,10 @@
 package tsdb
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -12,9 +14,9 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf []byte
-	buf = appendFrame(buf, kindSeries, encodeSeriesDecl(nil, 7, seriesCounter, seriesKey{"room1", "req_total"}))
-	buf = appendFrame(buf, kindBlock, encodeBlock(nil, 1234, []blockSample{{7, 42.5}}))
-	buf = appendFrame(buf, kindWatermark, encodeWatermark(nil, 5678))
+	buf = tsdbLog.Append(buf, kindSeries, encodeSeriesDecl(nil, 7, seriesCounter, seriesKey{"room1", "req_total"}))
+	buf = tsdbLog.Append(buf, kindBlock, encodeBlock(nil, 1234, []blockSample{{7, 42.5}}))
+	buf = tsdbLog.Append(buf, kindWatermark, encodeWatermark(nil, 5678))
 	var got []struct {
 		key seriesKey
 		t   int64
@@ -41,30 +43,11 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeResyncsPastCorruption(t *testing.T) {
-	var buf []byte
-	buf = appendFrame(buf, kindSeries, encodeSeriesDecl(nil, 1, seriesGauge, seriesKey{"", "g"}))
-	mid := len(buf)
-	buf = appendFrame(buf, kindBlock, encodeBlock(nil, 1000, []blockSample{{1, 1}}))
-	buf = appendFrame(buf, kindBlock, encodeBlock(nil, 2000, []blockSample{{1, 2}}))
-	// Corrupt a byte inside the first block's payload.
-	buf[mid+frameHeaderLen] ^= 0xFF
-	var pts []point
-	_, stats := scanFrames(buf, func(_ seriesKey, _ byte, unixMs int64, v float64) {
-		pts = append(pts, point{unixMs, v})
-	})
-	if stats.Corrupt != 1 || stats.Resyncs == 0 {
-		t.Fatalf("stats: %+v", stats)
-	}
-	if len(pts) != 1 || pts[0].t != 2000 {
-		t.Fatalf("surviving points: %+v", pts)
-	}
-}
-
 // TestTornTailEveryTruncation is the kill -9 guarantee: a segment cut
 // at ANY byte offset must decode its intact prefix — every complete
-// frame survives, only the torn final frame is lost, and opening the
-// store over the truncated file succeeds.
+// frame survives, only the torn final frame is lost and is flagged as a
+// torn tail, no phantom corrupt frame appears — and opening the store
+// over the truncated file succeeds.
 func TestTornTailEveryTruncation(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, false)
@@ -77,7 +60,7 @@ func TestTornTailEveryTruncation(t *testing.T) {
 		})
 	}
 	s.Close()
-	segs, _ := filepath.Glob(filepath.Join(dir, "raw", "*"+segSuffix))
+	segs, _ := filepath.Glob(filepath.Join(dir, "raw", "*"+tsdbLog.Suffix))
 	if len(segs) != 1 {
 		t.Fatalf("want 1 raw segment, got %v", segs)
 	}
@@ -91,19 +74,8 @@ func TestTornTailEveryTruncation(t *testing.T) {
 		t.Fatalf("full decode: %d samples, want 40", fullSamples)
 	}
 
-	prevSamples := -1
-	for cut := 0; cut <= len(whole); cut++ {
-		n := 0
-		stats, _ := decodeFrames(whole[:cut], func(kind byte, payload []byte) error { return nil })
-		n = stats.Frames
-		if cut == len(whole) && stats.TornTail {
-			t.Fatal("intact segment reported torn")
-		}
-		if cut < len(whole) && n > fullSamples {
-			t.Fatalf("cut=%d decoded %d frames from truncated data", cut, n)
-		}
-		_ = prevSamples
-		prevSamples = n
+	if err := tsdbLog.CheckTruncations(whole); err != nil {
+		t.Fatal(err)
 	}
 
 	// A truncated store still opens and serves what survived.
@@ -126,4 +98,63 @@ func TestTornTailEveryTruncation(t *testing.T) {
 	if samples[0].V <= 0 || samples[0].V > 20 {
 		t.Fatalf("torn-store total = %v", samples[0].V)
 	}
+}
+
+// TestGoldenSegment pins the on-disk format byte for byte. The raw
+// segment in testdata/golden was written before the framing moved to
+// internal/obs/seglog: it must decode to the series, samples and
+// watermark it was written with, and re-framing its frames must rebuild
+// the file exactly.
+func TestGoldenSegment(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "golden", tsdbLog.Name(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type sample struct {
+		key  seriesKey
+		kind byte
+		t    int64
+		v    float64
+	}
+	var got []sample
+	wm, stats := scanFrames(data, func(key seriesKey, kind byte, unixMs int64, v float64) {
+		got = append(got, sample{key, kind, unixMs, v})
+	})
+	key := seriesKey{"room1", "req_total"}
+	want := []sample{{key, seriesCounter, 1_760_000_000_000, 5}, {key, seriesCounter, 1_760_000_001_000, 8.5}}
+	if !reflect.DeepEqual(got, want) || wm != 1_760_000_001_000 {
+		t.Fatalf("golden segment decoded as %+v (watermark %d), want %+v", got, wm, want)
+	}
+	if stats.Frames != 4 || stats.Corrupt != 0 || stats.Unknown != 0 || stats.TornTail {
+		t.Fatalf("stats: %+v", stats)
+	}
+
+	var reframed []byte
+	_, _ = tsdbLog.Decode(data, func(kind byte, payload []byte) error {
+		reframed = tsdbLog.Append(reframed, kind, payload)
+		return nil
+	})
+	if !bytes.Equal(reframed, data) {
+		t.Errorf("re-framed golden segment differs from the file:\n%x\n%x", reframed, data)
+	}
+}
+
+// FuzzScanFrames feeds arbitrary bytes to the segment scanner, and so
+// to the series-declaration, block and watermark payload decoders:
+// none may panic or over-read, and decode stats stay plausible.
+func FuzzScanFrames(f *testing.F) {
+	var good []byte
+	good = tsdbLog.Append(good, kindSeries, encodeSeriesDecl(nil, 7, seriesCounter, seriesKey{"room1", "req_total"}))
+	good = tsdbLog.Append(good, kindBlock, encodeBlock(nil, 1234, []blockSample{{7, 42.5}, {8, 1}}))
+	good = tsdbLog.Append(good, kindWatermark, encodeWatermark(nil, 5678))
+	f.Add(good)
+	f.Add(good[:len(good)-5])
+	f.Add(tsdbLog.Append(nil, kindSeries, []byte{0x80}))                     // truncated uvarint id
+	f.Add(tsdbLog.Append(nil, kindBlock, []byte{1, 0xFF, 0xFF, 0xFF, 0x7F})) // huge sample count
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, stats := scanFrames(data, func(seriesKey, byte, int64, float64) {})
+		if stats.Frames < 0 || stats.Corrupt < 0 || stats.BytesSkipped > int64(len(data)) {
+			t.Fatalf("implausible stats %+v for %d bytes", stats, len(data))
+		}
+	})
 }

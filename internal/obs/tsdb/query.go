@@ -67,7 +67,7 @@ func (s *Store) selectRange(name, session string, filtered bool, fromMs, toMs in
 			if seg.minT == 0 || seg.maxT < fromMs || seg.minT > toMs {
 				continue
 			}
-			reads[i].paths = append(reads[i].paths, seg.path)
+			reads[i].paths = append(reads[i].paths, seg.Path)
 		}
 		if ts.f != nil && ts.size > 0 {
 			reads[i].paths = append(reads[i].paths, ts.f.Name())

@@ -1,13 +1,10 @@
 package tsdb
 
 import (
-	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
+
+	"press/internal/obs/seglog"
 )
 
 // Resolution tiers. Raw samples arrive at the export interval
@@ -25,16 +22,12 @@ var tierNames = [numTiers]string{"raw", "10s", "1m"}
 // tierStep is the downsampling window of each compacted tier in ms.
 var tierStep = [numTiers]int64{0, 10_000, 60_000}
 
-const segSuffix = ".tsq"
-
 // segInfo is one sealed (immutable) segment's index entry: enough to
 // decide overlap with a query range and to enforce retention without
 // reading the file.
 type segInfo struct {
-	path       string
-	seq        int
+	seglog.Segment
 	minT, maxT int64 // unix ms; 0,0 when the segment holds no samples
-	size       int64
 }
 
 // tierState is one tier's on-disk state: its sealed segment index plus
@@ -54,54 +47,11 @@ type tierState struct {
 	openedAt time.Time
 }
 
-func segPath(dir string, seq int) string {
-	return filepath.Join(dir, fmt.Sprintf("seg-%05d%s", seq, segSuffix))
-}
-
-func parseSegSeq(name string) (int, bool) {
-	if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, segSuffix) {
-		return 0, false
-	}
-	n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), segSuffix))
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-// listSegments returns a tier directory's segments in sequence order.
-func listSegments(dir string) ([]segInfo, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var segs []segInfo
-	for _, ent := range ents {
-		if ent.IsDir() {
-			continue
-		}
-		seq, ok := parseSegSeq(ent.Name())
-		if !ok {
-			continue
-		}
-		info, err := ent.Info()
-		if err != nil {
-			continue
-		}
-		segs = append(segs, segInfo{path: filepath.Join(dir, ent.Name()), seq: seq, size: info.Size()})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
-	return segs, nil
-}
-
 // scanSegment decodes one segment file, emitting every sample with its
 // series identity resolved through the segment-local declaration table,
 // and returns the max watermark frame seen plus decode stats. Decode
 // never fails on corruption; only I/O errors are returned.
-func scanSegment(path string, emit func(key seriesKey, kind byte, unixMs int64, v float64)) (wm int64, stats DecodeStats, err error) {
+func scanSegment(path string, emit func(key seriesKey, kind byte, unixMs int64, v float64)) (wm int64, stats seglog.Stats, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, stats, err
@@ -112,12 +62,12 @@ func scanSegment(path string, emit func(key seriesKey, kind byte, unixMs int64, 
 
 // scanFrames is scanSegment over an in-memory byte run (also used for
 // the unflushed group-commit buffer).
-func scanFrames(data []byte, emit func(key seriesKey, kind byte, unixMs int64, v float64)) (wm int64, stats DecodeStats) {
+func scanFrames(data []byte, emit func(key seriesKey, kind byte, unixMs int64, v float64)) (wm int64, stats seglog.Stats) {
 	local := map[uint32]struct {
 		key  seriesKey
 		kind byte
 	}{}
-	stats, _ = decodeFrames(data, func(kind byte, payload []byte) error {
+	stats, _ = tsdbLog.Decode(data, func(kind byte, payload []byte) error {
 		switch kind {
 		case kindSeries:
 			if id, sk, key, ok := decodeSeriesDecl(payload); ok {
@@ -156,9 +106,9 @@ func scanFrames(data []byte, emit func(key seriesKey, kind byte, unixMs int64, v
 func (ts *tierState) openWriter(now time.Time) error {
 	seq := 1
 	if n := len(ts.sealed); n > 0 {
-		seq = ts.sealed[n-1].seq + 1
+		seq = ts.sealed[n-1].Seq + 1
 	}
-	f, err := os.OpenFile(segPath(ts.dir, seq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+	f, err := tsdbLog.Create(ts.dir, seq)
 	if err != nil {
 		return err
 	}
@@ -215,7 +165,8 @@ func (ts *tierState) seal() error {
 		err = cerr
 	}
 	ts.sealed = append(ts.sealed, segInfo{
-		path: ts.f.Name(), seq: ts.seq, minT: ts.minT, maxT: ts.maxT, size: ts.size,
+		Segment: seglog.Segment{Path: ts.f.Name(), Seq: ts.seq, Size: ts.size},
+		minT:    ts.minT, maxT: ts.maxT,
 	})
 	ts.f = nil
 	return err
@@ -244,8 +195,8 @@ func (ts *tierState) enforceRetention(cutoffMs int64) (bytes int64, segs int) {
 	keep := ts.sealed[:0]
 	for _, s := range ts.sealed {
 		if s.maxT != 0 && s.maxT < cutoffMs {
-			os.Remove(s.path)
-			bytes += s.size
+			os.Remove(s.Path)
+			bytes += s.Size
 			segs++
 			continue
 		}
@@ -259,7 +210,7 @@ func (ts *tierState) enforceRetention(cutoffMs int64) (bytes int64, segs int) {
 func (ts *tierState) diskBytes() int64 {
 	total := ts.size
 	for _, s := range ts.sealed {
-		total += s.size
+		total += s.Size
 	}
 	return total
 }

@@ -12,6 +12,7 @@ import (
 	"press/internal/obs"
 	"press/internal/obs/export"
 	"press/internal/obs/names"
+	"press/internal/obs/seglog"
 )
 
 // Self-telemetry metric names (spellings owned by internal/obs/names):
@@ -158,7 +159,7 @@ type Store struct {
 	nextID     uint32
 	wm         [numTiers]int64 // wm[tier10s], wm[tier1m]: compacted-up-to (unix ms)
 	closed     bool
-	openStats  DecodeStats
+	openStats  seglog.Stats
 
 	batches  atomic.Int64
 	samples  atomic.Int64
@@ -247,13 +248,15 @@ func (s *Store) replay() error {
 	// the watermark of the tier above it.
 	for _, t := range []int{tier1m, tier10s, tierRaw} {
 		ts := s.tiers[t]
-		segs, err := listSegments(ts.dir)
+		files, err := tsdbLog.List(ts.dir)
 		if err != nil {
 			return err
 		}
-		for i := range segs {
+		segs := make([]segInfo, len(files))
+		for i, file := range files {
 			seg := &segs[i]
-			wm, stats, err := scanSegment(seg.path, func(key seriesKey, kind byte, unixMs int64, v float64) {
+			seg.Segment = file
+			wm, stats, err := scanSegment(seg.Path, func(key seriesKey, kind byte, unixMs int64, v float64) {
 				seg.note2(unixMs)
 				if kind == seriesCounter {
 					if lv, ok := last[key]; !ok || unixMs >= lv.t {
@@ -274,7 +277,7 @@ func (s *Store) replay() error {
 			if err != nil {
 				return err
 			}
-			s.openStats.add(stats)
+			s.openStats.Add(stats)
 			if wm > s.wm[t] {
 				s.wm[t] = wm
 			}
@@ -421,7 +424,7 @@ func (s *Store) applyBatch(b export.Batch) {
 		if raw.f != nil {
 			if !raw.declared[sr.id] {
 				raw.declared[sr.id] = true
-				raw.buf = appendFrame(raw.buf, kindSeries,
+				raw.buf = tsdbLog.Append(raw.buf, kindSeries,
 					encodeSeriesDecl(nil, sr.id, sr.kind, seriesKey{b.Session, name}))
 			}
 			block = append(block, blockSample{sr.id, v})
@@ -447,7 +450,7 @@ func (s *Store) applyBatch(b export.Batch) {
 	if len(block) == 0 {
 		return
 	}
-	raw.buf = appendFrame(raw.buf, kindBlock, encodeBlock(nil, b.UnixMs, block))
+	raw.buf = tsdbLog.Append(raw.buf, kindBlock, encodeBlock(nil, b.UnixMs, block))
 	raw.note(b.UnixMs)
 	s.batches.Add(1)
 	s.samples.Add(int64(len(block)))
@@ -576,20 +579,20 @@ type TierState struct {
 
 // State is the /tsdbz document.
 type State struct {
-	Enabled   bool        `json:"enabled"`
-	Dir       string      `json:"dir,omitempty"`
-	ReadOnly  bool        `json:"read_only,omitempty"`
-	Series    int         `json:"series"`
-	Sessions  int         `json:"sessions"`
-	QueueLen  int         `json:"queue_len"`
-	QueueCap  int         `json:"queue_cap"`
-	Batches   int64       `json:"batches"`
-	Samples   int64       `json:"samples"`
-	Dropped   int64       `json:"dropped"`
-	Rejected  int64       `json:"rejected_series_samples,omitempty"`
-	Released  int64       `json:"sessions_released,omitempty"`
-	Tiers     []TierState `json:"tiers"`
-	OpenStats DecodeStats `json:"open_decode,omitempty"`
+	Enabled   bool         `json:"enabled"`
+	Dir       string       `json:"dir,omitempty"`
+	ReadOnly  bool         `json:"read_only,omitempty"`
+	Series    int          `json:"series"`
+	Sessions  int          `json:"sessions"`
+	QueueLen  int          `json:"queue_len"`
+	QueueCap  int          `json:"queue_cap"`
+	Batches   int64        `json:"batches"`
+	Samples   int64        `json:"samples"`
+	Dropped   int64        `json:"dropped"`
+	Rejected  int64        `json:"rejected_series_samples,omitempty"`
+	Released  int64        `json:"sessions_released,omitempty"`
+	Tiers     []TierState  `json:"tiers"`
+	OpenStats seglog.Stats `json:"open_decode,omitempty"`
 }
 
 // State snapshots the store. A nil store reports Enabled false.

@@ -137,7 +137,7 @@ func TestStoreWriteQueryRestartDownsample(t *testing.T) {
 
 	// Downsampled tiers actually serve: delete every raw segment and
 	// query again — the 10s/1m tiers must cover the range.
-	segs, _ := filepath.Glob(filepath.Join(dir, "raw", "*"+segSuffix))
+	segs, _ := filepath.Glob(filepath.Join(dir, "raw", "*"+tsdbLog.Suffix))
 	if len(segs) == 0 {
 		t.Fatal("no raw segments written")
 	}
