@@ -15,7 +15,6 @@
 //	pressctl rundiff runs/A runs/B   # KPI deltas between two run logs
 //	pressctl hotspots runs/RUNID     # phase-cost breakdown of a run log
 //	pressctl loops runs/RUNID        # control-loop deadline profile of a run log
-//	pressctl collect -listen :7020   # receive pushed telemetry batches (-export-url target)
 //	pressctl query -tsdb-dir DIR EXPR # query a run's durable metrics history
 package main
 
@@ -63,7 +62,7 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return errors.New("usage: pressctl demo|agent|ping|replay|rundiff|hotspots|loops|collect|query [flags]")
+		return errors.New("usage: pressctl demo|agent|ping|replay|rundiff|hotspots|loops|query [flags]")
 	}
 	switch args[0] {
 	case "demo":
@@ -80,12 +79,10 @@ func run(args []string) error {
 		return runHotspots(args[1:], os.Stdout)
 	case "loops":
 		return runLoops(args[1:], os.Stdout)
-	case "collect":
-		return runCollect(args[1:], os.Stdout)
 	case "query":
 		return runQuery(args[1:], os.Stdout)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want demo|agent|ping|replay|rundiff|hotspots|loops|collect|query)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want demo|agent|ping|replay|rundiff|hotspots|loops|query)", args[0])
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"press/internal/obs"
-	"press/internal/obs/export"
 	"press/internal/obs/tsdb"
 )
 
@@ -23,11 +22,11 @@ func seedQueryDir(t *testing.T) (dir string, base int64) {
 	base = time.Now().Add(-2 * time.Minute).UnixMilli()
 	for i := 0; i < 60; i++ {
 		at := base + int64(i)*1000
-		s.Offer(export.Batch{
+		s.Offer(tsdb.Batch{
 			UnixMs: at, Session: "room-a",
 			Counters: map[string]int64{"q_work_total": 2},
 		})
-		s.Offer(export.Batch{
+		s.Offer(tsdb.Batch{
 			UnixMs: at, Session: "room-b",
 			Counters: map[string]int64{"q_work_total": 3},
 			Gauges:   map[string]float64{"q_depth_db": float64(i)},

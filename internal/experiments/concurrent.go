@@ -199,11 +199,10 @@ func RunConcurrent(o ConcurrentOptions) (*ConcurrentResult, error) {
 		// error is the expected steady state, not a fault.
 		_ = set.RegisterRoutes(srv)
 	}
-	// With -export-url set, each room's registry ships as its own
-	// session-labeled batch stream for as long as the room lives.
-	set.AttachExporter(CurrentScope().Exporter())
-	// With -tsdb-dir set, room removal/eviction releases the room's
-	// series budget in the history store once its tail is collected.
+	// With -tsdb-dir set, the history store collects each room's
+	// registry as its own session for as long as the room lives, and
+	// room removal/eviction collects the room's tail and then releases
+	// its series budget.
 	set.AttachTSDB(CurrentScope().TSDB())
 
 	results := make([]SessionResult, o.Sessions)

@@ -51,11 +51,10 @@ type Room struct {
 }
 
 // NewRoom returns a room of the given interior dimensions in metres.
-// It panics on non-positive dimensions.
+// It does not check them: propagation.Environment.Validate rejects a
+// room that is not finite and positive, so bad sizes from the public
+// API come back as errors.
 func NewRoom(x, y, z float64) Room {
-	if x <= 0 || y <= 0 || z <= 0 {
-		panic(fmt.Sprintf("geom: invalid room dimensions %gx%gx%g", x, y, z))
-	}
 	return Room{Size: Vec{x, y, z}}
 }
 

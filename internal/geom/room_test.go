@@ -6,15 +6,6 @@ import (
 	"testing"
 )
 
-func TestNewRoomPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for zero dimension")
-		}
-	}()
-	NewRoom(0, 5, 3)
-}
-
 func TestRoomContains(t *testing.T) {
 	r := NewRoom(6, 5, 3)
 	cases := []struct {

@@ -67,8 +67,8 @@ func TestCLIRulesWithoutServer(t *testing.T) {
 	}
 	mon.ObserveSNR(health.SNRWithNull(16, 4, 30))
 	mon.Sample()
-	if got := len(mon.Alerts().Rules); got != 6 {
-		t.Errorf("monitor runs %d rules, want 6 defaults", got)
+	if got := len(mon.Alerts().Rules); got != 5 {
+		t.Errorf("monitor runs %d rules, want 5 defaults", got)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestCLIServedEndpoints(t *testing.T) {
 
 	var alerts health.AlertsSnapshot
 	getJSON(t, base+"/alerts", &alerts)
-	if len(alerts.Rules) != 6 {
+	if len(alerts.Rules) != 5 {
 		t.Errorf("/alerts serves %d rules", len(alerts.Rules))
 	}
 	var snap health.Snapshot

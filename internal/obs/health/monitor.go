@@ -57,14 +57,6 @@ type Monitor struct {
 	loopSlackSeen  bool
 	lastLoopTrace  uint64
 	lastMissTrace  uint64
-	// Telemetry export pipeline state, pushed once per export collection
-	// (dropped is cumulative; the sampler differentiates it into a rate).
-	exportQueue    int
-	exportDropped  int64
-	exportAgeS     float64
-	exportSeen     bool
-	prevExpDropped int64
-	prevExpSeen    bool
 	series         map[string]*Series
 	spec           *spectrogram
 	eng            *engine
@@ -206,23 +198,6 @@ func (m *Monitor) ObserveLoop(latency, deadline time.Duration, missed bool, trac
 	m.mu.Unlock()
 }
 
-// ObserveExport records the telemetry export pipeline's state: batches
-// queued but unsent, cumulative batches dropped to queue overflow or
-// failed flush, and seconds since the last successful send. The sampler
-// distills these into the export_* KPIs (the drop count is
-// differentiated into a per-second rate between samples).
-func (m *Monitor) ObserveExport(queueDepth int, droppedTotal int64, lastSuccessAgeS float64) {
-	if m == nil || queueDepth < 0 || lastSuccessAgeS < 0 {
-		return
-	}
-	m.mu.Lock()
-	m.exportQueue = queueDepth
-	m.exportDropped = droppedTotal
-	m.exportAgeS = lastSuccessAgeS
-	m.exportSeen = true
-	m.mu.Unlock()
-}
-
 // Start launches the background sampler. Safe to call once; a nil
 // monitor ignores it.
 func (m *Monitor) Start() {
@@ -336,7 +311,6 @@ func (m *Monitor) computeLocked(now time.Time) map[string]float64 {
 		KPISearchRegretDB: nan, KPIControlStalenessS: nan,
 		KPILoopLatencyS: nan, KPILoopSlackS: nan,
 		KPILoopMissRatio: nan, KPILoopBurnRate: nan,
-		KPIExportQueueDepth: nan, KPIExportDropRate: nan, KPIExportAgeS: nan,
 	}
 	if m.snrSeen {
 		kpis[KPIMinSNRdB] = stats.Min(m.lastSNR)
@@ -372,19 +346,6 @@ func (m *Monitor) computeLocked(now time.Time) map[string]float64 {
 		kpis[KPILoopBurnRate] = ratio / DefaultLoopErrorBudget
 		m.loopCount, m.loopMisses = 0, 0
 		m.loopLatMaxNs, m.loopSlackMinNs, m.loopSlackSeen = 0, 0, false
-	}
-	if m.exportSeen {
-		kpis[KPIExportQueueDepth] = float64(m.exportQueue)
-		kpis[KPIExportAgeS] = m.exportAgeS
-		if m.prevExpSeen {
-			drops := m.exportDropped - m.prevExpDropped
-			if drops < 0 {
-				drops = 0 // exporter restarted; the counter reset
-			}
-			kpis[KPIExportDropRate] = float64(drops) / m.interval.Seconds()
-		}
-		m.prevExpDropped = m.exportDropped
-		m.prevExpSeen = true
 	}
 	return kpis
 }

@@ -21,9 +21,6 @@ const (
 	KPILoopSlackS        = "loop_slack_s"        // worst deadline slack this interval (negative = missed)
 	KPILoopMissRatio     = "loop_miss_ratio"     // deadline misses / traced loops this interval
 	KPILoopBurnRate      = "loop_burn_rate"      // miss ratio / DefaultLoopErrorBudget (>1 = burning)
-	KPIExportQueueDepth  = "export_queue_depth"  // telemetry export batches queued, unsent
-	KPIExportDropRate    = "export_drop_rate"    // export batches dropped per second this interval
-	KPIExportAgeS        = "export_age_s"        // seconds since the last successful export send
 )
 
 // KPINames lists every KPI a rule may watch, in display order.
@@ -31,7 +28,6 @@ var KPINames = []string{
 	KPIMinSNRdB, KPINullDepthDB, KPINullSubcarrier, KPINullDriftSC,
 	KPICondDB, KPISearchBest, KPISearchRegretDB, KPIControlStalenessS,
 	KPILoopLatencyS, KPILoopSlackS, KPILoopMissRatio, KPILoopBurnRate,
-	KPIExportQueueDepth, KPIExportDropRate, KPIExportAgeS,
 }
 
 func knownKPI(name string) bool {
@@ -137,19 +133,14 @@ func formatNum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // DefaultRules is the built-in rule set behind `-alert-rules default`:
 // a deep persistent frequency null (the paper's §3.2.1 metric), a rising
 // MIMO condition number (Figure 8's failure direction), a search run
-// regressing from its best, a stalled control plane, a control loop
-// burning its coherence-deadline error budget, and a telemetry export
-// sink that has been unreachable too long (hysteretic: fires past 30 s
-// without a successful send, clears only once the age is back under 5 s,
-// so a collector flapping around the threshold cannot strobe the alert).
-// When the export pipeline is off its KPIs stay NaN and the rule stays
-// frozen, like every other rule over an absent subsystem.
+// regressing from its best, a stalled control plane, and a control loop
+// burning its coherence-deadline error budget. A rule over an absent
+// subsystem sees NaN and stays frozen.
 const DefaultRules = "null_depth_db>25 for 3 clear 20; " +
 	"cond_db rising over 8; " +
 	"search_regret_db>3 for 2; " +
 	"control_staleness_s>10 for 2; " +
-	"loop_burn_rate>1 for 2; " +
-	"export_age_s>30 clear 5 for 2"
+	"loop_burn_rate>1 for 2"
 
 // ParseRules parses a rule list: rules separated by ';', each either a
 // threshold rule

@@ -32,15 +32,15 @@ func TestParseRulesForms(t *testing.T) {
 		wantErr string
 	}{
 		{"", 0, ""},
-		{"default", 6, ""},
-		{DefaultRules, 6, ""},
+		{"default", 5, ""},
+		{DefaultRules, 5, ""},
 		{"min_snr_db<10", 1, ""},
 		{"lowsnr=min_snr_db<10 for 2", 1, ""},
 		{"cond_db rising", 1, ""},
 		{"cond_db falling over 12 for 2", 1, ""},
 		{"a=min_snr_db<10; b=cond_db rising", 2, ""},
 		{"min_snr_db<10;; ;cond_db rising", 2, ""},
-		{"deep=null_depth_db>30 for 2; default", 7, ""},
+		{"deep=null_depth_db>30 for 2; default", 6, ""},
 		{"default; default", 0, "duplicate rule name"},
 
 		{"bogus_kpi>1", 0, "unknown KPI"},

@@ -1,22 +1,12 @@
 // Package names is the single spelling authority for the telemetry
-// stack's self-metric names. The export pipeline, the scope directory,
-// and the tsdb store all observe themselves through the registry they
-// serve, and the health rules and tests match those series by name —
-// four call sites per string is exactly how spellings drift. This is a
+// stack's self-metric names. The scope directory and the tsdb store
+// both observe themselves through the registry they serve, and the
+// health rules and tests match those series by name — four call sites
+// per string is exactly how spellings drift. This is a
 // leaf package (no imports) so every layer of the obs tree can depend
 // on it without cycles; the packages that own each metric re-export
 // these as their own constants, so existing callers keep compiling.
 package names
-
-// Export pipeline self-telemetry (internal/obs/export).
-const (
-	ExportBatchesSent   = "obs_export_batches_sent_total"
-	ExportBatchesFailed = "obs_export_batches_failed_total"
-	ExportRetries       = "obs_export_retries_total"
-	ExportDropped       = "obs_export_dropped_total"
-	ExportQueueDepth    = "obs_export_queue_depth"
-	ExportLastSuccessMs = "obs_export_last_success_unix_ms"
-)
 
 // Scope directory metrics (internal/obs/scope).
 const (

@@ -36,18 +36,11 @@ func telemetryFlags() *flag.FlagSet {
 		"directory /perfz scans for bench/BENCH_*.json and bench/history.ndjson baselines")
 	fs.Bool("phase-accounting", false,
 		"accumulate per-phase work counters (ns, calls, domain units); implied by -flight-dir or -telemetry-addr")
-	fs.Duration("profile-interval", 0,
-		"capture a windowed CPU profile and delta heap profile at this period into the /profz hotspot table (0 = off)")
-	fs.Duration("profile-window", 250*time.Millisecond, "duration of each continuous-profiler CPU capture window")
-	fs.Int("profile-top", 15, "functions kept in the /profz hotspot table")
 	fs.Bool("loop-trace", false,
 		"trace control-loop iterations (span trees, deadline scoring, /tracez); implied by -flight-dir or -telemetry-addr")
 	fs.Duration("loop-deadline", 0,
 		"coherence deadline each control-loop iteration is scored against (0 = none; see `pressctl budget`)")
-	fs.String("export-url", "",
-		"push telemetry batches to this sink (http(s)://collector, or a file path for NDJSON append)")
 	fs.Duration("export-interval", 0, "telemetry export collection cadence (default 1s)")
-	fs.String("export-format", "", "telemetry export payload format: ndjson|json (default ndjson)")
 	fs.String("tsdb-dir", "",
 		"persist metrics history into this directory (embedded TSDB; query with pressctl query or /query_range)")
 	fs.Duration("tsdb-retention", 0,
@@ -56,7 +49,7 @@ func telemetryFlags() *flag.FlagSet {
 }
 
 // TelemetryFlagCount is the size of the shared telemetry flag surface.
-const TelemetryFlagCount = 25
+const TelemetryFlagCount = 20
 
 // HelpOutput runs a command entry point that is expected to stop at
 // flag parsing with flag.ErrHelp (it was handed "-h") and returns the

@@ -1,10 +1,10 @@
 // Package prof attributes hot-path cost. It complements the outcome
-// metrics of obs/health/perf with two attribution mechanisms: a
-// phase-scoped work-accounting collector (instrumented counters — exact,
-// near-zero overhead, domain-aware denominators like subcarrier
-// evaluations per nanosecond) and a continuous sampling profiler
-// (windowed CPU + delta heap pprof captures aggregated into a rolling
-// function-level hotspot table). DESIGN.md discusses why both are kept.
+// metrics of obs/health/perf with a phase-scoped work-accounting
+// collector: instrumented counters — exact, near-zero overhead,
+// domain-aware denominators like subcarrier evaluations per nanosecond —
+// served at /profz, flushed into the flight log, and reduced to a cost
+// report by BuildReport. Function-level profiles are -cpuprofile and
+// -memprofile with go tool pprof.
 //
 // Like the rest of the obs stack, everything is nil-disabled: a nil
 // *Collector makes Start/Add no-ops costing one pointer check, so the

@@ -1,9 +1,6 @@
 package prof
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // BenchmarkSpan measures the phase-accounting hook the physics loops
 // pay per call: open + close one span. Budget: the nil case must be a
@@ -83,35 +80,3 @@ func BenchmarkSnapshot(b *testing.B) {
 }
 
 var sink2 any
-
-// BenchmarkProfilerCapture is one full profiler tick: a windowed CPU
-// capture (1 ms window to keep the benchmark honest about parse cost,
-// not sleep time), a delta heap profile, and both pprof parses. This is
-// the background cost of -profile-interval, paid off the hot path.
-func BenchmarkProfilerCapture(b *testing.B) {
-	if testing.Short() {
-		// Each capture is floored by the runtime's CPU-profile flush
-		// latency (~200 ms), which swamps short CI bench budgets.
-		b.Skip("skipping profiler capture in -short mode")
-	}
-	p := NewProfiler(0, time.Millisecond, DefaultTopN)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.CaptureOnce()
-	}
-}
-
-// BenchmarkHotspots is the /profz read path over a full ring of
-// windows.
-func BenchmarkHotspots(b *testing.B) {
-	p := NewProfiler(0, time.Millisecond, DefaultTopN)
-	for i := 0; i < profileKeepWindows; i++ {
-		p.CaptureOnce()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink2 = p.Hotspots()
-	}
-}

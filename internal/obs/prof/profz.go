@@ -9,17 +9,14 @@ import (
 )
 
 // ProfzDoc is the /profz response: the phase-accounting totals (exact,
-// instrumented) next to the sampling profiler's rolling hotspot table
-// (approximate, exhaustive) — the two views of "where does the time go".
+// instrumented), the live view of "where does the time go". Function-
+// level profiles come from -cpuprofile/-memprofile and go tool pprof.
 type ProfzDoc struct {
 	// UptimeSeconds is how long the collector has been accumulating.
 	UptimeSeconds float64 `json:"uptime_seconds,omitempty"`
 	// Phases is the cumulative per-phase work accounting (absent when
 	// accounting is off).
 	Phases []PhaseStatus `json:"phases,omitempty"`
-	// Profiler is the sampling profiler's rolling aggregate (absent when
-	// continuous profiling is off).
-	Profiler *HotspotTable `json:"profiler,omitempty"`
 }
 
 // PhaseStatus is one phase's totals with derived per-call cost.
@@ -34,10 +31,10 @@ type PhaseStatus struct {
 	Aux       map[string]int64 `json:"aux,omitempty"`
 }
 
-// ProfzHandler serves the /profz document for a collector and profiler
-// (either may be nil). JSON gets the same gzip + Cache-Control: no-store
+// ProfzHandler serves the /profz document for a collector (which may
+// be nil). JSON gets the same gzip + Cache-Control: no-store
 // treatment as every other JSON endpoint on the telemetry server.
-func ProfzHandler(c *Collector, p *Profiler) http.HandlerFunc {
+func ProfzHandler(c *Collector) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		doc := ProfzDoc{}
 		if c != nil {
@@ -59,10 +56,6 @@ func ProfzHandler(c *Collector, p *Profiler) http.HandlerFunc {
 				doc.Phases = append(doc.Phases, st)
 			}
 		}
-		if p != nil {
-			t := p.Hotspots()
-			doc.Profiler = &t
-		}
 		obs.ServeJSON(w, r, func(out io.Writer) error {
 			enc := json.NewEncoder(out)
 			enc.SetIndent("", "  ")
@@ -72,6 +65,6 @@ func ProfzHandler(c *Collector, p *Profiler) http.HandlerFunc {
 }
 
 // RegisterRoutes adds the /profz endpoint to a telemetry server.
-func RegisterRoutes(srv *obs.Server, c *Collector, p *Profiler) {
-	srv.HandleFunc("/profz", ProfzHandler(c, p))
+func RegisterRoutes(srv *obs.Server, c *Collector) {
+	srv.HandleFunc("/profz", ProfzHandler(c))
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"press/internal/obs"
-	"press/internal/obs/export"
 	"press/internal/obs/flight"
 	"press/internal/obs/health"
 	"press/internal/obs/perf"
@@ -31,9 +30,9 @@ const phaseFlushInterval = 5 * time.Second
 // shares. Its flags configure the process-wide observability stack —
 // metrics snapshot and live server, Chrome trace, structured logs,
 // pprof files, channel-health alerting, the flight recorder, runtime
-// sampling, phase-cost accounting and the continuous profiler, the
-// control-loop deadline tracer, push export, and the metrics-history
-// store — and Start hands that stack back as the process's root Scope:
+// sampling, phase-cost accounting, the control-loop deadline tracer,
+// and the metrics-history store — and Start hands that stack back as
+// the process's root Scope:
 //
 //	var tele scope.CLI
 //	tele.Register(fs)
@@ -59,16 +58,12 @@ type CLI struct {
 	runtimeMetricsInterval time.Duration
 	benchBaselineDir       string
 
-	phaseAccounting                bool
-	profileInterval, profileWindow time.Duration
-	profileTopN                    int
+	phaseAccounting bool
 
 	loopTrace    bool
 	loopDeadline time.Duration
 
-	exportURL      string
 	exportInterval time.Duration
-	exportFormat   string
 
 	tsdbDir       string
 	tsdbRetention time.Duration
@@ -78,9 +73,7 @@ type CLI struct {
 	rec       *obs.Recorder
 	cpuFile   *os.File
 	sampler   *perf.Sampler
-	profiler  *prof.Profiler
 	flushLife *obs.Lifecycle
-	localExp  *export.Exporter
 }
 
 // Register installs the telemetry flags on fs.
@@ -113,22 +106,12 @@ func (c *CLI) Register(fs *flag.FlagSet) {
 		"directory /perfz scans for bench/BENCH_*.json and bench/history.ndjson baselines")
 	fs.BoolVar(&c.phaseAccounting, "phase-accounting", false,
 		"accumulate per-phase work counters (ns, calls, domain units); implied by -flight-dir or -telemetry-addr")
-	fs.DurationVar(&c.profileInterval, "profile-interval", 0,
-		"capture a windowed CPU profile and delta heap profile at this period into the /profz hotspot table (0 = off)")
-	fs.DurationVar(&c.profileWindow, "profile-window", prof.DefaultProfileWindow,
-		"duration of each continuous-profiler CPU capture window")
-	fs.IntVar(&c.profileTopN, "profile-top", prof.DefaultTopN,
-		"functions kept in the /profz hotspot table")
 	fs.BoolVar(&c.loopTrace, "loop-trace", false,
 		"trace control-loop iterations (span trees, deadline scoring, /tracez); implied by -flight-dir or -telemetry-addr")
 	fs.DurationVar(&c.loopDeadline, "loop-deadline", 0,
 		"coherence deadline each control-loop iteration is scored against (0 = none; see `pressctl budget`)")
-	fs.StringVar(&c.exportURL, "export-url", "",
-		"push telemetry batches to this sink (http(s)://collector, or a file path for NDJSON append)")
 	fs.DurationVar(&c.exportInterval, "export-interval", 0,
 		"telemetry export collection cadence (default 1s)")
-	fs.StringVar(&c.exportFormat, "export-format", "",
-		"telemetry export payload format: ndjson|json (default ndjson)")
 	fs.StringVar(&c.tsdbDir, "tsdb-dir", "",
 		"persist metrics history into this directory (embedded TSDB; query with pressctl query or /query_range)")
 	fs.DurationVar(&c.tsdbRetention, "tsdb-retention", 0,
@@ -137,8 +120,8 @@ func (c *CLI) Register(fs *flag.FlagSet) {
 
 // Start validates every flag, then brings up the configured components
 // and returns them as the root scope, labeled session (the session tag
-// on exported batches and persisted history; "" leaves them
-// process-labeled). Log records go to logw (conventionally os.Stderr).
+// on persisted history; "" leaves it process-labeled). Log records go
+// to logw (conventionally os.Stderr).
 //
 // A rejected flag leaves no trace — no run directory, store, listener,
 // or profile file — and a Start that fails partway stops everything it
@@ -163,9 +146,6 @@ func (c *CLI) validate() (obs.Level, []health.Rule, error) {
 	default:
 		return 0, nil, fmt.Errorf("obs: unknown -telemetry-format %q (want json|prom)", c.telemetryFormat)
 	}
-	if !export.ValidFormat(c.exportFormat) {
-		return 0, nil, fmt.Errorf("export: unknown -export-format %q (want ndjson|json)", c.exportFormat)
-	}
 	if c.flightDir != "" && c.flightSegmentMB < 0 {
 		return 0, nil, fmt.Errorf("flight: negative -flight-segment-mb %d", c.flightSegmentMB)
 	}
@@ -175,8 +155,6 @@ func (c *CLI) validate() (obs.Level, []health.Rule, error) {
 	}{
 		{"sample-interval", c.sampleInterval},
 		{"runtime-metrics-interval", c.runtimeMetricsInterval},
-		{"profile-interval", c.profileInterval},
-		{"profile-window", c.profileWindow},
 		{"loop-deadline", c.loopDeadline},
 		{"export-interval", c.exportInterval},
 		{"tsdb-retention", c.tsdbRetention},
@@ -210,10 +188,9 @@ func (c *CLI) start(logw io.Writer, level obs.Level, rules []health.Rule) error 
 	if level < obs.LevelOff {
 		sc.log = obs.NewLogger(logw, level, obs.Logfmt)
 	}
-	// Pushing or persisting telemetry is meaningless without a registry,
-	// so -export-url and -tsdb-dir force one just like the exposition
-	// flags do.
-	if c.telemetry != "" || c.telemetryAddr != "" || c.trace != "" || c.exportURL != "" || c.tsdbDir != "" {
+	// Persisting telemetry is meaningless without a registry, so
+	// -tsdb-dir forces one just like the exposition flags do.
+	if c.telemetry != "" || c.telemetryAddr != "" || c.trace != "" || c.tsdbDir != "" {
 		sc.reg = obs.NewRegistry()
 	}
 	if c.trace != "" {
@@ -284,16 +261,8 @@ func (c *CLI) start(logw io.Writer, level obs.Level, rules []health.Rule) error 
 	if c.phaseAccounting || implied {
 		sc.pc = prof.NewCollector()
 	}
-	if c.profileInterval > 0 {
-		c.profiler = prof.NewProfiler(c.profileInterval, c.profileWindow, c.profileTopN)
-		c.profiler.Start()
-		if sc.log.Enabled(obs.LevelInfo) {
-			sc.log.Info("continuous profiler started",
-				"interval", c.profileInterval, "window", c.profileWindow)
-		}
-	}
 	if sc.srv != nil {
-		prof.RegisterRoutes(sc.srv, sc.pc, c.profiler)
+		prof.RegisterRoutes(sc.srv, sc.pc)
 	}
 	if sc.pc != nil && sc.fl != nil {
 		c.flushLife = &obs.Lifecycle{}
@@ -308,23 +277,6 @@ func (c *CLI) start(logw io.Writer, level obs.Level, rules []health.Rule) error 
 		slo.RegisterRoutes(sc.srv, sc.tr)
 	}
 
-	if c.exportURL != "" {
-		sink, err := export.NewSink(c.exportURL, c.exportFormat)
-		if err != nil {
-			return err
-		}
-		sc.exp = export.New(sc.reg, sink, export.Options{
-			Interval: c.exportInterval,
-			Format:   c.exportFormat,
-			Monitor:  sc.mon,
-			Session:  sc.id,
-		})
-		export.RegisterRoutes(sc.srv, sc.exp)
-		sc.exp.Start()
-		if sc.log != nil {
-			sc.log.Info("telemetry export started", "sink", sink.String())
-		}
-	}
 	if c.tsdbDir != "" {
 		if err := c.startTSDB(); err != nil {
 			return err
@@ -333,12 +285,19 @@ func (c *CLI) start(logw io.Writer, level obs.Level, rules []health.Rule) error 
 	return nil
 }
 
-// startTSDB opens the metrics-history store and taps it into the push
-// exporter, or — without -export-url — into a local-only collector with
-// no sink, so -tsdb-dir works standalone.
+// startTSDB opens the metrics-history store, which collects the root
+// registry's deltas (labeled with the session) every -export-interval.
 func (c *CLI) startTSDB() error {
 	sc := c.sc
-	opt := tsdb.Options{Dir: c.tsdbDir, Reg: sc.reg}
+	opt := tsdb.Options{
+		Dir:             c.tsdbDir,
+		Reg:             sc.reg,
+		CollectInterval: c.exportInterval,
+		Session:         sc.id,
+	}
+	if opt.CollectInterval <= 0 {
+		opt.CollectInterval = tsdb.DefaultCollectInterval
+	}
 	if r := c.tsdbRetention; r > 0 {
 		opt.Retention1m = r
 		opt.RetentionRaw = min(r, tsdb.DefaultRetentionRaw)
@@ -349,16 +308,6 @@ func (c *CLI) startTSDB() error {
 		return fmt.Errorf("tsdb: open %s: %w", c.tsdbDir, err)
 	}
 	sc.ts = store
-	if sc.exp == nil {
-		c.localExp = export.New(sc.reg, nil, export.Options{
-			Interval: c.exportInterval,
-			Monitor:  sc.mon,
-			Session:  sc.id,
-		})
-		sc.exp = c.localExp
-	}
-	sc.exp.AttachTap(store)
-	c.localExp.Start() // nil-safe; the push exporter is already started
 	tsdb.RegisterRoutes(sc.srv, store)
 	if sc.srv != nil {
 		sc.srv.AddHealthz(store.HealthzLine)
@@ -414,11 +363,12 @@ func flushPhaseCosts(sc *Scope) {
 	}
 }
 
-// Finish tears the stack down — the collectors first, so the exporter's
-// final tail still reaches the store and the last phase-cost and runtime
-// frames land in the flight log before it closes — then writes the
-// requested profiles, trace, and metrics snapshot. stdout is the writer
-// used when -telemetry is "-". Idempotent.
+// Finish tears the stack down — the collectors first, so the last
+// phase-cost and runtime frames land in the flight log before it closes
+// — then writes the requested profiles, trace, and metrics snapshot,
+// and closes the metrics-history store last, so its final collection
+// takes the tail of the run. stdout is the writer used when -telemetry
+// is "-". Idempotent.
 func (c *CLI) Finish(stdout io.Writer) error {
 	return c.shutdown(stdout)
 }
@@ -431,19 +381,12 @@ func (c *CLI) shutdown(stdout io.Writer) error {
 		return nil
 	}
 	c.sc = nil
-	localErr := c.localExp.Stop()
-	c.localExp = nil
-	expErr := sc.exp.Stop()
 	sc.tr.Stop()
 	if c.flushLife != nil {
 		c.flushLife.Stop()
 		c.flushLife = nil
 	}
 	flushPhaseCosts(sc) // final cumulative totals before the recorder closes
-	if c.profiler != nil {
-		c.profiler.Stop()
-		c.profiler = nil
-	}
 	if c.sampler != nil {
 		c.sampler.SampleOnce() // short runs still record runtime state
 		c.sampler.Stop()
@@ -453,7 +396,7 @@ func (c *CLI) shutdown(stdout io.Writer) error {
 	sc.mon.Stop()
 	err := c.stopObs(sc, stdout)
 	closeErr := sc.ts.Close()
-	for _, e := range []error{flErr, expErr, localErr, closeErr} {
+	for _, e := range []error{flErr, closeErr} {
 		if err == nil {
 			err = e
 		}

@@ -51,10 +51,7 @@ func TestCLIRejectedFlagsLeaveNoArtifacts(t *testing.T) {
 		"-alert-rules=bogus_kpi>1",
 		"-flight-segment-mb=-1",
 		"-runtime-metrics-interval=-1s",
-		"-profile-interval=-1s",
-		"-profile-window=-1s",
 		"-loop-deadline=-1s",
-		"-export-format=xml",
 		"-export-interval=-1s",
 		"-tsdb-retention=-1s",
 	} {
@@ -94,7 +91,6 @@ func TestCLIStartFailureRollsBack(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing")
 	addrRE := regexp.MustCompile(`addr="?([^\s"]+)`)
 	for name, failing := range map[string][]string{
-		"export-url in missing dir": {"-export-url", filepath.Join(missing, "tele.ndjson")},
 		"tsdb-dir under file":       {"-tsdb-dir", filepath.Join(blocker, "tsdb")},
 		"cpuprofile in missing dir": {"-cpuprofile", filepath.Join(missing, "cpu.pprof")},
 	} {
@@ -134,17 +130,21 @@ func TestCLIStartFailureRollsBack(t *testing.T) {
 	}
 }
 
-// TestCLIStoreGetsExporterFinalTail: whichever collector the store
-// rides, deltas made after the last timer tick still reach it, through
-// the exporter's final collection in Finish.
-func TestCLIStoreGetsExporterFinalTail(t *testing.T) {
-	for name, extra := range map[string][]string{
-		"push exporter":   {"-export-url", filepath.Join(t.TempDir(), "tele.ndjson")},
-		"local collector": nil,
+// TestCLIStoreGetsFinalTail: deltas made after the store's last timer
+// tick still reach it, through the final collection when Finish closes
+// the store, labeled with the run's session.
+func TestCLIStoreGetsFinalTail(t *testing.T) {
+	for name, session := range map[string]string{
+		"unnamed run": "",
+		"named run":   "run-7",
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			c, sc := startCLI(t, append([]string{"-tsdb-dir", dir, "-export-interval", "1h"}, extra...)...)
+			c := parseCLI(t, "-tsdb-dir", dir, "-export-interval", "1h")
+			sc, err := c.Start(io.Discard, session)
+			if err != nil {
+				t.Fatal(err)
+			}
 			sc.Registry().Counter("tail_total").Add(5)
 			if err := c.Finish(io.Discard); err != nil {
 				t.Fatal(err)
@@ -153,7 +153,7 @@ func TestCLIStoreGetsExporterFinalTail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			samples, err := ro.Instant("tail_total", time.Now())
+			samples, err := ro.Instant(`tail_total{session="`+session+`"}`, time.Now())
 			if err != nil || len(samples) != 1 || samples[0].V != 5 {
 				t.Fatalf("store missed the final tail: %v %+v", err, samples)
 			}

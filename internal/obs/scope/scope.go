@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"press/internal/obs"
-	"press/internal/obs/export"
 	"press/internal/obs/flight"
 	"press/internal/obs/health"
 	"press/internal/obs/prof"
@@ -88,7 +87,6 @@ type Scope struct {
 	pc  *prof.Collector
 	tr  *slo.Tracer
 	srv *obs.Server
-	exp *export.Exporter
 	ts  *tsdb.Store
 
 	// owned components were created by New and are stopped by Close;
@@ -175,15 +173,6 @@ func (s *Scope) Tracer() *slo.Tracer {
 		return nil
 	}
 	return s.tr
-}
-
-// Exporter returns the push exporter behind the scope's stack, or nil
-// when exporting is off (or on a nil scope).
-func (s *Scope) Exporter() *export.Exporter {
-	if s == nil {
-		return nil
-	}
-	return s.exp
 }
 
 // TSDB returns the metrics-history store behind the scope's stack, or

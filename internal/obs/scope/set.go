@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"press/internal/obs"
-	"press/internal/obs/export"
 	"press/internal/obs/names"
 	"press/internal/obs/tsdb"
 )
@@ -40,7 +39,6 @@ type Set struct {
 	mu     sync.Mutex
 	seq    uint64
 	scopes map[string]*entry
-	exp    *export.Exporter
 	ts     *tsdb.Store
 }
 
@@ -81,26 +79,13 @@ func (t *Set) AttachServer(srv *obs.Server) {
 	t.mu.Unlock()
 }
 
-// AttachExporter feeds the set's live scopes to a push exporter: each
-// export collection enumerates them via ForEachRegistry and ships one
-// session-labeled delta batch per scope. Remove and Close force a final
-// collection first, so a session's telemetry tail is captured before
-// its registry goes away. A nil set or exporter is a no-op.
-func (t *Set) AttachExporter(e *export.Exporter) {
-	if t == nil || e == nil {
-		return
-	}
-	t.mu.Lock()
-	t.exp = e
-	t.mu.Unlock()
-	e.SetSessions(t.ForEachRegistry)
-}
-
-// AttachTSDB routes session retention through the metrics-history
-// store: when a scope is removed or LRU-evicted, its per-session series
-// budget is released after the final collection lands its telemetry
-// tail, so a churning daemon cannot exhaust the store's session
-// cardinality budget with dead sessions. A nil set or store is a no-op.
+// AttachTSDB makes the set the metrics-history store's session source:
+// each store collection takes one session-labeled delta per live scope.
+// When a scope is removed, LRU-evicted or closed with the set, the
+// store collects its telemetry tail and then releases its per-session
+// series budget (tsdb.Store.EndSession), so a churning daemon cannot
+// exhaust the store's session cardinality budget with dead sessions.
+// A nil set or store is a no-op.
 func (t *Set) AttachTSDB(ts *tsdb.Store) {
 	if t == nil || ts == nil {
 		return
@@ -108,11 +93,12 @@ func (t *Set) AttachTSDB(ts *tsdb.Store) {
 	t.mu.Lock()
 	t.ts = ts
 	t.mu.Unlock()
+	ts.SetSessions(t.ForEachRegistry)
 }
 
 // ForEachRegistry calls emit once per live scope with its session ID
-// and registry, in no particular order — the export.SessionSource shape.
-// LRU order is not affected.
+// and registry, in no particular order — the session-source shape
+// tsdb.Store.SetSessions takes. LRU order is not affected.
 func (t *Set) ForEachRegistry(emit func(id string, reg *obs.Registry)) {
 	if t == nil {
 		return
@@ -185,9 +171,10 @@ func (t *Set) Open(id string, cfg Config) (*Scope, error) {
 	for _, v := range evict {
 		t.evicted.Inc()
 		_ = v.scope.Close()
-		// Free the evicted session's series budget in the history store;
-		// its segments stay on disk until retention expires them.
-		ts.ReleaseSession(v.id)
+		// Collect the evicted session's tail, then free its series
+		// budget in the history store; its segments stay on disk until
+		// retention expires them.
+		ts.EndSession(v.id, v.scope.reg)
 	}
 
 	// Wire session-tagged SSE before the monitor's first sample.
@@ -240,13 +227,6 @@ func (t *Set) Remove(id string) error {
 		return nil
 	}
 	t.mu.Lock()
-	exp := t.exp
-	t.mu.Unlock()
-	// Capture the departing session's telemetry tail while its registry
-	// is still enumerable (CollectNow re-enters ForEachRegistry, so it
-	// must run outside t.mu).
-	exp.CollectNow()
-	t.mu.Lock()
 	e := t.scopes[id]
 	delete(t.scopes, id)
 	ts := t.ts
@@ -256,9 +236,9 @@ func (t *Set) Remove(id string) error {
 		return nil
 	}
 	err := e.scope.Close()
-	// The tail was collected above; the session's in-memory series
-	// budget can go now (history on disk lives until retention).
-	ts.ReleaseSession(id)
+	// Collect the session's tail, then release its in-memory series
+	// budget (history on disk lives until retention).
+	ts.EndSession(id, e.scope.reg)
 	return err
 }
 
@@ -305,30 +285,26 @@ func (t *Set) List() []Info {
 	return out
 }
 
-// Close closes every scope and empties the set, after giving an
-// attached exporter one last collection over the departing sessions.
+// Close closes every scope and empties the set, ending each session in
+// an attached store (its tail collected, then its series released) and
+// detaching the set from the store as its session source.
 func (t *Set) Close() error {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	exp := t.exp
-	t.exp = nil
-	t.mu.Unlock()
-	exp.CollectNow()
-	exp.SetSessions(nil)
 	t.mu.Lock()
 	scopes := t.scopes
 	t.scopes = map[string]*entry{}
 	ts := t.ts
 	t.active.Set(0)
 	t.mu.Unlock()
+	ts.SetSessions(nil)
 	var first error
 	for id, e := range scopes {
 		if err := e.scope.Close(); err != nil && first == nil {
 			first = err
 		}
-		ts.ReleaseSession(id)
+		ts.EndSession(id, e.scope.reg)
 	}
 	return first
 }

@@ -11,10 +11,8 @@ import (
 // frame, byte for byte, and no other. A cut at a frame boundary must
 // decode cleanly, with no resync; a cut one byte into a frame leaves a
 // stray byte, skipped; a cut two or more bytes in must be flagged as a
-// torn tail and count no corrupt frame. Where the cut-off part of a
-// frame holds the magic, the decoder cannot tell the tail from a
-// corrupt length field, so the torn-tail rule does not apply to that
-// cut. It returns the first violation. Tests of each log run it over
+// torn tail and count no corrupt frame, even where the kept part of the
+// frame holds the magic. It returns the first violation. Tests of each log run it over
 // segments their writer produced.
 func (f Format) CheckTruncations(data []byte) error {
 	type frame struct {
@@ -50,9 +48,6 @@ func (f Format) CheckTruncations(data []byte) error {
 			if g.kind != frames[i].kind || !bytes.Equal(g.payload, frames[i].payload) {
 				return fmt.Errorf("seglog: cut at %d: frame %d decoded differently", cut, i)
 			}
-		}
-		if bytes.Contains(data[min(start+2, cut):cut], f.Magic[:]) {
-			continue
 		}
 		if into := cut - start; stats.Corrupt != 0 || stats.TornTail != (into >= 2) || (into == 0 && stats.Resyncs != 0) {
 			return fmt.Errorf("seglog: cut at %d, %d bytes into frame %d: %+v", cut, into, complete, stats)

@@ -136,10 +136,13 @@ func (f Format) Decode(data []byte, emit func(kind byte, payload []byte) error) 
 		if end > len(data) {
 			// Plausible header but the payload runs past the end: either
 			// the torn tail of a crashed writer or a corrupted length
-			// field. Scan ahead to tell them apart — if another frame
-			// magic follows, the length was corrupt; if the data just
-			// ends, this was the tail.
-			next := resync(pos + 2)
+			// field. Only a CRC-valid frame further on proves the length
+			// corrupt: a bare magic may sit in the torn frame's own
+			// cut-off bytes (its CRC alone holds one in about 3 frames in
+			// 65,536).
+			next := f.nextFrame(data, pos+2)
+			stats.Resyncs++
+			stats.BytesSkipped += int64(next - pos)
 			if next >= len(data) {
 				stats.TornTail = true
 				return stats, nil
@@ -148,8 +151,7 @@ func (f Format) Decode(data []byte, emit func(kind byte, payload []byte) error) 
 			pos = next
 			continue
 		}
-		want := binary.LittleEndian.Uint32(data[end-4 : end])
-		if crc32.Checksum(data[pos+2:end-4], castagnoli) != want {
+		if !crcOK(data[pos:end]) {
 			stats.Corrupt++
 			pos = resync(pos + 2)
 			continue
@@ -161,6 +163,28 @@ func (f Format) Decode(data []byte, emit func(kind byte, payload []byte) error) 
 		pos = end
 	}
 	return stats, nil
+}
+
+// crcOK reports whether frame, one whole frame from its magic through
+// its CRC, carries a matching CRC.
+func crcOK(frame []byte) bool {
+	n := len(frame)
+	return crc32.Checksum(frame[2:n-4], castagnoli) == binary.LittleEndian.Uint32(frame[n-4:])
+}
+
+// nextFrame returns the offset of the first CRC-valid frame that starts
+// at or after from, or len(data) when none does.
+func (f Format) nextFrame(data []byte, from int) int {
+	for i := from; i+headerLen <= len(data); i++ {
+		if data[i] != f.Magic[0] || data[i+1] != f.Magic[1] {
+			continue
+		}
+		n := int(binary.LittleEndian.Uint32(data[i+3 : i+7]))
+		if end := i + overhead + n; n <= maxPayload && end <= len(data) && crcOK(data[i:end]) {
+			return i
+		}
+	}
+	return len(data)
 }
 
 // Name is the file name of segment seq ("seg-00000" plus the suffix).

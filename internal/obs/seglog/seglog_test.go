@@ -89,6 +89,26 @@ func TestFrameTornTailEveryOffset(t *testing.T) {
 	})
 }
 
+// TestTornTailHoldingMagic: a final frame whose payload holds the
+// magic, cut anywhere after that magic, is a torn tail — a magic in the
+// cut-off bytes does not prove a corrupt length field.
+func TestTornTailHoldingMagic(t *testing.T) {
+	forEachFormat(t, func(t *testing.T, f Format) {
+		data := f.Append(nil, 1, []byte("first"))
+		start := len(data)
+		payload := append(append([]byte("abc"), f.Magic[:]...), "defgh"...)
+		data = f.Append(data, 2, payload)
+		from := start + headerLen + 3 + len(f.Magic) // just past the magic
+		for cut := from; cut < len(data); cut++ {
+			kinds, _, stats := collect(t, f, data[:cut])
+			if len(kinds) != 1 || !stats.TornTail || stats.Corrupt != 0 {
+				t.Errorf("cut %d bytes into the frame: %d frames, %+v; want 1 frame, torn tail, 0 corrupt",
+					cut-start, len(kinds), stats)
+			}
+		}
+	})
+}
+
 // TestFrameCorruptMiddleResyncs flips each byte of a middle frame in
 // turn and checks the decoder skips it, counts it, and recovers every
 // later frame.

@@ -60,8 +60,8 @@ type Server struct {
 	sessions atomic.Pointer[SessionResolver]
 
 	// healthMu guards healthFns: status lines higher layers append to
-	// the /healthz body (the export pipeline reports its queue and
-	// last-success age there) without obs depending on them.
+	// the /healthz body (the tsdb store reports its series, disk use,
+	// queue and drops there) without obs depending on them.
 	healthMu  sync.Mutex
 	healthFns []func() string
 }
@@ -183,8 +183,8 @@ func (s *Server) Patterns() []string {
 // AddHealthz appends a status-line producer to the /healthz body: each
 // probe calls fn and writes its (non-empty) return value as one line
 // after the build provenance. The hook higher layers (internal/obs/
-// export) use to surface liveness-adjacent state — queue depth, drop
-// counters, collector reachability — on the endpoint ops already poll.
+// tsdb) use to surface liveness-adjacent state — series, disk use,
+// queue depth, drop counters — on the endpoint ops already poll.
 // Safe for concurrent use; a nil server ignores the call.
 func (s *Server) AddHealthz(fn func() string) {
 	if s == nil || fn == nil {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"press/internal/obs"
-	"press/internal/obs/export"
 )
 
 // BenchmarkNilStoreOffer is the disabled convention: every store hook
@@ -14,12 +13,58 @@ import (
 // -tsdb-dir pays nothing for the store's existence.
 func BenchmarkNilStoreOffer(b *testing.B) {
 	var s *Store
-	batch := export.Batch{UnixMs: 1, Counters: map[string]int64{"x_total": 1}}
+	batch := Batch{UnixMs: 1, Counters: map[string]int64{"x_total": 1}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Offer(batch)
 		s.ReleaseSession("gone")
 	}
+}
+
+// BenchmarkNilStoreCollect is the disabled convention for the store's
+// collector hooks — the calls a scope set makes on every session
+// teardown — on a nil *Store: a pointer check, 0 allocs/op.
+func BenchmarkNilStoreCollect(b *testing.B) {
+	var s *Store
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.CollectNow()
+		s.EndSession("gone", nil)
+	}
+}
+
+// BenchmarkStoreCollect is the enabled reference cost of one
+// collection over a registry with a representative metric population:
+// snapshot, diff against the baseline, offer to the ingest queue. The
+// ingest loop is parked on the store lock while the loop runs, so the
+// timing is the collection alone, not the concurrent apply of what it
+// offers; the queue holds every offer. One counter moves per
+// iteration, so every collection offers a batch.
+func BenchmarkStoreCollect(b *testing.B) {
+	reg := obs.NewRegistry()
+	for i := 0; i < 8; i++ {
+		reg.Counter(obs.SanitizeMetricName("bench_counter_" + string(rune('a'+i)))).Inc()
+	}
+	work := reg.Counter("bench_counter_a")
+	reg.Gauge("bench_gauge").Set(1)
+	reg.Histogram("bench_hist_seconds", obs.LatencyBuckets).Observe(0.01)
+	s, err := Open(Options{
+		Dir: b.TempDir(), Reg: reg, QueueCap: b.N + 1,
+		CollectInterval: time.Hour, FlushInterval: time.Hour,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	b.ReportAllocs()
+	s.mu.Lock()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		work.Inc()
+		s.CollectNow()
+	}
+	b.StopTimer()
+	s.mu.Unlock()
 }
 
 // BenchmarkStoreApplyBatch is the enabled reference cost of ingesting
@@ -33,7 +78,7 @@ func BenchmarkStoreApplyBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	batch := export.Batch{
+	batch := Batch{
 		UnixMs: time.Now().UnixMilli(),
 		Counters: map[string]int64{
 			"bench_a_total": 1, "bench_b_total": 2, "bench_c_total": 3, "bench_d_total": 4,
@@ -41,7 +86,7 @@ func BenchmarkStoreApplyBatch(b *testing.B) {
 		Gauges: map[string]float64{
 			"bench_g1": 1.5, "bench_g2": 2.5, "bench_g3": 3.5, "bench_g4": 4.5,
 		},
-		Histograms: map[string]export.HistDelta{
+		Histograms: map[string]HistDelta{
 			"bench_h": {Count: 3, Sum: 0.5},
 		},
 	}
@@ -71,7 +116,7 @@ func BenchmarkInstantQuery(b *testing.B) {
 	defer s.Close()
 	base := time.Now().UnixMilli()
 	for i := 0; i < 60; i++ {
-		s.applyBatch(export.Batch{
+		s.applyBatch(Batch{
 			UnixMs:   base + int64(i)*1000,
 			Counters: map[string]int64{"bench_q_total": 2},
 		})

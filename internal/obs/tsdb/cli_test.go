@@ -3,8 +3,6 @@ package tsdb_test
 import (
 	"flag"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -43,9 +41,6 @@ func TestCLIDisabledByDefault(t *testing.T) {
 	if sc.TSDB() != nil {
 		t.Error("store on without -tsdb-dir")
 	}
-	if sc.Exporter() != nil {
-		t.Error("exporter on without -export-url or -tsdb-dir")
-	}
 	if sc.Registry() != nil {
 		t.Error("registry on without any telemetry flag")
 	}
@@ -62,24 +57,21 @@ func TestCLIBadFlags(t *testing.T) {
 	}
 }
 
-// TestCLITSDBDirAloneCollects is the standalone path: -tsdb-dir with
-// no -export-url must force a registry, bring up the local-only
-// collector, and persist metrics that a fresh read-only store (the
-// pressctl query path) can answer after Finish.
+// TestCLITSDBDirAloneCollects: -tsdb-dir must force a registry, bring
+// up the store's own collector over it, and persist metrics that a
+// fresh read-only store (the pressctl query path) can answer after
+// Finish.
 func TestCLITSDBDirAloneCollects(t *testing.T) {
 	dir := t.TempDir()
 	c, sc := startCLI(t, "run-1", "-tsdb-dir", dir, "-export-interval", "25ms")
 	if sc.Registry() == nil {
 		t.Fatal("-tsdb-dir alone must force a live registry")
 	}
-	if sc.TSDB() == nil || sc.Exporter() == nil {
-		t.Fatal("store/local collector missing")
-	}
-	if st := sc.Exporter().State(); st.Sink != "" {
-		t.Errorf("local collector has a sink: %+v", st)
+	if sc.TSDB() == nil {
+		t.Fatal("store missing")
 	}
 	sc.Registry().Counter("cli_tsdb_work_total").Add(9)
-	sc.Exporter().CollectNow()
+	sc.TSDB().CollectNow()
 	// Give the ingest loop a moment to apply the offered batch.
 	obstest.WaitUntil(t, 2*time.Second, func() bool { return sc.TSDB().State().Samples > 0 })
 	if err := c.Finish(io.Discard); err != nil {
@@ -98,44 +90,5 @@ func TestCLITSDBDirAloneCollects(t *testing.T) {
 	samples, err = ro.Instant(tsdb.CounterSamples, time.Now())
 	if err != nil || len(samples) == 0 {
 		t.Fatalf("self-telemetry missing: %v %+v", err, samples)
-	}
-}
-
-// TestCLIWithExportURLSharesOneCollector: with both flags set, the
-// push exporter feeds the store as its tap — no second collector.
-func TestCLIWithExportURLSharesOneCollector(t *testing.T) {
-	received := make(chan struct{}, 64)
-	collector := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
-		select {
-		case received <- struct{}{}:
-		default:
-		}
-		w.WriteHeader(http.StatusNoContent)
-	}))
-	defer collector.Close()
-
-	dir := t.TempDir()
-	c, sc := startCLI(t, "", "-tsdb-dir", dir, "-export-url", collector.URL, "-export-interval", "25ms")
-	if st := sc.Exporter().State(); st.Sink != collector.URL {
-		t.Fatalf("store rides a collector other than the push exporter: %+v", st)
-	}
-	sc.Registry().Counter("both_legs_total").Add(3)
-	sc.Exporter().CollectNow()
-	select {
-	case <-received:
-	case <-time.After(5 * time.Second):
-		t.Fatal("push leg never delivered")
-	}
-	if err := c.Finish(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	ro, err := tsdb.Open(tsdb.Options{Dir: dir, ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, err := ro.Instant("both_legs_total", time.Now())
-	if err != nil || len(samples) != 1 || samples[0].V != 3 {
-		t.Fatalf("store leg: %v %+v", err, samples)
 	}
 }

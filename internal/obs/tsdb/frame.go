@@ -6,13 +6,12 @@
 // depth drift over the last hour" survives a restart without an
 // external Prometheus.
 //
-// Ingest rides the export pipeline: the store attaches to the
-// Exporter as a local Tap and receives the same per-source delta
-// batches the push leg ships — one snapshot-diff pass feeds both legs,
-// and the registry is never walked twice. Batches land in a bounded
-// queue (non-blocking Offer; a rejected batch's deltas fold into the
-// next one, export's reconciliation invariant), are turned into
-// samples — counters re-accumulated to cumulative totals, gauges as-is,
+// The store collects its own history: on a timer it diffs the root
+// registry and every live session registry against per-source
+// baselines (collect.go) into delta batches. Batches land in a
+// bounded queue (non-blocking Offer; a rejected batch's deltas fold
+// into the next one, so stored totals reconcile with the registries),
+// are turned into samples — counters re-accumulated to cumulative totals, gauges as-is,
 // histograms and spans as _count/_sum cumulative pairs — and appended
 // to size-rotated segment files in the framed-log format of
 // internal/obs/seglog, which the flight recorder shares: CRC32C frames,

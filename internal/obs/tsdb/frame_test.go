@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"press/internal/obs"
-	"press/internal/obs/export"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -53,7 +52,7 @@ func TestTornTailEveryTruncation(t *testing.T) {
 	s := openTest(t, dir, false)
 	base := time.Now().UnixMilli()
 	for i := 0; i < 20; i++ {
-		feed(t, s, export.Batch{
+		feed(t, s, Batch{
 			UnixMs:   base + int64(i)*1000,
 			Counters: map[string]int64{"req_total": 1},
 			Gauges:   map[string]float64{"depth_db": float64(i)},

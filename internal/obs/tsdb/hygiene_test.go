@@ -40,7 +40,6 @@ var routeProbes = map[string]struct {
 	"/perfz":               {},
 	"/profz":               {},
 	"/tracez":              {},
-	"/exportz":             {},
 	"/tsdbz":               {},
 	"/query":               {path: "/query?query=up"},
 	"/query_range":         {path: "/query_range?query=up&start=0&end=60&step=30s"},
@@ -66,7 +65,6 @@ func TestRouteHygiene(t *testing.T) {
 		"-flight-dir", filepath.Join(dir, "runs"),
 		"-phase-accounting",
 		"-loop-trace",
-		"-export-url", filepath.Join(dir, "export.ndjson"),
 		"-tsdb-dir", filepath.Join(dir, "tsdb"),
 	)
 	defer c.Finish(io.Discard)

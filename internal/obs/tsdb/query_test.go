@@ -3,8 +3,6 @@ package tsdb
 import (
 	"testing"
 	"time"
-
-	"press/internal/obs/export"
 )
 
 func TestParseExpr(t *testing.T) {
@@ -107,10 +105,10 @@ func TestQueryFunctions(t *testing.T) {
 	base := time.Now().UnixMilli()/1000*1000 - 60_000
 	// Gauge sawtooth 0..5, histogram-backed counter pair.
 	for i := 0; i < 60; i++ {
-		feed(t, s, export.Batch{
+		feed(t, s, Batch{
 			UnixMs: base + int64(i)*1000,
 			Gauges: map[string]float64{"saw": float64(i % 6)},
-			Histograms: map[string]export.HistDelta{
+			Histograms: map[string]HistDelta{
 				"solve_seconds": {Count: 2, Sum: 0.25},
 			},
 		})
@@ -144,9 +142,9 @@ func TestQueryFunctions(t *testing.T) {
 	sr := s.series[seriesKey{"", "solve_seconds_count"}]
 	sr.cum = 0
 	s.mu.Unlock()
-	feed(t, s, export.Batch{
+	feed(t, s, Batch{
 		UnixMs:     base + 61_000,
-		Histograms: map[string]export.HistDelta{"solve_seconds": {Count: 4, Sum: 0.5}},
+		Histograms: map[string]HistDelta{"solve_seconds": {Count: 4, Sum: 0.5}},
 	})
 	samples, err := s.Instant("increase(solve_seconds_count[20s])", time.UnixMilli(base+61_000))
 	if err != nil || len(samples) != 1 {
@@ -172,9 +170,9 @@ func TestSpanSamplesBecomeCountAndSeconds(t *testing.T) {
 	s := openTest(t, dir, false)
 	defer s.Close()
 	now := time.Now().UnixMilli()
-	feed(t, s, export.Batch{
+	feed(t, s, Batch{
 		UnixMs: now,
-		Spans:  map[string]export.SpanDelta{"loop/apply": {Count: 3, TotalSeconds: 0.09}},
+		Spans:  map[string]SpanDelta{"loop/apply": {Count: 3, TotalSeconds: 0.09}},
 	})
 	for _, q := range []string{"loop/apply_count", "loop/apply_seconds_total"} {
 		samples, err := s.Instant(q, time.UnixMilli(now))

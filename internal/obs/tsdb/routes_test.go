@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"press/internal/obs"
-	"press/internal/obs/export"
 )
 
 func TestRoutes(t *testing.T) {
@@ -22,7 +21,7 @@ func TestRoutes(t *testing.T) {
 	defer s.Close()
 	now := time.Now().UnixMilli()
 	for i := 0; i < 30; i++ {
-		s.applyBatch(export.Batch{
+		s.applyBatch(Batch{
 			UnixMs:   now - int64(30-i)*1000,
 			Counters: map[string]int64{"route_hits_total": 1},
 		})

@@ -7,7 +7,7 @@ import (
 	"press/internal/obs/seglog"
 )
 
-// Resolution tiers. Raw samples arrive at the export interval
+// Resolution tiers. Raw samples arrive at the collection interval
 // (typically 1s); compaction folds them into 10s and 1m tiers with
 // progressively longer retention.
 const (

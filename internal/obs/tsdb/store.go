@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"press/internal/obs"
-	"press/internal/obs/export"
 	"press/internal/obs/names"
 	"press/internal/obs/seglog"
 )
@@ -43,6 +42,7 @@ const (
 	DefaultFlushInterval       = time.Second
 	DefaultCompactInterval     = 5 * time.Second
 	DefaultFlushTimeout        = 2 * time.Second
+	DefaultCollectInterval     = time.Second
 
 	// flushHighWater forces an inline flush when the group-commit
 	// buffer outgrows it, bounding memory between flush ticks.
@@ -63,8 +63,16 @@ const (
 type Options struct {
 	// Dir is the store root; tier subdirectories are created inside.
 	Dir string
-	// Reg receives the store's obs_tsdb_* self-telemetry (nil: none).
+	// Reg receives the store's obs_tsdb_* self-telemetry (nil: none),
+	// and is the root registry the store's collector snapshots.
 	Reg *obs.Registry
+	// CollectInterval > 0 runs the store's collector at that cadence:
+	// each tick takes the delta of Reg, labeled Session, and of every
+	// registry the session source (SetSessions) enumerates. With 0,
+	// batches arrive only through Offer.
+	CollectInterval time.Duration
+	// Session labels Reg's batches ("" = unlabeled).
+	Session string
 	// RetentionRaw/Retention10s/Retention1m bound each tier's history
 	// (≤ 0: defaults 30m / 6h / 24h).
 	RetentionRaw time.Duration
@@ -148,9 +156,10 @@ type series struct {
 type Store struct {
 	opt Options
 
-	q          chan export.Batch
+	q          chan Batch
 	ingestLife obs.Lifecycle
 	maintLife  obs.Lifecycle
+	col        collector
 
 	mu         sync.Mutex
 	tiers      [numTiers]*tierState
@@ -177,7 +186,8 @@ type Store struct {
 // Open opens (creating if needed) the store rooted at opt.Dir, replays
 // the segment index, restores counter accumulations and compaction
 // watermarks, and — unless ReadOnly — starts the ingest and
-// maintenance loops. Decode problems in existing segments are counted
+// maintenance loops, plus the collector when CollectInterval and Reg
+// are set. Decode problems in existing segments are counted
 // (openStats, obs_tsdb_corrupt_frames_total), never fatal: the store
 // is most needed right after the process died badly.
 func Open(opt Options) (*Store, error) {
@@ -187,7 +197,7 @@ func Open(opt Options) (*Store, error) {
 	opt.defaults()
 	s := &Store{
 		opt:        opt,
-		q:          make(chan export.Batch, opt.QueueCap),
+		q:          make(chan Batch, opt.QueueCap),
 		series:     map[seriesKey]*series{},
 		perSession: map[string]int{},
 	}
@@ -230,6 +240,10 @@ func Open(opt Options) (*Store, error) {
 	s.updateDiskGauges()
 	s.ingestLife.Start(nil, s.ingestLoop)
 	s.maintLife.Start(nil, s.maintLoop)
+	if s.collects() {
+		s.col.base = map[string]*baseline{}
+		s.col.life.Start(s.CollectNow, s.collectLoop)
+	}
 	return s, nil
 }
 
@@ -330,12 +344,13 @@ func sortPoints(pts []point) {
 	sort.Slice(pts, func(i, j int) bool { return pts[i].t < pts[j].t })
 }
 
-// Offer hands one delta batch to the store without blocking — the
-// export.Tap contract. A full queue rejects the batch (counted in
-// obs_tsdb_dropped_total); the exporter then keeps its tap baseline,
-// so the deltas fold into the next offered batch and totals still
-// reconcile. A nil or closed store rejects everything.
-func (s *Store) Offer(b export.Batch) bool {
+// Offer hands one delta batch to the store without blocking, so a
+// stalled disk never blocks a collection or a session teardown. A full
+// queue rejects the batch (counted in obs_tsdb_dropped_total); the
+// collector then keeps its baseline, so the deltas fold into the next
+// offered batch and totals still reconcile. A nil store rejects
+// everything.
+func (s *Store) Offer(b Batch) bool {
 	if s == nil {
 		return false
 	}
@@ -403,12 +418,16 @@ func (s *Store) maintLoop(stop <-chan struct{}) {
 
 // applyBatch turns one delta batch into raw-tier samples: counters (and
 // histogram/span aggregates) re-accumulated into cumulative series,
-// gauges as latest values — one block frame per batch.
-func (s *Store) applyBatch(b export.Batch) {
+// gauges as latest values — one block frame per batch. A release batch
+// then drops its session's live state.
+func (s *Store) applyBatch(b Batch) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || b.UnixMs <= 0 {
 		return
+	}
+	if b.release {
+		defer s.releaseLocked(b.Session)
 	}
 	raw := s.tiers[tierRaw]
 	var block []blockSample
@@ -496,16 +515,22 @@ func (s *Store) getSeriesLocked(key seriesKey, kind byte) *series {
 }
 
 // ReleaseSession drops a session's live ingest state — its series
-// budget, counter accumulations, and staged points — and counts the
-// release. The scope layer calls this when a session scope is removed
-// or LRU-evicted; the session's history stays on disk until retention
-// ages it out. Returns the number of series released. Nil-safe.
+// budget, counter accumulations, and staged points — at once, and
+// counts the release. The session's history stays on disk until
+// retention ages it out. Returns the number of series released.
+// EndSession is the queue-ordered form that collects the tail first.
+// Nil-safe.
 func (s *Store) ReleaseSession(id string) int {
 	if s == nil || id == "" {
 		return 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.releaseLocked(id)
+}
+
+// releaseLocked is ReleaseSession's body. Caller holds mu.
+func (s *Store) releaseLocked(id string) int {
 	n := 0
 	for key := range s.series {
 		if key.session == id {
@@ -533,14 +558,17 @@ func (s *Store) updateDiskGauges() {
 	s.gSegments.Set(float64(segs))
 }
 
-// Close stops ingest (draining the queue within FlushTimeout), stops
-// maintenance, then flushes, fsyncs, and seals every tier. Idempotent;
-// nil-safe.
+// Close stops the collector, stops ingest (draining the queue within
+// FlushTimeout), applies one final collection — the tail of the run —
+// directly, stops maintenance, then flushes, fsyncs, and seals every
+// tier. Idempotent; nil-safe.
 func (s *Store) Close() error {
 	if s == nil {
 		return nil
 	}
+	s.col.life.Stop()
 	s.ingestLife.Stop()
+	s.CollectNow() // Offer applies inline once ingest has stopped
 	s.maintLife.Stop()
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -7,12 +7,11 @@ import (
 	"time"
 
 	"press/internal/obs"
-	"press/internal/obs/export"
 )
 
 // feed applies one delta batch synchronously and flushes the raw tier,
 // so tests control exactly what is on disk.
-func feed(t *testing.T, s *Store, b export.Batch) {
+func feed(t *testing.T, s *Store, b Batch) {
 	t.Helper()
 	s.applyBatch(b)
 	s.mu.Lock()
@@ -30,12 +29,12 @@ func seedStore(t *testing.T, s *Store, endMs int64) {
 	start := endMs - 119_000
 	for i := 0; i < 120; i++ {
 		ts := start + int64(i)*1000
-		feed(t, s, export.Batch{
+		feed(t, s, Batch{
 			UnixMs:   ts,
 			Counters: map[string]int64{"req_total": 2},
 			Gauges:   map[string]float64{"depth_db": float64(30 + i%4)},
 		})
-		feed(t, s, export.Batch{
+		feed(t, s, Batch{
 			UnixMs:   ts,
 			Session:  "room1",
 			Counters: map[string]int64{"req_total": 3},
@@ -164,11 +163,11 @@ func TestCounterCumRestoredAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	endMs := time.Now().UnixMilli() / 1000 * 1000
 	s := openTest(t, dir, false)
-	feed(t, s, export.Batch{UnixMs: endMs - 2000, Counters: map[string]int64{"c_total": 7}})
+	feed(t, s, Batch{UnixMs: endMs - 2000, Counters: map[string]int64{"c_total": 7}})
 	s.Close()
 
 	s2 := openTest(t, dir, false)
-	feed(t, s2, export.Batch{UnixMs: endMs, Counters: map[string]int64{"c_total": 5}})
+	feed(t, s2, Batch{UnixMs: endMs, Counters: map[string]int64{"c_total": 5}})
 	samples, err := s2.Instant("c_total", time.UnixMilli(endMs))
 	if err != nil || len(samples) != 1 {
 		t.Fatalf("instant: %v %+v", err, samples)
@@ -191,7 +190,7 @@ func TestOfferOverflowDropsAndFoldsAreCounted(t *testing.T) {
 	s.mu.Lock()
 	accepted, rejected := 0, 0
 	for i := 0; i < 10; i++ {
-		b := export.Batch{UnixMs: time.Now().UnixMilli(), Counters: map[string]int64{"x_total": 1}}
+		b := Batch{UnixMs: time.Now().UnixMilli(), Counters: map[string]int64{"x_total": 1}}
 		if s.Offer(b) {
 			accepted++
 		} else {
@@ -217,7 +216,7 @@ func TestPerSessionSeriesBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.applyBatch(export.Batch{
+	s.applyBatch(Batch{
 		UnixMs:  time.Now().UnixMilli(),
 		Session: "room1",
 		Gauges:  map[string]float64{"a": 1, "b": 2, "c": 3},
@@ -237,7 +236,7 @@ func TestPerSessionSeriesBudget(t *testing.T) {
 	if s.released.Load() != 1 {
 		t.Fatal("release not counted")
 	}
-	s.applyBatch(export.Batch{
+	s.applyBatch(Batch{
 		UnixMs:  time.Now().UnixMilli(),
 		Session: "room1",
 		Gauges:  map[string]float64{"d": 4},
@@ -264,7 +263,7 @@ func TestRetentionDeletesExpiredSegments(t *testing.T) {
 		for j := 0; j < 16; j++ {
 			g["g"+string(rune('a'+j))] = float64(i * j)
 		}
-		feed(t, s, export.Batch{UnixMs: old + int64(i)*1000, Gauges: g})
+		feed(t, s, Batch{UnixMs: old + int64(i)*1000, Gauges: g})
 	}
 	s.mu.Lock()
 	sealedBefore := len(s.tiers[tierRaw].sealed)
@@ -281,7 +280,7 @@ func TestRetentionDeletesExpiredSegments(t *testing.T) {
 
 func TestNilStoreIsDisabled(t *testing.T) {
 	var s *Store
-	if s.Offer(export.Batch{UnixMs: 1}) {
+	if s.Offer(Batch{UnixMs: 1}) {
 		t.Fatal("nil store accepted a batch")
 	}
 	if err := s.Close(); err != nil {
@@ -290,6 +289,9 @@ func TestNilStoreIsDisabled(t *testing.T) {
 	if s.ReleaseSession("x") != 0 {
 		t.Fatal("nil store released series")
 	}
+	s.SetSessions(func(func(string, *obs.Registry)) {})
+	s.CollectNow()
+	s.EndSession("x", obs.NewRegistry())
 	if st := s.State(); st.Enabled {
 		t.Fatal("nil store reports enabled")
 	}
@@ -306,8 +308,8 @@ func TestStoreStateAndExtent(t *testing.T) {
 	s := openTest(t, dir, false)
 	defer s.Close()
 	now := time.Now().UnixMilli()
-	feed(t, s, export.Batch{UnixMs: now - 60_000, Gauges: map[string]float64{"g": 1}})
-	feed(t, s, export.Batch{UnixMs: now, Gauges: map[string]float64{"g": 2}})
+	feed(t, s, Batch{UnixMs: now - 60_000, Gauges: map[string]float64{"g": 1}})
+	feed(t, s, Batch{UnixMs: now, Gauges: map[string]float64{"g": 2}})
 	st := s.State()
 	if !st.Enabled || st.Samples != 2 || st.Series != 1 {
 		t.Fatalf("state: %+v", st)

@@ -139,8 +139,8 @@ func (e *Environment) Validate() error {
 	if e.MaxOrder < 0 || e.MaxOrder > 3 {
 		return fmt.Errorf("propagation: MaxOrder %d outside [0,3]", e.MaxOrder)
 	}
-	// NaN fails every comparison, so it is caught here and not by
-	// geom.NewRoom's x <= 0; a literal geom.Room{} never reaches NewRoom.
+	// The one room check: zero, negative, NaN and infinite sizes all
+	// fail it (NaN fails every comparison).
 	inf, s := math.Inf(1), e.Room.Size
 	if !(0 < s.X && s.X < inf && 0 < s.Y && s.Y < inf && 0 < s.Z && s.Z < inf) {
 		return fmt.Errorf("propagation: room size %gx%gx%g must be finite and positive", s.X, s.Y, s.Z)

@@ -604,8 +604,8 @@ func TestDegenerateGeometryRejected(t *testing.T) {
 		})
 	}
 	// A room that is not finite and positive is rejected when the link is
-	// made, as well: NaN passes geom.NewRoom's x <= 0 check, and a literal
-	// geom.Room{} never meets it.
+	// made, as well: Validate is the one room check, whether the room
+	// came from NewEnvironment or is a literal geom.Room{}.
 	rooms := map[string]*propagation.Environment{
 		"NaN height":  propagation.NewEnvironment(14, 10, nan),
 		"+Inf length": propagation.NewEnvironment(inf, 10, 3),

@@ -415,12 +415,12 @@ type (
 	// Span times one named phase into a registry.
 	Span = obs.Span
 	// TelemetryCLI is the shared telemetry command line: Register installs
-	// its 25 flags, Start validates them all, brings up the configured
+	// its 20 flags, Start validates them all, brings up the configured
 	// stack (metrics snapshot and live server, trace and pprof files,
 	// logging, channel health, flight recorder, runtime sampler, phase
-	// accounting and profiler, loop tracer, push export, metrics
-	// history), and returns it as the process's root TelemetryScope, and
-	// Finish tears it down and writes the requested outputs.
+	// accounting, loop tracer, metrics history), and returns it as the
+	// process's root TelemetryScope, and Finish tears it down and writes
+	// the requested outputs.
 	TelemetryCLI = scope.CLI
 	// TelemetryScope bundles one session's registry, logger, health
 	// monitor, flight recorder, phase collector, and loop tracer behind a
