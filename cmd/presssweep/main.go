@@ -23,7 +23,6 @@ import (
 	"press/internal/experiments"
 	"press/internal/obs"
 	"press/internal/obs/flight"
-	"press/internal/obs/prof"
 	"press/internal/obs/scope"
 	"press/internal/radio"
 )
@@ -158,28 +157,9 @@ func runBudget(args []string) error {
 		}
 		budget := press.CoherenceBudgetAtSpeed(mph, press.DefaultCarrierHz, timing)
 		ev := &control.Evaluator{Goals: []control.Goal{{Link: link, Objective: control.MaxMinSNR{}}}, Timing: timing}
-		base, ok := link.Array.AllTerminated()
-		if !ok {
-			base = make([]int, link.Array.N())
-		}
-		// The baseline is scored under the search_eval root, like the
-		// search's own evaluations. It also runs the link's lazy path
-		// trace; outside any root, that leaf time would count against
-		// no wall clock and push hotspot coverage past 100 %.
-		pc := sc.Prof()
-		esp := pc.Start(prof.PhaseSearch)
-		baseline, err := ev.Eval(base)
-		if err == nil {
-			pc.Add(prof.PhaseSearch, prof.AuxConfigsScored, 1)
-		}
-		esp.End()
+		baseline, res, err := ev.Improve(link.Array, control.InstrumentScope(
+			control.Greedy{Rng: rand.New(rand.NewPCG(*seed, 9)), Restarts: 4}, sc), budget)
 		if err != nil {
-			return err
-		}
-		res, err := control.InstrumentScope(
-			control.Greedy{Rng: rand.New(rand.NewPCG(*seed, 9)), Restarts: 4}, sc).
-			Search(link.Array, ev.Eval, budget)
-		if err != nil && !errors.Is(err, control.ErrBudgetExhausted) {
 			return err
 		}
 		if err := w.Write([]string{

@@ -1,10 +1,12 @@
 package control
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"press/internal/element"
+	"press/internal/obs/prof"
 	"press/internal/radio"
 	"press/internal/rfphys"
 )
@@ -66,6 +68,37 @@ func (e *Evaluator) Eval(cfg element.Config) (float64, error) {
 	}
 	e.now += e.Timing.PerMeasurement + e.Timing.SwitchLatency
 	return sum, nil
+}
+
+// Improve is one sense → search pass of the §2 loop. It scores arr's
+// PRESS-off baseline (Array.AllTerminated) through Eval, inside a
+// search_eval root of the first goal link's phase collector and counted
+// there as one configuration scored, so that the leaf work it causes
+// (the link's lazy path trace among it) falls under a root wall clock.
+// It then runs s under budget. A search that runs out of budget returns
+// its best-effort result with a nil error; any other failure of the
+// baseline or the search is returned, and a failed baseline runs no
+// search.
+func (e *Evaluator) Improve(arr *element.Array, s Searcher, budget int) (baseline float64, res *Result, err error) {
+	if len(e.Goals) == 0 {
+		return 0, nil, errors.New("control: evaluator has no goals")
+	}
+	base, _ := arr.AllTerminated()
+	pc := e.Goals[0].Link.Prof
+	sp := pc.Start(prof.PhaseSearch)
+	baseline, err = e.Eval(base)
+	if err == nil {
+		pc.Add(prof.PhaseSearch, prof.AuxConfigsScored, 1)
+	}
+	sp.End()
+	if err != nil {
+		return 0, nil, err
+	}
+	res, err = s.Search(arr, e.Eval, budget)
+	if err != nil && !errors.Is(err, ErrBudgetExhausted) {
+		return 0, nil, err
+	}
+	return baseline, res, nil
 }
 
 // Elapsed returns the simulated wall-clock the evaluator has consumed.

@@ -9,6 +9,8 @@ import (
 
 	"press/internal/element"
 	"press/internal/geom"
+	"press/internal/obs/flight"
+	"press/internal/obs/prof"
 	"press/internal/ofdm"
 	"press/internal/propagation"
 	"press/internal/radio"
@@ -259,4 +261,159 @@ func TestEvaluatorWeightsAndActuate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// handImprove is the sense → search pass as callers wrote it before
+// Evaluator.Improve: score the given baseline, then search, forgiving
+// only budget exhaustion. Its baseline is passed in, so that the rows
+// below state the PRESS-off rule rather than inherit it.
+func handImprove(ev *Evaluator, arr *element.Array, base element.Config, s Searcher, budget int) (float64, *Result, error) {
+	baseline, err := ev.Eval(base)
+	if err != nil {
+		return 0, nil, err
+	}
+	res, err := s.Search(arr, ev.Eval, budget)
+	if err != nil && !errors.Is(err, ErrBudgetExhausted) {
+		return 0, nil, err
+	}
+	return baseline, res, nil
+}
+
+// spySearcher records whether it ran.
+type spySearcher struct {
+	Searcher
+	ran *bool
+}
+
+func (s spySearcher) Search(arr *element.Array, eval EvalFunc, budget int) (*Result, error) {
+	*s.ran = true
+	return s.Searcher.Search(arr, eval, budget)
+}
+
+func TestEvaluatorImprove(t *testing.T) {
+	// A walking receiver makes every score depend on the simulated
+	// clock, so a baseline that does not advance it shifts the search.
+	timing := radio.Timing{PerMeasurement: 4 * time.Millisecond, SwitchLatency: time.Millisecond}
+	build := func(t *testing.T, noTerminate bool) *radio.Link {
+		link := controlTestbed(t, 31)
+		link.RX.Node.Velocity = geom.V(1.2, 0.4, 0)
+		if noTerminate {
+			link.Array.Elements[1].States = element.FourPhaseStates()
+		}
+		return link
+	}
+	terminated := func(t *testing.T, arr *element.Array) element.Config {
+		base, ok := arr.AllTerminated()
+		if !ok {
+			t.Fatal("parabolic array has no terminated configuration")
+		}
+		return base
+	}
+	// failAfter makes the link's n-th sounding fail: the transmit power
+	// turns NaN once n-1 soundings have succeeded.
+	failAfter := func(link *radio.Link, n int) func(element.Config) (element.Config, error) {
+		calls := 0
+		return func(cfg element.Config) (element.Config, error) {
+			if calls++; calls == n {
+				link.TX.TxPowerDBm = math.NaN()
+			}
+			return cfg, nil
+		}
+	}
+	greedy := func() Searcher { return Greedy{Rng: rand.New(rand.NewPCG(5, 6)), Restarts: 2} }
+
+	for _, tc := range []struct {
+		name        string
+		noTerminate bool
+		budget      int
+		// failAt, when positive, fails the failAt-th sounding.
+		failAt int
+		// base is the configuration the baseline must be scored at.
+		base func(*testing.T, *element.Array) element.Config
+	}{
+		{name: "terminated baseline", base: terminated},
+		{name: "no Terminate: all state 0", noTerminate: true,
+			base: func(_ *testing.T, arr *element.Array) element.Config { return make(element.Config, arr.N()) }},
+		{name: "exhausted budget", budget: 7, base: terminated},
+		{name: "failing baseline sounding", failAt: 1, base: terminated},
+		{name: "failing search sounding", failAt: 4, base: terminated},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			link, twin := build(t, tc.noTerminate), build(t, tc.noTerminate)
+			ev := &Evaluator{Goals: []Goal{{Link: link, Objective: MaxMinSNR{}}}, Timing: timing}
+			tev := &Evaluator{Goals: []Goal{{Link: twin, Objective: MaxMinSNR{}}}, Timing: timing}
+			if tc.failAt > 0 {
+				ev.Actuate, tev.Actuate = failAfter(link, tc.failAt), failAfter(twin, tc.failAt)
+			}
+			ran := false
+			baseline, res, err := ev.Improve(link.Array, spySearcher{greedy(), &ran}, tc.budget)
+			wantBase, want, wantErr := handImprove(tev, twin.Array, tc.base(t, twin.Array), greedy(), tc.budget)
+
+			if tc.failAt > 0 {
+				if err == nil || wantErr == nil || errors.Is(err, ErrBudgetExhausted) || res != nil {
+					t.Fatalf("err %v (twin %v), result %v; want the sounding's error and no result", err, wantErr, res)
+				}
+				if ran != (tc.failAt > 1) {
+					t.Errorf("search ran = %v after a failure at sounding %d", ran, tc.failAt)
+				}
+				return
+			}
+			if err != nil || wantErr != nil {
+				t.Fatalf("err %v, twin %v", err, wantErr)
+			}
+			if res == nil {
+				t.Fatal("nil result")
+			}
+			if math.Float64bits(baseline) != math.Float64bits(wantBase) {
+				t.Errorf("baseline %v, twin %v", baseline, wantBase)
+			}
+			if math.Float64bits(res.BestScore) != math.Float64bits(want.BestScore) ||
+				!res.Best.Equal(want.Best) || res.Evaluations != want.Evaluations ||
+				len(res.Trace) != len(want.Trace) || ev.Elapsed() != tev.Elapsed() {
+				t.Fatalf("result %v %v after %d evaluations (elapsed %v), twin %v %v after %d (elapsed %v)",
+					res.Best, res.BestScore, res.Evaluations, ev.Elapsed(),
+					want.Best, want.BestScore, want.Evaluations, tev.Elapsed())
+			}
+			for i := range res.Trace {
+				if math.Float64bits(res.Trace[i]) != math.Float64bits(want.Trace[i]) {
+					t.Fatalf("trace[%d] %v, twin %v", i, res.Trace[i], want.Trace[i])
+				}
+			}
+			if tc.budget > 0 && res.Evaluations != tc.budget {
+				t.Errorf("%d evaluations, want the whole budget %d", res.Evaluations, tc.budget)
+			}
+		})
+	}
+
+	t.Run("baseline scored under search_eval", func(t *testing.T) {
+		link := build(t, false)
+		pc := prof.NewCollector()
+		link.Prof = pc
+		ev := &Evaluator{Goals: []Goal{{Link: link, Objective: MaxMinSNR{}}}, Timing: timing}
+		// An uninstrumented searcher opens no root of its own, so the
+		// only search_eval span is the baseline's.
+		if _, _, err := ev.Improve(link.Array, greedy(), 5); err != nil {
+			t.Fatal(err)
+		}
+		costs := map[string]flight.PhaseCost{}
+		for _, c := range pc.Snapshot() {
+			costs[c.Phase] = c
+		}
+		root, trace := costs[prof.PhaseSearch.Name()], costs[prof.PhaseTrace.Name()]
+		if root.Calls != 1 || len(root.Aux) != 1 || root.Aux[0].Name != "configs_scored" || root.Aux[0].Value != 1 {
+			t.Fatalf("search_eval %+v; want one span scoring one configuration", root)
+		}
+		// The lazy path trace runs on the baseline's sounding, inside the
+		// root, so the root's wall clock covers it.
+		if trace.Calls == 0 || trace.Ns > root.Ns {
+			t.Errorf("path_trace %d ns in %d calls against a %d ns root", trace.Ns, trace.Calls, root.Ns)
+		}
+	})
+
+	t.Run("no goals", func(t *testing.T) {
+		link := build(t, false)
+		if _, res, err := (&Evaluator{}).Improve(link.Array, greedy(), 5); err == nil || res != nil {
+			t.Fatalf("err %v, result %v; want an error and no result", err, res)
+		}
+	})
 }

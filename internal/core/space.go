@@ -42,10 +42,7 @@ func NewSpace(env *propagation.Environment, arr *element.Array, seed uint64) (*S
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
-	applied, ok := arr.AllTerminated()
-	if !ok {
-		applied = make(element.Config, arr.N())
-	}
+	applied, _ := arr.AllTerminated()
 	return &Space{
 		Env: env, Array: arr, seed: seed,
 		links:   make(map[string]*radio.Link),

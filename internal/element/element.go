@@ -176,10 +176,12 @@ func (a *Array) EachConfig(fn func(idx int, c Config) bool) {
 	}
 }
 
-// AllTerminated returns the configuration selecting the absorptive state
-// of every element, or ok=false if some element has no Terminate state.
-// This is the natural "PRESS off" baseline: the array contributes no
-// reflection paths.
+// AllTerminated returns the "PRESS off" baseline: the configuration
+// selecting the absorptive state of every element, so that the array
+// contributes no reflection paths. When some element has no Terminate
+// state, no configuration switches the array off; it then returns the
+// all-state-0 configuration, which stands in as the baseline, with
+// ok=false.
 func (a *Array) AllTerminated() (Config, bool) {
 	c := make(Config, a.N())
 	for i, e := range a.Elements {
@@ -192,7 +194,7 @@ func (a *Array) AllTerminated() (Config, bool) {
 			}
 		}
 		if !found {
-			return nil, false
+			return make(Config, a.N()), false
 		}
 	}
 	return c, true

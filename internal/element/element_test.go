@@ -150,10 +150,17 @@ func TestAllTerminated(t *testing.T) {
 			t.Errorf("element %d state %d not terminated", i, si)
 		}
 	}
-	// A four-phase array has no absorber.
-	four := NewArray(&Element{Pos: geom.V(1, 1, 1), States: FourPhaseStates()})
-	if _, ok := four.AllTerminated(); ok {
-		t.Error("four-phase array should have no terminated config")
+	// An array with one four-phase element has no absorber everywhere:
+	// the baseline falls back to state 0 on every element, not only the
+	// one lacking Terminate.
+	mixed := threeElementArray()
+	mixed.Elements = append(mixed.Elements, &Element{Pos: geom.V(1, 1, 1), States: FourPhaseStates()})
+	c, ok = mixed.AllTerminated()
+	if ok {
+		t.Error("array with a four-phase element should have no terminated config")
+	}
+	if !c.Equal(make(Config, mixed.N())) {
+		t.Errorf("fallback config = %v, want all state 0 of length %d", c, mixed.N())
 	}
 }
 

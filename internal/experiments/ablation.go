@@ -11,19 +11,11 @@ import (
 	"press/internal/radio"
 )
 
-// baselineAndBest measures the all-terminated baseline (or state-0 when
-// no absorber exists) and runs an exhaustive max-min-SNR search.
+// baselineAndBest measures the PRESS-off baseline and runs an exhaustive
+// max-min-SNR search.
 func baselineAndBest(link *radio.Link) (baseline, best float64, evals int, err error) {
 	ev := &control.Evaluator{Goals: []control.Goal{{Link: link, Objective: control.MaxMinSNR{}}}}
-	base, ok := link.Array.AllTerminated()
-	if !ok {
-		base = make(element.Config, link.Array.N())
-	}
-	baseline, err = ev.Eval(base)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	res, err := instrument(control.Exhaustive{}).Search(link.Array, ev.Eval, 0)
+	baseline, res, err := ev.Improve(link.Array, instrument(control.Exhaustive{}), 0)
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -1,12 +1,11 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
 	"press/internal/control"
-	"press/internal/element"
+	"press/internal/radio"
 )
 
 // ArrayScalingRow is one array size's outcome.
@@ -43,49 +42,40 @@ func RunArrayScaling(seed uint64, sizes []int, budget int) (*ArrayScalingResult,
 	for _, n := range sizes {
 		row := ArrayScalingRow{Elements: n}
 
-		build := func() (*linkWithBaseline, error) {
+		build := func() (*radio.Link, *control.Evaluator, error) {
 			scen := DefaultSISO(seed)
 			scen.NumElements = n
 			scen.ElementPattern = "omni"
 			link, err := scen.Build()
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			ev := &control.Evaluator{Goals: []control.Goal{{Link: link, Objective: control.MaxMinSNR{}}}}
-			base, ok := link.Array.AllTerminated()
-			if !ok {
-				base = make(element.Config, link.Array.N())
-			}
-			baseline, err := ev.Eval(base)
-			if err != nil {
-				return nil, err
-			}
-			return &linkWithBaseline{link: link, ev: ev, baseline: baseline}, nil
+			return link, &control.Evaluator{Goals: []control.Goal{{Link: link, Objective: control.MaxMinSNR{}}}}, nil
 		}
 
-		lb, err := build()
+		link, ev, err := build()
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %d elements: %w", n, err)
 		}
-		row.Configs = lb.link.Array.NumConfigs()
-		g, err := (control.Greedy{Rng: newSeededRand(seed, uint64(n)), Restarts: 2}).
-			Search(lb.link.Array, lb.ev.Eval, budget)
-		if err != nil && !errors.Is(err, control.ErrBudgetExhausted) {
-			return nil, err
-		}
-		row.GreedyGainDB = g.BestScore - lb.baseline
-		row.GreedyEvals = g.Evaluations
-
-		lb2, err := build()
+		row.Configs = link.Array.NumConfigs()
+		baseline, g, err := ev.Improve(link.Array,
+			instrument(control.Greedy{Rng: newSeededRand(seed, uint64(n)), Restarts: 2}), budget)
 		if err != nil {
 			return nil, err
 		}
-		h, err := (control.Hierarchical{Rng: newSeededRand(seed, uint64(n)+100), GroupSize: 4}).
-			Search(lb2.link.Array, lb2.ev.Eval, budget)
-		if err != nil && !errors.Is(err, control.ErrBudgetExhausted) {
+		row.GreedyGainDB = g.BestScore - baseline
+		row.GreedyEvals = g.Evaluations
+
+		link, ev, err = build()
+		if err != nil {
 			return nil, err
 		}
-		row.HierGainDB = h.BestScore - lb2.baseline
+		baseline, h, err := ev.Improve(link.Array,
+			instrument(control.Hierarchical{Rng: newSeededRand(seed, uint64(n)+100), GroupSize: 4}), budget)
+		if err != nil {
+			return nil, err
+		}
+		row.HierGainDB = h.BestScore - baseline
 		row.HierEvals = h.Evaluations
 
 		res.Rows = append(res.Rows, row)

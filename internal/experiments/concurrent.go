@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -61,18 +60,10 @@ func runSession(id string, seed uint64, budget int, sc *scope.Scope) (SessionRes
 		return SessionResult{}, err
 	}
 	ev := &control.Evaluator{Goals: []control.Goal{{Link: link, Objective: control.MaxMinSNR{}}}}
-	base, ok := link.Array.AllTerminated()
-	if !ok {
-		base = make([]int, link.Array.N())
-	}
-	baseline, err := ev.Eval(base)
-	if err != nil {
-		return SessionResult{}, err
-	}
 	searcher := control.InstrumentScope(
 		control.Greedy{Rng: newSeededRand(seed, 0x5e5510), Restarts: 4}, sc)
-	res, err := searcher.Search(link.Array, ev.Eval, budget)
-	if err != nil && !errors.Is(err, control.ErrBudgetExhausted) {
+	baseline, res, err := ev.Improve(link.Array, searcher, budget)
+	if err != nil {
 		return SessionResult{}, err
 	}
 	return SessionResult{

@@ -64,17 +64,9 @@ func RunControlPlaneComparison(seed uint64) (*ControlPlaneResult, error) {
 			return nil, err
 		}
 		ev := &control.Evaluator{Goals: []control.Goal{{Link: link, Objective: control.MaxMinSNR{}}}, Timing: timing}
-		base, ok := link.Array.AllTerminated()
-		if !ok {
-			base = make([]int, link.Array.N())
-		}
-		baseline, err := ev.Eval(base)
-		if err != nil {
-			return nil, err
-		}
 		rng := newSeededRand(seed, uint64(len(res.Rows)+1))
-		r, err := instrument(control.Greedy{Rng: rng, Restarts: 2}).Search(link.Array, ev.Eval, walk)
-		if err != nil && r == nil {
+		baseline, r, err := ev.Improve(link.Array, instrument(control.Greedy{Rng: rng, Restarts: 2}), walk)
+		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, ControlPlaneRow{

@@ -155,10 +155,7 @@ func runDemo(o DemoOptions) (*DemoResult, error) {
 		return nil, err
 	}
 
-	cur, ok := link.Array.AllTerminated()
-	if !ok {
-		cur = make([]int, link.Array.N())
-	}
+	cur, _ := link.Array.AllTerminated()
 	res := &DemoResult{Deadline: deadline, SpeedMph: o.SpeedMph, SlowPhase: o.SlowPhase}
 	for i := 0; i < o.Loops; i++ {
 		start := time.Now()

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"errors"
-
 	"press/internal/control"
 	"press/internal/element"
 	"press/internal/inverse"
@@ -13,61 +11,46 @@ import (
 // a measurement-driven greedy controller and a model-guided controller,
 // both running on a link whose array suffers the given faults.
 func faultGains(seed uint64, faults element.Faults) (measured, model float64, err error) {
-	build := func() (*linkWithBaseline, error) {
+	build := func() (*radio.Link, *control.Evaluator, error) {
 		scen := DefaultSISO(seed)
 		scen.NumElements = 6
 		link, err := scen.Build()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		link.Faults = faults
-		ev := &control.Evaluator{Goals: []control.Goal{{Link: link, Objective: control.MaxMinSNR{}}}}
-		base, ok := link.Array.AllTerminated()
-		if !ok {
-			base = make(element.Config, link.Array.N())
-		}
-		baseline, err := ev.Eval(base)
-		if err != nil {
-			return nil, err
-		}
-		return &linkWithBaseline{link: link, ev: ev, baseline: baseline}, nil
+		return link, &control.Evaluator{Goals: []control.Goal{{Link: link, Objective: control.MaxMinSNR{}}}}, nil
 	}
 
 	// Measurement-driven greedy.
-	lb, err := build()
+	link, ev, err := build()
 	if err != nil {
 		return 0, 0, err
 	}
-	r, err := instrument(control.Greedy{Rng: newSeededRand(seed, 0xfa01), Restarts: 2}).
-		Search(lb.link.Array, lb.ev.Eval, 300)
-	if err != nil && !errors.Is(err, control.ErrBudgetExhausted) {
+	baseline, r, err := ev.Improve(link.Array,
+		instrument(control.Greedy{Rng: newSeededRand(seed, 0xfa01), Restarts: 2}), 300)
+	if err != nil {
 		return 0, 0, err
 	}
-	measured = r.BestScore - lb.baseline
+	measured = r.BestScore - baseline
 
 	// Model-guided: the inverse problem's model assumes a healthy array.
-	lb2, err := build()
+	link, ev, err = build()
 	if err != nil {
 		return 0, 0, err
 	}
 	prob := &inverse.Problem{
-		Env:   lb2.link.Env,
-		TX:    lb2.link.TX.Node,
-		RX:    lb2.link.RX.Node,
-		Array: lb2.link.Array,
-		Grid:  lb2.link.Grid,
+		Env:   link.Env,
+		TX:    link.TX.Node,
+		RX:    link.RX.Node,
+		Array: link.Array,
+		Grid:  link.Grid,
 	}
-	mg := control.ModelGuided{Problem: prob, RefinePasses: 1}
-	r2, err := instrument(mg).Search(lb2.link.Array, lb2.ev.Eval, 300)
-	if err != nil && !errors.Is(err, control.ErrBudgetExhausted) {
+	baseline, r, err = ev.Improve(link.Array,
+		instrument(control.ModelGuided{Problem: prob, RefinePasses: 1}), 300)
+	if err != nil {
 		return 0, 0, err
 	}
-	model = r2.BestScore - lb2.baseline
+	model = r.BestScore - baseline
 	return measured, model, nil
-}
-
-type linkWithBaseline struct {
-	link     *radio.Link
-	ev       *control.Evaluator
-	baseline float64
 }
