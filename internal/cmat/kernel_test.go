@@ -57,22 +57,27 @@ func condOf(s []float64) float64 {
 // (off the closed-form 2×2 path). It returns Decompose's values.
 func checkKernel(a *Matrix, public bool) ([]float64, error) {
 	want := Decompose(a).S
+	return want, checkValuesBits(a, want, public)
+}
+
+// checkValuesBits is checkKernel against Decompose's values want.
+func checkValuesBits(a *Matrix, want []float64, public bool) error {
 	var buf [4]float64
 	got := buf[:len(want)]
 	jacobiValues(a, got)
 	if !sameBits(got, want) {
-		return want, fmt.Errorf("jacobiValues %v, Decompose %v\n%v", got, want, a)
+		return fmt.Errorf("jacobiValues %v, Decompose %v\n%v", got, want, a)
 	}
 	if !public || a.Rows == 2 && a.Cols == 2 {
-		return want, nil
+		return nil
 	}
 	if sv := SingularValues(a); !sameBits(sv, want) {
-		return want, fmt.Errorf("SingularValues %v, Decompose %v\n%v", sv, want, a)
+		return fmt.Errorf("SingularValues %v, Decompose %v\n%v", sv, want, a)
 	}
 	if c, w := Cond(a), condOf(want); !sameBits([]float64{c}, []float64{w}) {
-		return want, fmt.Errorf("Cond %v, Decompose's quotient %v\n%v", c, w, a)
+		return fmt.Errorf("Cond %v, Decompose's quotient %v\n%v", c, w, a)
 	}
-	return want, nil
+	return nil
 }
 
 // checkPair compares jacobiValuesPair(a, b), for a and b of one shape,
@@ -93,7 +98,17 @@ func checkPair(a, b *Matrix, wantA, wantB []float64) error {
 // guard, a part beyond it, Gram sums at the edges of normal range, and a
 // first column pair at Decompose's convergence threshold.
 func variedMatrix(rng *rand.Rand, rows, cols, kind int) *Matrix {
-	a := randMatrix(rng, rows, cols)
+	a := New(rows, cols)
+	fillVaried(rng, a, kind)
+	return a
+}
+
+// fillVaried is variedMatrix drawing into a's storage, a's shape kept.
+func fillVaried(rng *rand.Rand, a *Matrix, kind int) {
+	rows, cols := a.Rows, a.Cols
+	for i := range a.Data {
+		a.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
 	scale := func(s float64) {
 		for i := range a.Data {
 			a.Data[i] *= complex(s, 0)
@@ -163,9 +178,17 @@ func variedMatrix(rng *rand.Rand, rows, cols, kind int) *Matrix {
 		}
 	case 7: // the first pair at the convergence threshold
 		if min(rows, cols) >= 2 {
-			a = atThreshold(rng, max(rows, cols), min(rows, cols), rng.IntN(17)-8)
+			ulps := rng.IntN(17) - 8
 			if rows < cols {
-				a = a.ConjTranspose()
+				w := New(cols, rows)
+				atThreshold(rng, w, ulps)
+				for i := 0; i < rows; i++ {
+					for j := 0; j < cols; j++ {
+						a.Set(i, j, cmplx.Conj(w.At(j, i)))
+					}
+				}
+			} else {
+				atThreshold(rng, a, ulps)
 			}
 			// Mostly ordinary scales; one in four puts the squared test's
 			// sides near or below the smallest normal double.
@@ -176,7 +199,6 @@ func variedMatrix(rng *rand.Rand, rows, cols, kind int) *Matrix {
 			}
 		}
 	}
-	return a
 }
 
 // gramTest evaluates Decompose's convergence test on columns p and q of
@@ -194,16 +216,19 @@ func gramTest(w *Matrix, p, q int) bool {
 	return off <= 1e-14*math.Sqrt(app*aqq) || off == 0
 }
 
-// atThreshold returns an m×n matrix (m ≥ n ≥ 2) whose columns 0 and 1,
-// the first pair Decompose tests, sit at its convergence threshold.
+// atThreshold fills the m×n matrix w (m ≥ n ≥ 2) so that its columns 0
+// and 1, the first pair Decompose tests, sit at its convergence threshold.
 // Apart from row 0 the two columns have disjoint supports, so the Gram
 // entry apq is the single product conj(w00)·w01 with no cancellation,
 // and w01 = β·e^{iθ} moves it smoothly: β is the last double at which
 // the pair is still skipped, moved by ulps doubles. The columns are
 // about equally long, so rotating or not moves the values by about
 // 1e-14 relative.
-func atThreshold(rng *rand.Rand, m, n, ulps int) *Matrix {
-	w := randMatrix(rng, m, n)
+func atThreshold(rng *rand.Rand, w *Matrix, ulps int) *Matrix {
+	m := w.Rows
+	for i := range w.Data {
+		w.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
 	w.Set(1, 0, 0) // row 1 belongs to column 1
 	var n0, n1 float64
 	for i := 2; i < m; i++ {
@@ -266,7 +291,9 @@ var families = [32]int{
 // SingularValues and Cond (on one in eight) give Decompose's values bit
 // for bit, and so does jacobiValuesPair on each pair of consecutive
 // trials, whose families and sweep counts differ. -short runs 2,000 per
-// shape.
+// shape. Each shape draws into two matrices and decomposes in one
+// scratch, so the oracle's arithmetic is Decompose's without its
+// allocations.
 func TestJacobiValuesBitIdentical(t *testing.T) {
 	if fpexact.Contracts() {
 		t.Skip("the compiler fuses a*b+c here, so the kernel and Decompose may round differently")
@@ -280,20 +307,21 @@ func TestJacobiValuesBitIdentical(t *testing.T) {
 		t.Run(fmt.Sprintf("%dx%d", rows, cols), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewPCG(uint64(rows), uint64(cols)))
-			var prev *Matrix
-			var prevWant []float64
+			ms := [2]*Matrix{New(rows, cols), New(rows, cols)}
+			var wants [2][4]float64
+			var sc svdScratch
 			for trial := 0; trial < trials; trial++ {
-				a := variedMatrix(rng, rows, cols, families[trial%len(families)])
-				want, err := checkKernel(a, trial%8 == 0)
-				if err != nil {
+				a, want := ms[trial%2], wants[trial%2][:min(rows, cols)]
+				fillVaried(rng, a, families[trial%len(families)])
+				copy(want, decompose(a, &sc).S)
+				if err := checkValuesBits(a, want, trial%8 == 0); err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
 				if trial%2 == 1 {
-					if err := checkPair(prev, a, prevWant, want); err != nil {
+					if err := checkPair(ms[0], a, wants[0][:len(want)], want); err != nil {
 						t.Fatalf("trials %d and %d: %v", trial-1, trial, err)
 					}
 				}
-				prev, prevWant = a, want
 			}
 		})
 	}
@@ -335,7 +363,7 @@ func TestJacobiThresholdStraddled(t *testing.T) {
 	rng := rand.New(rand.NewPCG(101, 102))
 	skipped := map[bool]int{}
 	for trial := 0; trial < 200; trial++ {
-		skipped[gramTest(atThreshold(rng, 4, 4, rng.IntN(17)-8), 0, 1)]++
+		skipped[gramTest(atThreshold(rng, New(4, 4), rng.IntN(17)-8), 0, 1)]++
 	}
 	if skipped[true] < 50 || skipped[false] < 50 {
 		t.Fatalf("threshold pairs skipped/rotated %d/%d of 200", skipped[true], skipped[false])

@@ -24,14 +24,65 @@ type SVD struct {
 //
 // Matrices with more columns than rows are handled by decomposing the
 // conjugate transpose and swapping U and V.
-func Decompose(a *Matrix) *SVD {
+func Decompose(a *Matrix) *SVD { return decompose(a, new(svdScratch)) }
+
+// svdScratch is decompose's working storage. A caller that decomposes
+// many matrices passes one scratch to every call; each result lives in
+// the scratch until the next call.
+type svdScratch struct {
+	t, w, v, u, vOut Matrix
+	s                []float64
+	cols             svdCols
+	out              SVD
+}
+
+// svdCol is one swept column: its index and norm.
+type svdCol struct {
+	idx int
+	s   float64
+}
+
+// svdCols sorts swept columns by descending norm. sort.Sort allocates
+// nothing here and runs the same algorithm as sort.Slice, so columns of
+// equal norm keep sort.Slice's order in U and V.
+type svdCols []svdCol
+
+func (c svdCols) Len() int           { return len(c) }
+func (c svdCols) Less(i, j int) bool { return c[i].s > c[j].s }
+func (c svdCols) Swap(i, j int)      { c[i], c[j] = c[j], c[i] }
+
+// resize makes m a rows×cols matrix, reusing its storage when that is
+// large enough. The contents are unspecified.
+func resize(m *Matrix, rows, cols int) *Matrix {
+	if n := rows * cols; rows > 0 && cols > 0 && cap(m.Data) >= n {
+		m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
+	} else {
+		*m = *New(rows, cols)
+	}
+	return m
+}
+
+// decompose is Decompose working in sc's storage.
+func decompose(a *Matrix, sc *svdScratch) *SVD {
 	if a.Rows < a.Cols {
-		s := Decompose(a.ConjTranspose())
-		return &SVD{U: s.V, S: s.S, V: s.U}
+		t := resize(&sc.t, a.Cols, a.Rows)
+		for i := 0; i < a.Rows; i++ {
+			for j := 0; j < a.Cols; j++ {
+				t.Set(j, i, cmplx.Conj(a.At(i, j)))
+			}
+		}
+		s := *decompose(t, sc)
+		sc.out = SVD{U: s.V, S: s.S, V: s.U}
+		return &sc.out
 	}
 	m, n := a.Rows, a.Cols
-	w := a.Clone() // working copy whose columns get orthogonalized
-	v := Identity(n)
+	w := resize(&sc.w, m, n) // working copy whose columns get orthogonalized
+	copy(w.Data, a.Data)
+	v := resize(&sc.v, n, n)
+	clear(v.Data)
+	for i := 0; i < n; i++ {
+		v.Set(i, i, 1)
+	}
 
 	const (
 		eps       = 1e-14
@@ -87,25 +138,24 @@ func Decompose(a *Matrix) *SVD {
 	}
 
 	// Extract singular values (column norms) and normalize U.
-	type col struct {
-		idx int
-		s   float64
-	}
-	cols := make([]col, n)
+	sc.cols = sc.cols[:0]
 	for j := 0; j < n; j++ {
 		var ss float64
 		for i := 0; i < m; i++ {
 			x := w.At(i, j)
 			ss += real(x)*real(x) + imag(x)*imag(x)
 		}
-		cols[j] = col{idx: j, s: math.Sqrt(ss)}
+		sc.cols = append(sc.cols, svdCol{idx: j, s: math.Sqrt(ss)})
 	}
-	sort.Slice(cols, func(i, j int) bool { return cols[i].s > cols[j].s })
+	sort.Sort(&sc.cols)
 
-	u := New(m, n)
-	vOut := New(n, n)
-	s := make([]float64, n)
-	for jNew, c := range cols {
+	u := resize(&sc.u, m, n)
+	vOut := resize(&sc.vOut, n, n)
+	if cap(sc.s) < n {
+		sc.s = make([]float64, n)
+	}
+	s := sc.s[:n]
+	for jNew, c := range sc.cols {
 		s[jNew] = c.s
 		inv := 0.0
 		if c.s > 0 {
@@ -118,7 +168,8 @@ func Decompose(a *Matrix) *SVD {
 			vOut.Set(i, jNew, v.At(i, c.idx))
 		}
 	}
-	return &SVD{U: u, S: s, V: vOut}
+	sc.out = SVD{U: u, S: s, V: vOut}
+	return &sc.out
 }
 
 // SingularValues returns just the singular values of a in descending

@@ -112,7 +112,7 @@ func TestInstrumentScopeFeedsEverySink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := health.NewMonitor(nil, nil, 0, 0)
+	mon := health.NewMonitor(nil, nil, 0)
 	pc := prof.NewCollector()
 	tr := slo.NewTracer(nil, slo.Config{})
 	sc := scope.Adopt("full", nil, nil, mon, rec, pc).WithTracer(tr)

@@ -56,10 +56,7 @@ func TestLiveTelemetryEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	tl := obs.NewTraceLog()
 	reg.SetTraceLog(tl)
-	rec := obs.NewRecorder(reg, 5*time.Millisecond, 64)
-	rec.Start()
-	defer rec.Stop()
-	srv := obs.NewServer(reg, rec)
+	srv := obs.NewServer(reg, 5*time.Millisecond)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

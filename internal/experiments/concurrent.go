@@ -183,11 +183,10 @@ func RunConcurrent(o ConcurrentOptions) (*ConcurrentResult, error) {
 	defer set.Close()
 	if srv := CurrentScope().Server(); srv != nil {
 		// -telemetry-addr is serving: expose the rooms live on
-		// /sessions (+ per-session metrics/healthz and ?session=
-		// filtered SSE). On a repeat run in one process the routes
-		// already exist; RegisterRoutes still repoints the resolver
-		// and event publishing at this set before failing, so the
-		// error is the expected steady state, not a fault.
+		// /sessions and per-session metrics. On a repeat run in one
+		// process the routes already exist and still serve the first
+		// run's set, so the error is the expected steady state, not a
+		// fault.
 		_ = set.RegisterRoutes(srv)
 	}
 	// With -tsdb-dir set, the history store collects each room's
@@ -209,11 +208,11 @@ func RunConcurrent(o ConcurrentOptions) (*ConcurrentResult, error) {
 			defer func() { <-sem }()
 			id := fmt.Sprintf("room-%02d", i)
 			seed := o.Seed + uint64(i)
-			var cfg scope.Config
+			var flightDir string
 			if o.FlightRoot != "" {
-				cfg.FlightDir = filepath.Join(o.FlightRoot, flight.NewRunID())
+				flightDir = filepath.Join(o.FlightRoot, flight.NewRunID())
 			}
-			sc, err := set.Open(id, cfg)
+			sc, err := set.Open(id, flightDir)
 			if err != nil {
 				errs[i] = err
 				return

@@ -15,7 +15,7 @@ import (
 // previously 404'd on /sessions because the set was never registered.
 func TestConcurrentRegistersSessionRoutes(t *testing.T) {
 	reg := obs.NewRegistry()
-	srv := obs.NewServer(reg, nil)
+	srv := obs.NewServer(reg, 0)
 	defer srv.Close()
 	SetScope(scope.Adopt("", reg, nil, nil, nil, nil).WithServer(srv))
 	defer SetScope(nil)

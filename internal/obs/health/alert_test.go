@@ -11,10 +11,10 @@ import (
 // transitions. NaN values model "KPI unknown this sample".
 func feed(t *testing.T, e *engine, metric string, values []float64) (states []State, events []Event) {
 	t.Helper()
-	hist := newSeries(64)
+	hist := newRing[Point](64)
 	for i, v := range values {
 		if !math.IsNaN(v) {
-			hist.append(Point{UnixMs: int64(i), Value: v})
+			hist.push(Point{UnixMs: int64(i), Value: v})
 		}
 		kpi := func(name string) float64 {
 			if name == metric {
@@ -24,7 +24,7 @@ func feed(t *testing.T, e *engine, metric string, values []float64) (states []St
 		}
 		window := func(name string, n int, dst []float64) []float64 {
 			if name == metric {
-				return hist.last(n, dst)
+				return lastValues(hist, n, dst)
 			}
 			return dst
 		}
@@ -222,13 +222,13 @@ func TestNoFiringOnHealthyConstantSeries(t *testing.T) {
 			KPIControlStalenessS: rng.Float64(), // < 10
 		}
 		e := newEngine(mustRules(t, "default"))
-		hist := map[string]*Series{}
+		hist := map[string]*ring[Point]{}
 		for k := range healthy {
-			hist[k] = newSeries(64)
+			hist[k] = newRing[Point](64)
 		}
 		for i := 0; i < 100; i++ {
 			for k, v := range healthy {
-				hist[k].append(Point{UnixMs: int64(i), Value: v})
+				hist[k].push(Point{UnixMs: int64(i), Value: v})
 			}
 			kpi := func(name string) float64 {
 				if v, ok := healthy[name]; ok {
@@ -238,7 +238,7 @@ func TestNoFiringOnHealthyConstantSeries(t *testing.T) {
 			}
 			window := func(name string, n int, dst []float64) []float64 {
 				if s, ok := hist[name]; ok {
-					return s.last(n, dst)
+					return lastValues(s, n, dst)
 				}
 				return dst
 			}

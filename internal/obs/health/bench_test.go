@@ -15,7 +15,7 @@ func populatedMonitor(reg *obs.Registry) *Monitor {
 	if err != nil {
 		panic(err)
 	}
-	m := NewMonitor(reg, rules, time.Second, 0)
+	m := NewMonitor(reg, rules, time.Second)
 	snr := make([]float64, 64)
 	for i := range snr {
 		snr[i] = 22 + 6*math.Sin(float64(i)/7)
@@ -51,12 +51,12 @@ func BenchmarkEngineEval(b *testing.B) {
 		b.Fatal(err)
 	}
 	e := newEngine(rules)
-	hist := newSeries(64)
+	hist := newRing[Point](64)
 	for i := 0; i < 64; i++ {
-		hist.append(Point{UnixMs: int64(i), Value: 5})
+		hist.push(Point{UnixMs: int64(i), Value: 5})
 	}
 	kpi := func(name string) float64 { return 5 }
-	window := func(name string, n int, dst []float64) []float64 { return hist.last(n, dst) }
+	window := func(name string, n int, dst []float64) []float64 { return lastValues(hist, n, dst) }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

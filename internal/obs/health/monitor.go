@@ -12,8 +12,7 @@ import (
 // DefaultInterval is the KPI sampling period when none is configured.
 const DefaultInterval = time.Second
 
-// DefaultCapacity bounds each KPI series (and the SNR spectrogram) when
-// no capacity is configured.
+// DefaultCapacity bounds each KPI series and the SNR spectrogram.
 const DefaultCapacity = 512
 
 // Monitor computes channel-health KPIs from live observations, keeps
@@ -57,8 +56,8 @@ type Monitor struct {
 	loopSlackSeen  bool
 	lastLoopTrace  uint64
 	lastMissTrace  uint64
-	series         map[string]*Series
-	spec           *spectrogram
+	series         map[string]*ring[Point]
+	spec           *ring[SpectrogramRow]
 	eng            *engine
 	lastSampleMs   int64
 	sampledSamples int64
@@ -67,27 +66,23 @@ type Monitor struct {
 }
 
 // NewMonitor returns a monitor sampling KPIs every interval into series
-// of the given capacity, evaluating rules each sample, and mirroring
+// of DefaultCapacity points, evaluating rules each sample, and mirroring
 // the latest KPI values as health_* gauges into reg (all of reg, rules
-// may be nil/empty). Non-positive interval or capacity take the
-// defaults.
-func NewMonitor(reg *obs.Registry, rules []Rule, interval time.Duration, capacity int) *Monitor {
+// may be nil/empty). A non-positive interval takes DefaultInterval.
+func NewMonitor(reg *obs.Registry, rules []Rule, interval time.Duration) *Monitor {
 	if interval <= 0 {
 		interval = DefaultInterval
-	}
-	if capacity <= 0 {
-		capacity = DefaultCapacity
 	}
 	m := &Monitor{
 		reg:      reg,
 		interval: interval,
 		now:      time.Now,
-		series:   make(map[string]*Series, len(KPINames)),
-		spec:     newSpectrogram(capacity),
+		series:   make(map[string]*ring[Point], len(KPINames)),
+		spec:     newRing[SpectrogramRow](DefaultCapacity),
 		eng:      newEngine(rules),
 	}
 	for _, name := range KPINames {
-		m.series[name] = newSeries(capacity)
+		m.series[name] = newRing[Point](DefaultCapacity)
 	}
 	m.eng.exemplar = m.exemplarLocked
 	return m
@@ -252,13 +247,13 @@ func (m *Monitor) Sample() {
 	kpis := m.computeLocked(now)
 	for name, v := range kpis {
 		if !math.IsNaN(v) {
-			m.series[name].append(Point{UnixMs: unixMs, Value: v})
+			m.series[name].push(Point{UnixMs: unixMs, Value: v})
 		}
 	}
 	var row []float64
 	if m.snrSeen {
 		row = append(row, m.lastSNR...)
-		m.spec.append(SpectrogramRow{UnixMs: unixMs, SNRdB: row})
+		m.spec.push(SpectrogramRow{UnixMs: unixMs, SNRdB: row})
 	}
 	kpi := func(name string) float64 {
 		if v, ok := kpis[name]; ok {
@@ -268,7 +263,7 @@ func (m *Monitor) Sample() {
 	}
 	window := func(metric string, n int, dst []float64) []float64 {
 		if s, ok := m.series[metric]; ok {
-			return s.last(n, dst)
+			return lastValues(s, n, dst)
 		}
 		return dst
 	}
@@ -374,11 +369,11 @@ func (m *Monitor) Snapshot() Snapshot {
 	snap.IntervalMs = m.interval.Milliseconds()
 	snap.Samples = m.sampledSamples
 	for name, s := range m.series {
-		if s.Len() > 0 {
-			snap.Series[name] = s.Points()
+		if s.count > 0 {
+			snap.Series[name] = s.items()
 		}
 	}
-	snap.Spectrogram = m.spec.rows()
+	snap.Spectrogram = m.spec.items()
 	snap.Alerts = m.eng.snapshot(m.lastSampleMs)
 	return snap
 }

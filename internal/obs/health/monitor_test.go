@@ -26,7 +26,7 @@ var SNRWithNull = snrWithNull
 
 func TestMonitorKPIComputation(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewMonitor(reg, nil, time.Hour, 16)
+	m := NewMonitor(reg, nil, time.Hour)
 	clock := time.Unix(1000, 0)
 	m.now = func() time.Time { return clock }
 
@@ -97,29 +97,47 @@ func TestMonitorKPIComputation(t *testing.T) {
 }
 
 func TestMonitorSeriesBounded(t *testing.T) {
-	m := NewMonitor(nil, nil, time.Hour, 8)
+	// The ring wraps: a small one keeps its newest points, oldest first,
+	// and a window asks for at most what it holds.
+	r := newRing[Point](4)
+	for i := 0; i < 10; i++ {
+		r.push(Point{UnixMs: int64(i), Value: float64(i)})
+	}
+	if got := r.items(); len(got) != 4 || got[0].Value != 6 || got[3].Value != 9 {
+		t.Errorf("ring items = %+v, want values 6..9", got)
+	}
+	if got := lastValues(r, 2, nil); len(got) != 2 || got[0] != 8 || got[1] != 9 {
+		t.Errorf("lastValues(2) = %v, want [8 9]", got)
+	}
+	if got := lastValues(r, 16, nil); len(got) != 4 {
+		t.Errorf("lastValues(16) = %v, want the 4 held", got)
+	}
+
+	// The monitor's series and spectrogram stop at DefaultCapacity.
+	m := NewMonitor(nil, nil, time.Hour)
 	m.now = func() time.Time { return time.Unix(5, 0) }
-	for i := 0; i < 50; i++ {
+	const n = DefaultCapacity + 50
+	for i := 0; i < n; i++ {
 		m.ObserveSNR(snrWithNull(16, i%16, 10))
 		m.Sample()
 	}
 	snap := m.Snapshot()
 	for name, pts := range snap.Series {
-		if len(pts) > 8 {
-			t.Errorf("series %s holds %d points, cap 8", name, len(pts))
+		if len(pts) > DefaultCapacity {
+			t.Errorf("series %s holds %d points, cap %d", name, len(pts), DefaultCapacity)
 		}
 	}
-	if len(snap.Spectrogram) > 8 {
-		t.Errorf("spectrogram holds %d rows, cap 8", len(snap.Spectrogram))
+	if len(snap.Spectrogram) != DefaultCapacity {
+		t.Errorf("spectrogram holds %d rows, want %d", len(snap.Spectrogram), DefaultCapacity)
 	}
-	if snap.Samples != 50 {
+	if snap.Samples != n {
 		t.Errorf("samples = %d", snap.Samples)
 	}
 }
 
 func TestMonitorAlertsAndNotify(t *testing.T) {
 	rules := mustRules(t, "null_depth_db>25 for 2 clear 20")
-	m := NewMonitor(nil, rules, time.Hour, 16)
+	m := NewMonitor(nil, rules, time.Hour)
 	m.now = func() time.Time { return time.Unix(9, 0) }
 	type note struct {
 		event string
@@ -170,7 +188,7 @@ func TestMonitorAlertsAndNotify(t *testing.T) {
 func TestMonitorSnapshotJSON(t *testing.T) {
 	// Even a sample with unknown KPIs (NaN internally) must serialize:
 	// NaN never reaches a JSON-bound struct.
-	m := NewMonitor(nil, mustRules(t, "default"), time.Hour, 4)
+	m := NewMonitor(nil, mustRules(t, "default"), time.Hour)
 	m.now = func() time.Time { return time.Unix(2, 0) }
 	m.Sample() // nothing observed: all KPIs unknown
 	if _, err := json.Marshal(m.Snapshot()); err != nil {
@@ -199,7 +217,7 @@ func TestMonitorNilSafe(t *testing.T) {
 }
 
 func TestMonitorStartStop(t *testing.T) {
-	m := NewMonitor(nil, nil, time.Millisecond, 16)
+	m := NewMonitor(nil, nil, time.Millisecond)
 	m.ObserveSNR(snrWithNull(8, 1, 6))
 	m.Start()
 	obstest.WaitUntil(t, 2*time.Second, func() bool { return m.Snapshot().Samples >= 2 })
@@ -209,11 +227,11 @@ func TestMonitorStartStop(t *testing.T) {
 		t.Errorf("background sampler took %d samples", s)
 	}
 	// Stop on a never-started monitor must not hang.
-	NewMonitor(nil, nil, time.Hour, 4).Stop()
+	NewMonitor(nil, nil, time.Hour).Stop()
 }
 
 func TestMonitorObservationsCopied(t *testing.T) {
-	m := NewMonitor(nil, nil, time.Hour, 4)
+	m := NewMonitor(nil, nil, time.Hour)
 	m.now = func() time.Time { return time.Unix(1, 0) }
 	snr := snrWithNull(8, 2, 12)
 	m.ObserveSNR(snr)
@@ -226,7 +244,7 @@ func TestMonitorObservationsCopied(t *testing.T) {
 }
 
 func TestMonitorObserveLoopKPIs(t *testing.T) {
-	m := NewMonitor(nil, nil, time.Hour, 8)
+	m := NewMonitor(nil, nil, time.Hour)
 	m.now = func() time.Time { return time.Unix(10, 0) }
 	// Three loops against an 8ms deadline: two hit, one misses by 4ms.
 	m.ObserveLoop(5*time.Millisecond, 8*time.Millisecond, false, 0x11)
@@ -259,7 +277,7 @@ func TestMonitorLoopBurnRateAlertExemplar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMonitor(nil, rules, time.Hour, 8)
+	m := NewMonitor(nil, rules, time.Hour)
 	m.now = func() time.Time { return time.Unix(20, 0) }
 	var events []Event
 	m.Notify = func(event string, v any) {

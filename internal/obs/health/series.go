@@ -18,55 +18,47 @@ type Point struct {
 	Value  float64 `json:"value"`
 }
 
-// Series is a bounded ring of points, oldest overwritten. It is not
-// safe for concurrent use on its own; the Monitor's lock guards it.
-type Series struct {
-	ring  []Point
-	next  int
-	count int
+// ring is a bounded buffer, oldest overwritten: the store behind every
+// KPI series and the SNR spectrogram. It is not safe for concurrent use
+// on its own; the Monitor's lock guards it.
+type ring[T any] struct {
+	buf   []T
+	next  int // next write slot
+	count int // filled slots, ≤ len(buf)
 }
 
-func newSeries(capacity int) *Series {
-	return &Series{ring: make([]Point, capacity)}
+func newRing[T any](capacity int) *ring[T] {
+	return &ring[T]{buf: make([]T, capacity)}
 }
 
-func (s *Series) append(p Point) {
-	s.ring[s.next] = p
-	s.next = (s.next + 1) % len(s.ring)
-	if s.count < len(s.ring) {
-		s.count++
+func (r *ring[T]) push(v T) {
+	r.buf[r.next] = v
+	r.next = (r.next + 1) % len(r.buf)
+	if r.count < len(r.buf) {
+		r.count++
 	}
 }
 
-// Len returns the number of buffered points.
-func (s *Series) Len() int { return s.count }
+// at returns the i-th buffered item, oldest first.
+func (r *ring[T]) at(i int) T {
+	return r.buf[(r.next-r.count+i+len(r.buf))%len(r.buf)]
+}
 
-// Points returns the buffered points, oldest first.
-func (s *Series) Points() []Point {
-	out := make([]Point, 0, s.count)
-	start := s.next - s.count
-	if start < 0 {
-		start += len(s.ring)
-	}
-	for i := 0; i < s.count; i++ {
-		out = append(out, s.ring[(start+i)%len(s.ring)])
+// items returns the buffered items, oldest first.
+func (r *ring[T]) items() []T {
+	out := make([]T, r.count)
+	for i := range out {
+		out[i] = r.at(i)
 	}
 	return out
 }
 
-// last appends the values of the most recent n points to dst (oldest of
-// the n first) and returns it; fewer than n are returned when the series
-// is shorter.
-func (s *Series) last(n int, dst []float64) []float64 {
-	if n > s.count {
-		n = s.count
-	}
-	start := s.next - n
-	if start < 0 {
-		start += len(s.ring)
-	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, s.ring[(start+i)%len(s.ring)].Value)
+// lastValues appends the values of the most recent n points of s to dst
+// (oldest of the n first) and returns it; fewer than n are appended when
+// the series is shorter.
+func lastValues(s *ring[Point], n int, dst []float64) []float64 {
+	for i := max(s.count-n, 0); i < s.count; i++ {
+		dst = append(dst, s.at(i).Value)
 	}
 	return dst
 }
@@ -76,36 +68,4 @@ func (s *Series) last(n int, dst []float64) []float64 {
 type SpectrogramRow struct {
 	UnixMs int64     `json:"unix_ms"`
 	SNRdB  []float64 `json:"snr_db"`
-}
-
-// spectrogram is a bounded ring of SNR rows.
-type spectrogram struct {
-	ring  []SpectrogramRow
-	next  int
-	count int
-}
-
-func newSpectrogram(capacity int) *spectrogram {
-	return &spectrogram{ring: make([]SpectrogramRow, capacity)}
-}
-
-func (s *spectrogram) append(r SpectrogramRow) {
-	s.ring[s.next] = r
-	s.next = (s.next + 1) % len(s.ring)
-	if s.count < len(s.ring) {
-		s.count++
-	}
-}
-
-// rows returns the buffered rows, oldest first.
-func (s *spectrogram) rows() []SpectrogramRow {
-	out := make([]SpectrogramRow, 0, s.count)
-	start := s.next - s.count
-	if start < 0 {
-		start += len(s.ring)
-	}
-	for i := 0; i < s.count; i++ {
-		out = append(out, s.ring[(start+i)%len(s.ring)])
-	}
-	return out
 }

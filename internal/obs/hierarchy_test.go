@@ -3,13 +3,10 @@ package obs
 import (
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"press/internal/obs/obstest"
 )
 
 func TestRegistryParentChaining(t *testing.T) {
@@ -111,7 +108,7 @@ func TestWriteTextLabeled(t *testing.T) {
 // unsynchronized map writes inside the mux.
 func TestHandleFuncAfterStartNoRace(t *testing.T) {
 	reg := NewRegistry()
-	srv := NewServer(reg, nil)
+	srv := NewServer(reg, 0)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +158,7 @@ func TestHandleFuncAfterStartNoRace(t *testing.T) {
 }
 
 func TestTryHandleDuplicate(t *testing.T) {
-	srv := NewServer(NewRegistry(), nil)
+	srv := NewServer(NewRegistry(), 0)
 	if err := srv.TryHandle("/x", func(http.ResponseWriter, *http.Request) {}); err != nil {
 		t.Fatalf("first TryHandle: %v", err)
 	}
@@ -177,69 +174,4 @@ func TestTryHandleDuplicate(t *testing.T) {
 		}
 	}()
 	srv.HandleFunc("/x", func(http.ResponseWriter, *http.Request) {})
-}
-
-func TestEventsSessionFilter(t *testing.T) {
-	reg := NewRegistry()
-	rec := NewRecorder(reg, time.Hour, 4)
-	rec.Start()
-	defer rec.Stop()
-	srv := NewServer(reg, rec)
-
-	sessReg := NewRegistryWithParent(reg)
-	sessReg.Counter("session_hits").Inc()
-	sessRec := NewRecorder(sessReg, time.Hour, 4)
-	sessRec.Start()
-	defer sessRec.Stop()
-	srv.SetSessionResolver(func(id string) *Recorder {
-		if id == "room-1" {
-			return sessRec
-		}
-		return nil
-	})
-
-	// Unknown session: 404.
-	rr := httptest.NewRecorder()
-	req := httptest.NewRequest("GET", "/events?session=nope", nil)
-	srv.Handler().ServeHTTP(rr, req)
-	if rr.Code != http.StatusNotFound {
-		t.Fatalf("unknown session: got %d, want 404", rr.Code)
-	}
-
-	// Known session: the stream starts with that scope's backlog sample.
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	resp, err := http.Get("http://" + srv.Addr().String() + "/events?session=room-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-
-	go func() {
-		// Give the subscriber a beat to register, then publish one event
-		// for another session (must be filtered) and one for ours.
-		time.Sleep(20 * time.Millisecond)
-		srv.PublishSession("room-2", "alert", map[string]string{"who": "other"})
-		srv.PublishSession("room-1", "alert", map[string]string{"who": "mine"})
-	}()
-
-	buf := make([]byte, 4096)
-	var got strings.Builder
-	obstest.WaitUntil(t, 5*time.Second, func() bool {
-		n, err := resp.Body.Read(buf)
-		got.Write(buf[:n])
-		return strings.Contains(got.String(), `"who":"mine"`) || err != nil
-	})
-	out := got.String()
-	if !strings.Contains(out, "session_hits") {
-		t.Fatalf("session stream missing scope backlog sample:\n%s", out)
-	}
-	if !strings.Contains(out, `"who":"mine"`) {
-		t.Fatalf("session stream missing own event:\n%s", out)
-	}
-	if strings.Contains(out, `"who":"other"`) {
-		t.Fatalf("session stream leaked another session's event:\n%s", out)
-	}
 }

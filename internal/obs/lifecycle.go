@@ -3,11 +3,11 @@ package obs
 import "sync"
 
 // Lifecycle is the shared start/stop state machine behind every
-// background sampler in the telemetry stack (obs.Recorder,
-// health.Monitor, perf.Sampler, flight.Recorder's group-commit loop,
-// prof's phase-cost flusher). Each of those used to hand-roll the same
-// pair of sync.Onces with subtly different edge-case behaviour; this
-// type makes the contract uniform:
+// background sampler in the telemetry stack (the obs.Server /events
+// sample tick, health.Monitor, perf.Sampler, the flight log's
+// group-commit loop, the scope CLI's phase-cost flusher). Each of
+// those used to hand-roll the same pair of sync.Onces with subtly
+// different edge-case behaviour; this type makes the contract uniform:
 //
 //   - Start runs at most once; later calls are no-ops.
 //   - Stop is idempotent, waits for the background goroutine to exit,

@@ -104,7 +104,7 @@ func TestPerfzGzip(t *testing.T) {
 
 // TestPerfzOnServer registers the route on a real telemetry server.
 func TestPerfzOnServer(t *testing.T) {
-	srv := obs.NewServer(obs.NewRegistry(), nil)
+	srv := obs.NewServer(obs.NewRegistry(), 0)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -31,12 +31,12 @@ func BenchmarkNilScopeCSIHook(b *testing.B) {
 // BenchmarkScopedCounterInc measures the roll-up tax: one extra atomic
 // add per parent level over a root-registry increment.
 func BenchmarkScopedCounterInc(b *testing.B) {
-	parent := obs.NewRegistry()
-	s, err := New("bench", parent, Config{})
+	set := NewSet(obs.NewRegistry(), 0)
+	defer set.Close()
+	s, err := set.Open("bench", "")
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close()
 	c := s.Registry().Counter("bench_evals_total")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -67,7 +67,7 @@ func BenchmarkScopeOpenClose(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := set.Open("bench", Config{})
+		s, err := set.Open("bench", "")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -70,7 +70,6 @@ type CLI struct {
 
 	sc        *Scope // the root scope; nil before Start and after Finish
 	tracelog  *obs.TraceLog
-	rec       *obs.Recorder
 	cpuFile   *os.File
 	sampler   *perf.Sampler
 	flushLife *obs.Lifecycle
@@ -198,9 +197,7 @@ func (c *CLI) start(logw io.Writer, level obs.Level, rules []health.Rule) error 
 		sc.reg.SetTraceLog(c.tracelog)
 	}
 	if c.telemetryAddr != "" {
-		c.rec = obs.NewRecorder(sc.reg, c.sampleInterval, 0)
-		c.rec.Start()
-		srv := obs.NewServer(sc.reg, c.rec)
+		srv := obs.NewServer(sc.reg, c.sampleInterval)
 		if err := srv.Start(c.telemetryAddr); err != nil {
 			return err
 		}
@@ -226,7 +223,7 @@ func (c *CLI) start(logw io.Writer, level obs.Level, rules []health.Rule) error 
 		if interval <= 0 {
 			interval = c.sampleInterval
 		}
-		sc.mon = health.NewMonitor(sc.reg, rules, interval, 0)
+		sc.mon = health.NewMonitor(sc.reg, rules, interval)
 		sc.mon.Notify = alertNotify(sc)
 		health.RegisterRoutes(sc.srv, sc.mon)
 		sc.mon.Start()
@@ -404,17 +401,13 @@ func (c *CLI) shutdown(stdout io.Writer) error {
 	return err
 }
 
-// stopObs closes the live server and recorder and stops CPU profiling,
-// then — unless stdout is nil — writes the heap profile, the Chrome
-// trace, and the final metrics snapshot.
+// stopObs closes the live server and stops CPU profiling, then —
+// unless stdout is nil — writes the heap profile, the Chrome trace, and
+// the final metrics snapshot.
 func (c *CLI) stopObs(sc *Scope, stdout io.Writer) error {
 	var srvErr error
 	if sc.srv != nil {
 		srvErr = sc.srv.Close()
-	}
-	if c.rec != nil {
-		c.rec.Stop()
-		c.rec = nil
 	}
 	if c.cpuFile != nil {
 		pprof.StopCPUProfile()

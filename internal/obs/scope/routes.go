@@ -6,7 +6,6 @@ import (
 	"net/http"
 
 	"press/internal/obs"
-	"press/internal/obs/health"
 )
 
 // sessionsPayload is the /sessions response body.
@@ -18,34 +17,19 @@ type sessionsPayload struct {
 	Evicted  int64  `json:"evicted_total"`
 }
 
-// healthzPayload is the /sessions/{id}/healthz response body.
-type healthzPayload struct {
-	Session string                 `json:"session"`
-	OK      bool                   `json:"ok"`
-	Firing  int                    `json:"firing"`
-	Alerts  *health.AlertsSnapshot `json:"alerts,omitempty"`
-}
-
 // RegisterRoutes exposes the set on a telemetry server:
 //
 //	GET /sessions                     live-session listing + cap/eviction stats
 //	GET /sessions/{id}/metrics.json   the session's registry as JSON
 //	GET /sessions/{id}/metrics        Prometheus text with a session label
-//	GET /sessions/{id}/healthz        the session's alert state
-//	GET /sessions/{id}/tracez         the session's loop-deadline traces
 //
-// and installs the resolver behind session-filtered /events?session=
-// streams. JSON routes share ServeJSON's contract (gzip when accepted,
+// JSON routes share ServeJSON's contract (gzip when accepted,
 // Cache-Control: no-store). Routes may be registered while the server
 // is already serving.
 func (t *Set) RegisterRoutes(srv *obs.Server) error {
 	if t == nil || srv == nil {
 		return nil
 	}
-	t.AttachServer(srv)
-	srv.SetSessionResolver(func(id string) *obs.Recorder {
-		return t.Get(id).Recorder()
-	})
 	if err := srv.TryHandle("/sessions", func(w http.ResponseWriter, r *http.Request) {
 		obs.ServeJSON(w, r, func(out io.Writer) error {
 			enc := json.NewEncoder(out)
@@ -78,30 +62,9 @@ func (t *Set) RegisterRoutes(srv *obs.Server) error {
 	}); err != nil {
 		return err
 	}
-	if err := handle("/sessions/{id}/metrics", func(s *Scope, w http.ResponseWriter, r *http.Request) {
+	return handle("/sessions/{id}/metrics", func(s *Scope, w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.Header().Set("Cache-Control", "no-store")
 		_ = s.Registry().WriteTextLabeled(w, "session", s.ID())
-	}); err != nil {
-		return err
-	}
-	if err := handle("/sessions/{id}/tracez", func(s *Scope, w http.ResponseWriter, r *http.Request) {
-		s.Tracer().ServeTracez(w, r)
-	}); err != nil {
-		return err
-	}
-	return handle("/sessions/{id}/healthz", func(s *Scope, w http.ResponseWriter, r *http.Request) {
-		obs.ServeJSON(w, r, func(out io.Writer) error {
-			p := healthzPayload{Session: s.ID(), OK: true}
-			if mon := s.Health(); mon != nil {
-				alerts := mon.Alerts()
-				p.Alerts = &alerts
-				p.Firing = alerts.Firing
-				p.OK = p.Firing == 0
-			}
-			enc := json.NewEncoder(out)
-			enc.SetIndent("", "  ")
-			return enc.Encode(p)
-		})
 	})
 }

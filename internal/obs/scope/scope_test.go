@@ -17,7 +17,7 @@ import (
 func TestNilScopeAccessors(t *testing.T) {
 	var s *Scope
 	if s.ID() != "" || s.Registry() != nil || s.Logger() != nil ||
-		s.Recorder() != nil || s.Health() != nil || s.Flight() != nil || s.Prof() != nil {
+		s.Health() != nil || s.Flight() != nil || s.Prof() != nil || s.Tracer() != nil {
 		t.Fatal("nil scope accessors must return zero values")
 	}
 	if s.CSIHook() != nil {
@@ -34,11 +34,12 @@ func TestNilScopeAccessors(t *testing.T) {
 
 func TestScopeRollUp(t *testing.T) {
 	parent := obs.NewRegistry()
-	s, err := New("room-1", parent, Config{})
+	set := NewSet(parent, 0)
+	defer set.Close()
+	s, err := set.Open("room-1", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	s.Registry().Counter("radio_csi_measurements_total").Add(7)
 	if got := s.Registry().Counter("radio_csi_measurements_total").Value(); got != 7 {
 		t.Fatalf("scoped counter = %d, want 7", got)
@@ -50,22 +51,18 @@ func TestScopeRollUp(t *testing.T) {
 
 func TestScopeOwnedComponents(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "run-1")
-	s, err := New("room-2", obs.NewRegistry(), Config{
-		SampleInterval:  time.Hour,
-		Health:          true,
-		FlightDir:       dir,
-		PhaseAccounting: true,
-	})
+	set := NewSet(obs.NewRegistry(), 0)
+	defer set.Close()
+	s, err := set.Open("room-2", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.start()
-	if s.Recorder() == nil || s.Health() == nil || s.Flight() == nil || s.Prof() == nil {
-		t.Fatal("owned components missing")
+	if s.Registry() == nil || s.Flight() == nil {
+		t.Fatal("owned registry or flight log missing")
 	}
 	hook := s.CSIHook()
 	if hook == nil {
-		t.Fatal("CSIHook should be non-nil with health+flight")
+		t.Fatal("CSIHook should be non-nil with a flight log")
 	}
 	hook([]float64{3, 4, 5})
 	man := flight.NewManifest("test", "scenario", 42)
@@ -87,7 +84,7 @@ func TestScopeOwnedComponents(t *testing.T) {
 
 func TestAdoptedScopeDoesNotClose(t *testing.T) {
 	reg := obs.NewRegistry()
-	mon := health.NewMonitor(reg, nil, time.Hour, 0)
+	mon := health.NewMonitor(reg, nil, time.Hour)
 	mon.Start()
 	defer mon.Stop()
 	s := Adopt("cli", reg, nil, mon, nil, nil)
@@ -106,7 +103,7 @@ func TestSetLRUEviction(t *testing.T) {
 	parent := obs.NewRegistry()
 	set := NewSet(parent, 8)
 	for i := 0; i < 20; i++ {
-		if _, err := set.Open(sessionID(i), Config{}); err != nil {
+		if _, err := set.Open(sessionID(i), ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,7 +131,7 @@ func TestSetLRUEviction(t *testing.T) {
 	if set.Get(sessionID(12)) == nil {
 		t.Fatal("session 12 should be live")
 	}
-	if _, err := set.Open("fresh", Config{}); err != nil {
+	if _, err := set.Open("fresh", ""); err != nil {
 		t.Fatal(err)
 	}
 	if set.Get(sessionID(12)) == nil {
@@ -159,10 +156,10 @@ func TestSetLRUEviction(t *testing.T) {
 func TestSetDuplicateOpen(t *testing.T) {
 	set := NewSet(obs.NewRegistry(), 4)
 	defer set.Close()
-	if _, err := set.Open("dup", Config{}); err != nil {
+	if _, err := set.Open("dup", ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := set.Open("dup", Config{}); err == nil {
+	if _, err := set.Open("dup", ""); err == nil {
 		t.Fatal("duplicate Open should error")
 	}
 }
@@ -173,7 +170,7 @@ func sessionID(i int) string {
 
 func TestRoutes(t *testing.T) {
 	parent := obs.NewRegistry()
-	srv := obs.NewServer(parent, obs.NewRecorder(parent, time.Hour, 4))
+	srv := obs.NewServer(parent, time.Hour)
 	set := NewSet(parent, 16)
 	if err := set.RegisterRoutes(srv); err != nil {
 		t.Fatal(err)
@@ -184,7 +181,7 @@ func TestRoutes(t *testing.T) {
 	defer srv.Close()
 	base := "http://" + srv.Addr().String()
 
-	s, err := set.Open("room-7", Config{SampleInterval: time.Hour, Health: true})
+	s, err := set.Open("room-7", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,13 +223,15 @@ func TestRoutes(t *testing.T) {
 		t.Fatalf("labeled metrics: %d %s", code, body)
 	}
 
-	code, body = get("/sessions/room-7/healthz")
-	if code != 200 || !strings.Contains(body, `"ok": true`) {
-		t.Fatalf("healthz: %d %s", code, body)
-	}
-
 	if code, _ = get("/sessions/nope/metrics.json"); code != 404 {
 		t.Fatalf("unknown session: %d, want 404", code)
+	}
+	// A room has no monitor or tracer of its own, so no per-room alert
+	// or trace routes exist.
+	for _, path := range []string{"/sessions/room-7/healthz", "/sessions/room-7/tracez"} {
+		if code, _ = get(path); code != 404 {
+			t.Fatalf("%s: %d, want 404", path, code)
+		}
 	}
 
 	// The process /metrics endpoint reconciles with the scoped write.

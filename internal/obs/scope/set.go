@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"press/internal/obs"
+	"press/internal/obs/flight"
 	"press/internal/obs/names"
 	"press/internal/obs/tsdb"
 )
@@ -29,7 +30,6 @@ const (
 // rely on. All methods are safe for concurrent use.
 type Set struct {
 	parent *obs.Registry
-	srv    *obs.Server // optional: session events publish here
 	cap    int
 
 	opened  *obs.Counter
@@ -65,18 +65,6 @@ func NewSet(parent *obs.Registry, cap int) *Set {
 		active:  parent.Gauge(GaugeScopesActive),
 		scopes:  map[string]*entry{},
 	}
-}
-
-// AttachServer points session telemetry at a live server: health events
-// from scopes opened after this call publish as session-tagged SSE
-// events, and RegisterRoutes' resolver work. Call before Open.
-func (t *Set) AttachServer(srv *obs.Server) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.srv = srv
-	t.mu.Unlock()
 }
 
 // AttachTSDB makes the set the metrics-history store's session source:
@@ -126,25 +114,34 @@ func (t *Set) Cap() int {
 	return t.cap
 }
 
-// Open creates, registers, and starts a new owned scope. A duplicate ID
-// is an error (Get the existing scope instead). When the set is full
-// the least recently used scope is closed and evicted first.
-func (t *Set) Open(id string, cfg Config) (*Scope, error) {
+// Open creates and registers a new owned scope: a child registry of the
+// set's parent plus, when flightDir is non-empty, a flight log in that
+// directory (the caller picks the layout, typically
+// <shared-flight-root>/<run-id>). The id names the session everywhere
+// it surfaces: the `session` metric label, the /sessions routes, and
+// flight-manifest tags. A duplicate ID is an error (Get the existing
+// scope instead). When the set is full the least recently used scope is
+// closed and evicted first.
+func (t *Set) Open(id, flightDir string) (*Scope, error) {
 	if t == nil {
 		return nil, fmt.Errorf("scope: nil set")
 	}
 	if id == "" {
 		return nil, fmt.Errorf("scope: empty session id")
 	}
-	s, err := New(id, t.parent, cfg)
-	if err != nil {
-		return nil, err
+	s := &Scope{id: id, reg: obs.NewRegistryWithParent(t.parent), owned: true}
+	if flightDir != "" {
+		fl, err := flight.Open(flightDir, 0)
+		if err != nil {
+			return nil, fmt.Errorf("scope %s: %w", id, err)
+		}
+		s.fl = fl
 	}
 
 	t.mu.Lock()
 	if _, dup := t.scopes[id]; dup {
 		t.mu.Unlock()
-		closeDiscard(s)
+		_ = s.Close() // never registered, so its flight log is ours to close
 		return nil, fmt.Errorf("scope: session %q already open", id)
 	}
 	type victimEntry struct {
@@ -162,7 +159,6 @@ func (t *Set) Open(id string, cfg Config) (*Scope, error) {
 	}
 	t.seq++
 	t.scopes[id] = &entry{scope: s, created: time.Now(), lastUse: t.seq}
-	srv := t.srv
 	ts := t.ts
 	t.active.Set(float64(len(t.scopes)))
 	t.mu.Unlock()
@@ -176,15 +172,6 @@ func (t *Set) Open(id string, cfg Config) (*Scope, error) {
 		// retention expires them.
 		ts.EndSession(v.id, v.scope.reg)
 	}
-
-	// Wire session-tagged SSE before the monitor's first sample.
-	if srv != nil && s.mon != nil {
-		sid := id
-		s.mon.Notify = func(event string, v any) {
-			srv.PublishSession(sid, event, v)
-		}
-	}
-	s.start()
 	return s, nil
 }
 
@@ -199,9 +186,6 @@ func (t *Set) lruLocked() string {
 	}
 	return victim
 }
-
-// closeDiscard closes a scope that never made it into the set.
-func closeDiscard(s *Scope) { _ = s.Close() }
 
 // Get returns the scope for id (nil when unknown) and marks it
 // most-recently-used.
@@ -256,8 +240,6 @@ func (t *Set) Len() int {
 type Info struct {
 	ID            string `json:"id"`
 	CreatedUnixMs int64  `json:"created_unix_ms"`
-	Sampling      bool   `json:"sampling"`
-	Health        bool   `json:"health"`
 	Flight        bool   `json:"flight"`
 	FlightDir     string `json:"flight_dir,omitempty"`
 }
@@ -275,8 +257,6 @@ func (t *Set) List() []Info {
 		out = append(out, Info{
 			ID:            id,
 			CreatedUnixMs: e.created.UnixMilli(),
-			Sampling:      s.rec != nil,
-			Health:        s.mon != nil,
 			Flight:        s.fl != nil,
 			FlightDir:     s.fl.Dir(),
 		})

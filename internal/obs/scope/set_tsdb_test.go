@@ -33,7 +33,7 @@ func TestSetReleasesTSDBSessions(t *testing.T) {
 
 	open := func(id string) {
 		t.Helper()
-		if _, err := set.Open(id, Config{}); err != nil {
+		if _, err := set.Open(id, ""); err != nil {
 			t.Fatal(err)
 		}
 		store.Offer(tsdb.Batch{
@@ -100,7 +100,7 @@ func TestSetCollectsTailBeforeRelease(t *testing.T) {
 		sc.Registry().Counter("scoped_work_total").Add(n)
 	}
 	for _, id := range []string{"a", "b"} {
-		if _, err := set.Open(id, Config{}); err != nil {
+		if _, err := set.Open(id, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +113,7 @@ func TestSetCollectsTailBeforeRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"c", "d"} { // d evicts LRU b
-		if _, err := set.Open(id, Config{}); err != nil {
+		if _, err := set.Open(id, ""); err != nil {
 			t.Fatal(err)
 		}
 	}

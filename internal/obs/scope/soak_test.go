@@ -38,7 +38,7 @@ func TestSoakConcurrentSessions(t *testing.T) {
 
 			var wg sync.WaitGroup
 			for i := 0; i < tc.scopes; i++ {
-				s, err := set.Open(fmt.Sprintf("room-%03d", i), Config{})
+				s, err := set.Open(fmt.Sprintf("room-%03d", i), "")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -92,7 +92,7 @@ func TestSoakEvictionUnderLoad(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for i := 0; i < sessions; i++ {
-		s, err := set.Open(fmt.Sprintf("room-%03d", i), Config{})
+		s, err := set.Open(fmt.Sprintf("room-%03d", i), "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,15 +119,12 @@ func TestSoakEvictionUnderLoad(t *testing.T) {
 	}
 }
 
-// TestSoakSSEFanOut exercises SSE subscribers on session-filtered and
-// unfiltered streams while scopes publish concurrently — the fan-out
-// half of the race table.
+// TestSoakSSEFanOut exercises concurrent /events subscribers while
+// every room publishes and writes its counters and the server's sample
+// tick runs — the fan-out half of the race table.
 func TestSoakSSEFanOut(t *testing.T) {
 	parent := obs.NewRegistry()
-	rec := obs.NewRecorder(parent, time.Hour, 8)
-	rec.Start()
-	defer rec.Stop()
-	srv := obs.NewServer(parent, rec)
+	srv := obs.NewServer(parent, 5*time.Millisecond)
 	set := NewSet(parent, 32)
 	defer set.Close()
 	if err := set.RegisterRoutes(srv); err != nil {
@@ -141,7 +138,7 @@ func TestSoakSSEFanOut(t *testing.T) {
 
 	const scopes = 8
 	for i := 0; i < scopes; i++ {
-		if _, err := set.Open(fmt.Sprintf("room-%d", i), Config{SampleInterval: 5 * time.Millisecond}); err != nil {
+		if _, err := set.Open(fmt.Sprintf("room-%d", i), ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,7 +154,7 @@ func TestSoakSSEFanOut(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					srv.PublishSession(fmt.Sprintf("room-%d", i), "tick", map[string]int{"i": i})
+					srv.Publish("tick", map[string]int{"i": i})
 					set.Get(fmt.Sprintf("room-%d", i)).Registry().Counter("sse_ticks").Inc()
 				}
 			}
@@ -169,11 +166,7 @@ func TestSoakSSEFanOut(t *testing.T) {
 		subWG.Add(1)
 		go func(i int) {
 			defer subWG.Done()
-			url := fmt.Sprintf("%s/events?session=room-%d", base, i)
-			if i%2 == 0 {
-				url = base + "/events" // unfiltered
-			}
-			resp, err := http.Get(url)
+			resp, err := http.Get(base + "/events")
 			if err != nil {
 				t.Errorf("subscriber %d: %v", i, err)
 				return

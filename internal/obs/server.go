@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -23,21 +22,22 @@ import (
 //	GET /metrics.json  JSON snapshot (same shape as -telemetry)
 //	GET /healthz       liveness probe ("ok" plus build provenance)
 //	GET /buildz        build info JSON (Go version, VCS revision)
-//	GET /events        Server-Sent Events stream of recorder samples
+//	GET /events        Server-Sent Events stream of registry samples
 //	                   plus any named events sent through Publish
 //	GET /debug/pprof/  the standard pprof handlers
 //
 // Where -telemetry writes one snapshot at exit, the server makes a
 // long-running sweep or controller session observable while it runs:
 // point Prometheus (or curl) at /metrics, or follow /events for the
-// sampled time series the Recorder maintains.
+// registry sampled every interval while the server is started.
 //
 // Subsystems can extend the server: HandleFunc registers extra routes
 // (the channel-health layer adds /alerts, /health.json, /dashboard) and
 // Publish fans a named SSE event out to every /events subscriber.
 type Server struct {
-	reg *Registry
-	rec *Recorder
+	reg      *Registry
+	interval time.Duration
+	tick     Lifecycle
 
 	// muxMu guards mux and patterns: routes are registered by higher
 	// layers (health, flight, prof, scope) *after* Start has the server
@@ -50,14 +50,12 @@ type Server struct {
 	srv *http.Server
 	ln  net.Listener
 
-	pubMu sync.Mutex
-	pubs  map[int]chan sseEvent
-	pubID int
-
-	// sessions, when set, resolves a session ID to its scope's recorder —
-	// the hook behind session-filtered /events streams (the scope layer
-	// installs it without obs depending on scope).
-	sessions atomic.Pointer[SessionResolver]
+	// pubMu guards the /events subscribers and the latest sample, which
+	// a new subscriber receives first.
+	pubMu  sync.Mutex
+	pubs   map[int]chan sseEvent
+	pubID  int
+	latest Sample
 
 	// healthMu guards healthFns: status lines higher layers append to
 	// the /healthz body (the tsdb store reports its series, disk use,
@@ -66,22 +64,35 @@ type Server struct {
 	healthFns []func() string
 }
 
-// SessionResolver maps a session ID to that session's sample recorder
-// (nil when the session does not exist).
-type SessionResolver func(id string) *Recorder
-
-// sseEvent is one published named event, pre-marshalled. session is ""
-// for process-wide events, else the scope the event belongs to.
-type sseEvent struct {
-	name    string
-	session string
-	data    []byte
+// Sample is one periodic reading of a registry's counters and gauges —
+// enough to reconstruct a search trajectory (best-objective gauge,
+// evaluation counters) or watch control-plane frame counters advance
+// while a session runs. /events sends each as an unnamed event.
+type Sample struct {
+	// UnixMs is the sample's wall-clock timestamp in milliseconds.
+	UnixMs   int64              `json:"unix_ms"`
+	Counters map[string]int64   `json:"counters"`
+	Gauges   map[string]float64 `json:"gauges"`
 }
 
-// NewServer builds a server over reg. rec may be nil, in which case
-// /events reports 404 (no sampler running).
-func NewServer(reg *Registry, rec *Recorder) *Server {
-	s := &Server{reg: reg, rec: rec, pubs: map[int]chan sseEvent{}}
+// DefaultSampleInterval is the /events sample cadence when the CLI flag
+// is left at its default.
+const DefaultSampleInterval = time.Second
+
+// sseEvent is one /events frame, pre-marshalled; name is "" for a
+// registry sample.
+type sseEvent struct {
+	name string
+	data []byte
+}
+
+// NewServer builds a server over reg that, once started, samples reg
+// for /events every interval (≤ 0 means DefaultSampleInterval).
+func NewServer(reg *Registry, interval time.Duration) *Server {
+	if interval <= 0 {
+		interval = DefaultSampleInterval
+	}
+	s := &Server{reg: reg, interval: interval, pubs: map[int]chan sseEvent{}}
 	s.mux = http.NewServeMux()
 	s.patterns = map[string]struct{}{}
 	s.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -133,7 +144,9 @@ func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // Handler returns the server's route table, usable standalone (tests,
-// embedding into an existing mux).
+// embedding into an existing mux). The /events sample tick runs only
+// between Start and Close; a standalone handler streams published
+// events alone.
 func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.serveHTTP) }
 
 // HandleFunc registers an additional route on the server — the hook
@@ -195,27 +208,11 @@ func (s *Server) AddHealthz(fn func() string) {
 	s.healthMu.Unlock()
 }
 
-// SetSessionResolver installs the session-ID → recorder lookup behind
-// /events?session= (nil uninstalls it). Safe for concurrent use.
-func (s *Server) SetSessionResolver(f SessionResolver) {
-	if f == nil {
-		s.sessions.Store(nil)
-		return
-	}
-	s.sessions.Store(&f)
-}
-
 // Publish marshals v and fans it out to every /events subscriber as a
 // named SSE event ("event: <name>"). Slow subscribers drop the event
 // rather than blocking the publisher. Safe for concurrent use; a nil
 // server discards the event.
-func (s *Server) Publish(name string, v any) { s.PublishSession("", name, v) }
-
-// PublishSession is Publish with a session tag: an unfiltered /events
-// stream sees every event, while /events?session=ID streams only that
-// session's events (plus its recorder samples). An empty session means
-// process-wide. A nil server discards the event.
-func (s *Server) PublishSession(session, name string, v any) {
+func (s *Server) Publish(name string, v any) {
 	if s == nil {
 		return
 	}
@@ -223,58 +220,68 @@ func (s *Server) PublishSession(session, name string, v any) {
 	if err != nil {
 		return
 	}
-	ev := sseEvent{name: name, session: session, data: data}
 	s.pubMu.Lock()
-	for _, ch := range s.pubs {
-		select {
-		case ch <- ev:
-		default: // subscriber lagging: drop, never block the publisher
-		}
-	}
+	s.fanOutLocked(sseEvent{name: name, data: data})
 	s.pubMu.Unlock()
 }
 
-// subscribePub registers a listener for published events; the cancel
-// func unregisters it and closes the channel.
-func (s *Server) subscribePub(buf int) (<-chan sseEvent, func()) {
+// fanOutLocked offers ev to every subscriber; a lagging one drops it, so
+// neither a publisher nor the sample tick ever blocks. Caller holds
+// s.pubMu.
+func (s *Server) fanOutLocked(ev sseEvent) {
+	for _, ch := range s.pubs {
+		select {
+		case ch <- ev:
+		default:
+		}
+	}
+}
+
+// sampleOnce snapshots the registry into the latest sample and, when
+// anyone is listening, sends it as an unnamed /events frame. With no
+// subscriber it marshals nothing.
+func (s *Server) sampleOnce() {
+	snap := s.reg.Snapshot()
+	smp := Sample{UnixMs: time.Now().UnixMilli(), Counters: snap.Counters, Gauges: snap.Gauges}
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
+	s.latest = smp
+	if len(s.pubs) == 0 {
+		return
+	}
+	if data, err := json.Marshal(smp); err == nil {
+		s.fanOutLocked(sseEvent{data: data})
+	}
+}
+
+// subscribe registers an /events listener and returns the latest sample
+// (UnixMs 0 before the first tick) under the same lock, so the stream
+// neither repeats nor skips a sample. The cancel func unregisters the
+// listener.
+func (s *Server) subscribe(buf int) (<-chan sseEvent, Sample, func()) {
 	ch := make(chan sseEvent, buf)
 	s.pubMu.Lock()
 	id := s.pubID
 	s.pubID++
 	s.pubs[id] = ch
+	latest := s.latest
 	s.pubMu.Unlock()
-	return ch, func() {
+	return ch, latest, func() {
 		s.pubMu.Lock()
-		if _, ok := s.pubs[id]; ok {
-			delete(s.pubs, id)
-			close(ch)
-		}
+		delete(s.pubs, id)
 		s.pubMu.Unlock()
 	}
 }
 
-// serveEvents streams recorder samples as Server-Sent Events: the most
-// recent buffered sample first (so a subscriber immediately sees state),
-// then every new sample until the client disconnects. Named events sent
-// through Publish are interleaved with their "event:" field set. With
-// ?session=ID the stream narrows to that session's scope: its own
-// recorder's samples and only the events published under that session.
+// serveEvents streams Server-Sent Events: the latest registry sample
+// first (so a subscriber immediately sees state), then every new sample
+// and every event sent through Publish, in the order they happen, until
+// the client disconnects. Samples are unnamed; published events carry
+// their "event:" field. Per-session telemetry is polled, not streamed,
+// so ?session= answers 404.
 func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request) {
-	rec := s.rec
-	session := r.URL.Query().Get("session")
-	if session != "" {
-		resolve := s.sessions.Load()
-		if resolve == nil {
-			http.Error(w, "session-scoped telemetry not enabled", http.StatusNotFound)
-			return
-		}
-		if rec = (*resolve)(session); rec == nil {
-			http.Error(w, "unknown session "+session, http.StatusNotFound)
-			return
-		}
-	}
-	if rec == nil {
-		http.Error(w, "no recorder: start the binary with -telemetry-addr", http.StatusNotFound)
+	if id := r.URL.Query().Get("session"); id != "" {
+		http.Error(w, "no per-session event stream: poll /sessions/"+id+"/metrics", http.StatusNotFound)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
@@ -286,6 +293,7 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
+	flusher.Flush() // the client sees the stream open before the first event
 
 	write := func(event string, data []byte) bool {
 		if event != "" {
@@ -299,39 +307,20 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 		return true
 	}
-	writeSample := func(sample Sample) bool {
-		buf, err := json.Marshal(sample)
-		if err != nil {
-			return false
-		}
-		return write("", buf)
-	}
-
-	ch, cancel := rec.Subscribe(16)
+	// 16 frames absorb a burst (a tick's sample plus the health and
+	// alert events it triggers) while the client catches up; past that
+	// the fan-out drops rather than waits.
+	ch, latest, cancel := s.subscribe(16)
 	defer cancel()
-	pub, cancelPub := s.subscribePub(16)
-	defer cancelPub()
-	if backlog := rec.Samples(); len(backlog) > 0 {
-		if !writeSample(backlog[len(backlog)-1]) {
+	if latest.UnixMs != 0 {
+		data, err := json.Marshal(latest)
+		if err != nil || !write("", data) {
 			return
 		}
 	}
 	for {
 		select {
-		case sample, ok := <-ch:
-			if !ok {
-				return
-			}
-			if !writeSample(sample) {
-				return
-			}
-		case ev, ok := <-pub:
-			if !ok {
-				return
-			}
-			if session != "" && ev.session != session {
-				continue // another scope's event: not for this stream
-			}
+		case ev := <-ch:
 			if !write(ev.name, ev.data) {
 				return
 			}
@@ -386,7 +375,9 @@ func acceptsGzip(r *http.Request) bool {
 }
 
 // Start listens on addr (e.g. "127.0.0.1:9090", ":0") and serves in a
-// background goroutine until Close.
+// background goroutine until Close. It also starts the /events sample
+// tick, taking the first sample at once so a subscriber right after
+// Start already sees one.
 func (s *Server) Start(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -394,6 +385,18 @@ func (s *Server) Start(addr string) error {
 	}
 	s.ln = ln
 	go func() { _ = s.srv.Serve(ln) }()
+	s.tick.Start(s.sampleOnce, func(stop <-chan struct{}) {
+		t := time.NewTicker(s.interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				s.sampleOnce()
+			case <-stop:
+				return
+			}
+		}
+	})
 	return nil
 }
 
@@ -406,9 +409,11 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Close shuts the server down, waiting briefly for in-flight requests;
-// open /events streams are cut by closing the underlying connections.
+// Close stops the sample tick and shuts the server down, waiting
+// briefly for in-flight requests; open /events streams are cut by
+// closing the underlying connections.
 func (s *Server) Close() error {
+	s.tick.Stop()
 	if s.ln == nil {
 		return nil
 	}

@@ -16,7 +16,7 @@ import (
 func TestServerJSONHeadersAndGzip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("gz_total").Add(3)
-	s := newTestServer(t, reg, nil)
+	s := newTestServer(t, reg, 0)
 	base := "http://" + s.Addr().String()
 
 	// Plain request: explicit content type, no-store, no encoding.
@@ -87,10 +87,7 @@ func TestAcceptsGzip(t *testing.T) {
 
 func TestServerPublishNamedEvents(t *testing.T) {
 	reg := NewRegistry()
-	rec := NewRecorder(reg, time.Hour, 16) // slow: only published events flow
-	rec.Start()
-	defer rec.Stop()
-	s := newTestServer(t, reg, rec)
+	s := newTestServer(t, reg, time.Hour) // slow: only published events flow
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -135,5 +132,5 @@ func TestServerPublishNamedEvents(t *testing.T) {
 func TestServerPublishNilSafe(t *testing.T) {
 	var s *Server
 	s.Publish("health", 1) // must not panic
-	NewServer(nil, nil).Publish("health", func() {})
+	NewServer(nil, 0).Publish("health", func() {})
 }

@@ -115,7 +115,7 @@ func TestLoopSpanCap(t *testing.T) {
 
 func TestLoopEndFansOut(t *testing.T) {
 	reg := obs.NewRegistry()
-	mon := health.NewMonitor(nil, nil, time.Hour, 8)
+	mon := health.NewMonitor(nil, nil, time.Hour)
 	dir := filepath.Join(t.TempDir(), "run-1")
 	rec, err := flight.Open(dir, 1)
 	if err != nil {

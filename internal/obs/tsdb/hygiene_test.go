@@ -48,8 +48,6 @@ var routeProbes = map[string]struct {
 	// {id} routes are driven through the session the test opens.
 	"/sessions/{id}/metrics.json": {path: "/sessions/s1/metrics.json"},
 	"/sessions/{id}/metrics":      {skip: "Prometheus text exposition, not JSON"},
-	"/sessions/{id}/healthz":      {path: "/sessions/s1/healthz"},
-	"/sessions/{id}/tracez":       {path: "/sessions/s1/tracez"},
 }
 
 // TestRouteHygiene sweeps every registered route on a fully loaded
@@ -79,7 +77,7 @@ func TestRouteHygiene(t *testing.T) {
 	if err := set.RegisterRoutes(srv); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := set.Open("s1", scope.Config{Health: true, LoopTracing: true}); err != nil {
+	if _, err := set.Open("s1", ""); err != nil {
 		t.Fatal(err)
 	}
 

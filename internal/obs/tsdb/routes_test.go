@@ -26,7 +26,7 @@ func TestRoutes(t *testing.T) {
 			Counters: map[string]int64{"route_hits_total": 1},
 		})
 	}
-	srv := obs.NewServer(reg, nil)
+	srv := obs.NewServer(reg, 0)
 	RegisterRoutes(srv, s)
 	h := srv.Handler()
 
