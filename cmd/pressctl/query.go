@@ -18,9 +18,9 @@ import (
 // store is opened read-only, so it works on a live run's directory and
 // after the writing process is gone alike.
 //
-//	pressctl query -tsdb-dir d 'rate(control_actuations_total[1m])'
+//	pressctl query -tsdb-dir d 'rate(controlplane_acks_total[1m])'
 //	pressctl query -tsdb-dir d -last 10m -step 30s 'health_min_snr_db'
-//	pressctl query -tsdb-dir d -session room-3 -o ndjson 'radio_csi_updates_total'
+//	pressctl query -tsdb-dir d -session room-3 -o ndjson 'radio_csi_measurements_total'
 //
 // Without -at/-start/-end the evaluation time defaults to the store's
 // data extent (not the wall clock), so querying an old run just works.

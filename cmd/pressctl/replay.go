@@ -165,8 +165,9 @@ func replayDemo(man *flight.Manifest, rec *flight.Recorder) error {
 	if err != nil {
 		return err
 	}
+	sc := scope.Adopt("", nil, nil, nil, rec, nil)
 	link := space.Link("ap-client")
-	link.OnCSI = rec.RecordCSI
+	link.AttachScope(sc)
 
 	regen := press.NewFlightManifest("pressctl", "demo-replay", man.Seed)
 	regen.Params = man.Params
@@ -189,8 +190,7 @@ func replayDemo(man *flight.Manifest, rec *flight.Recorder) error {
 		},
 	}
 	searcher := press.InstrumentSearcher(
-		press.Greedy{Rng: rand.New(rand.NewPCG(man.Seed, 2)), Restarts: int(restarts64)},
-		scope.Adopt("", nil, nil, nil, rec, nil))
+		press.Greedy{Rng: rand.New(rand.NewPCG(man.Seed, 2)), Restarts: int(restarts64)}, sc)
 	res, err := searcher.Search(space.Array, ev.Eval, int(budget64))
 	if err != nil && !errors.Is(err, press.ErrBudgetExhausted) {
 		return err

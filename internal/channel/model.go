@@ -72,8 +72,8 @@ type elementTerms struct {
 // for the same environment, antennas and grid; their traced environment
 // paths are reused, so only the element tables are rebuilt (an Array
 // swap). Otherwise each pair's environment is traced once, accounted to
-// path_trace by env.Prof. The table build is accounted to path_trace on
-// pc. An invalid grid or environment, a position or velocity that is not
+// path_trace on the environment's scope. The table build is accounted
+// to path_trace on pc. An invalid grid or environment, a position or velocity that is not
 // finite, or a node outside the room is an error, returned before
 // anything is traced.
 func Build(env *propagation.Environment, tx, rx []propagation.Node, arr *element.Array,
@@ -93,8 +93,8 @@ func Build(env *propagation.Environment, tx, rx []propagation.Node, arr *element
 			continue
 		}
 		// Traced before the build span opens: TracePaths opens its own
-		// path_trace span on env.Prof, which may be pc, and nested spans
-		// would count the trace twice.
+		// path_trace span on the environment's collector, which may be
+		// pc, and nested spans would count the trace twice.
 		envPaths[p] = propagation.TracePaths(env, tx[p%len(tx)], rx[p/len(tx)], lambda)
 	}
 	sp := pc.Start(prof.PhaseTrace)

@@ -9,8 +9,10 @@ import (
 
 	"press/internal/element"
 	"press/internal/geom"
+	"press/internal/obs"
 	"press/internal/obs/flight"
 	"press/internal/obs/prof"
+	"press/internal/obs/scope"
 	"press/internal/ofdm"
 	"press/internal/propagation"
 	"press/internal/radio"
@@ -163,19 +165,18 @@ func TestHarmonizeEvaluator(t *testing.T) {
 		&element.Element{Pos: geom.V(2.75, 3.9, 1.5), Pattern: rfphys.Omni{PeakGainDBi: 2}, LossDB: 1, States: element.FourPhaseStates()},
 	)
 	grid := ofdm.USRP102()
-	linkA, err := radio.NewLink(env, txA, rxA, grid, arr, 1)
-	if err != nil {
-		t.Fatal(err)
+	newLink := func(tx, rx *radio.Radio, seed uint64) *radio.Link {
+		l, err := radio.NewLink(env, tx, rx, grid, arr, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
 	}
-	linkB, err := radio.NewLink(env, txB, rxB, grid, arr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each link hands its estimate's SNRs to OnCSI, so every score can be
-	// recomputed from the very soundings the evaluator took.
-	var snrA, snrB []float64
-	linkA.OnCSI = func(snr []float64) { snrA = append(snrA[:0], snr...) }
-	linkB.OnCSI = func(snr []float64) { snrB = append(snrB[:0], snr...) }
+	// Each twin is built from its link's seed, so its n-th sounding
+	// matches the link's n-th bit for bit: every score can be recomputed
+	// from the very soundings the evaluator took.
+	linkA, twinA := newLink(txA, rxA, 1), newLink(txA, rxA, 1)
+	linkB, twinB := newLink(txB, rxB, 2), newLink(txB, rxB, 2)
 
 	// Link A wants the lower half band and link B the upper (§3.2.2).
 	ev := &Evaluator{Goals: []Goal{
@@ -184,12 +185,21 @@ func TestHarmonizeEvaluator(t *testing.T) {
 	}}
 	checked := 0
 	eval := func(cfg element.Config) (float64, error) {
+		at := ev.Elapsed().Seconds()
 		got, err := ev.Eval(cfg)
 		if err != nil {
 			return 0, err
 		}
-		want := HalfBandContrast{PreferLower: true}.Score(&ofdm.CSI{SNRdB: snrA}) +
-			HalfBandContrast{PreferLower: false}.Score(&ofdm.CSI{SNRdB: snrB})
+		csiA, err := twinA.MeasureCSI(cfg, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		csiB, err := twinB.MeasureCSI(cfg, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := HalfBandContrast{PreferLower: true}.Score(csiA) +
+			HalfBandContrast{PreferLower: false}.Score(csiB)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("%v: score %v, want A+B contrast %v", cfg, got, want)
 		}
@@ -232,8 +242,9 @@ func TestEvaluatorWeightsAndActuate(t *testing.T) {
 			// twin is built from the same seed, so its n-th sounding of
 			// a configuration matches the evaluator link's n-th bit for bit.
 			link, twin := controlTestbed(t, 21), controlTestbed(t, 21)
-			soundings := 0
-			link.OnCSI = func([]float64) { soundings++ }
+			reg := obs.NewRegistry()
+			link.AttachScope(scope.Adopt("", reg, nil, nil, nil, nil))
+			soundings := func() int64 { return reg.Counter("radio_csi_measurements_total").Value() }
 			ev := &Evaluator{
 				Goals:   []Goal{{Link: link, Objective: MaxMinSNR{}, Weight: tc.weight}},
 				Timing:  timing,
@@ -241,8 +252,8 @@ func TestEvaluatorWeightsAndActuate(t *testing.T) {
 			}
 			got, err := ev.Eval(cfg)
 			if tc.wantErr != nil {
-				if !errors.Is(err, tc.wantErr) || soundings != 0 || ev.Elapsed() != 0 {
-					t.Fatalf("err %v, %d soundings, elapsed %v; want %v, none, 0", err, soundings, ev.Elapsed(), tc.wantErr)
+				if !errors.Is(err, tc.wantErr) || soundings() != 0 || ev.Elapsed() != 0 {
+					t.Fatalf("err %v, %d soundings, elapsed %v; want %v, none, 0", err, soundings(), ev.Elapsed(), tc.wantErr)
 				}
 				return
 			}
@@ -256,8 +267,8 @@ func TestEvaluatorWeightsAndActuate(t *testing.T) {
 			if want := tc.scale * (MaxMinSNR{}).Score(csi); math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("score %v, want %v", got, want)
 			}
-			if soundings != 1 || ev.Elapsed() != timing.PerMeasurement+timing.SwitchLatency {
-				t.Errorf("%d soundings, elapsed %v; want 1, %v", soundings, ev.Elapsed(), timing.PerMeasurement+timing.SwitchLatency)
+			if soundings() != 1 || ev.Elapsed() != timing.PerMeasurement+timing.SwitchLatency {
+				t.Errorf("%d soundings, elapsed %v; want 1, %v", soundings(), ev.Elapsed(), timing.PerMeasurement+timing.SwitchLatency)
 			}
 		})
 	}

@@ -9,6 +9,7 @@ import (
 	"press/internal/geom"
 	"press/internal/inverse"
 	"press/internal/obs"
+	"press/internal/obs/scope"
 	"press/internal/radio"
 )
 
@@ -120,7 +121,7 @@ func TestModelGuidedRejectsDegenerateInput(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			link := controlTestbed(t, 66)
 			reg := obs.NewRegistry()
-			link.Env.Obs = reg
+			link.Env.AttachScope(scope.Adopt("", reg, nil, nil, nil, nil))
 			p := modelProblem(link)
 			tc.edit(p)
 			evals := 0

@@ -10,7 +10,6 @@ import (
 
 	"press/internal/element"
 	"press/internal/obs"
-	"press/internal/obs/health"
 	"press/internal/obs/scope"
 )
 
@@ -27,13 +26,13 @@ type Agent struct {
 	OnApply func(cfg element.Config)
 	// ActuationDelay models RF-switch settling time before the Ack.
 	ActuationDelay time.Duration
-	// Obs, when set, counts handled frames by type (agent_* counters).
-	Obs *obs.Registry
-	// Log, when set, receives a Debug record per applied configuration.
-	Log *obs.Logger
-	// Health, when set, is told of every successful actuation — the feed
-	// behind the control_staleness_s channel-health KPI.
-	Health *health.Monitor
+
+	// sc, when attached, receives the agent's telemetry: frames counted
+	// by type (agent_* counters) on its registry, a Debug record per
+	// applied configuration on its logger, and every successful
+	// actuation on its health monitor — the feed behind the
+	// control_staleness_s channel-health KPI.
+	sc *scope.Scope
 
 	mu      sync.Mutex
 	current element.Config
@@ -46,11 +45,8 @@ func NewAgent(id uint32, arr *element.Array) *Agent {
 
 // AttachScope points the agent's telemetry at a session scope: frame
 // counters, the structured log, and the channel-health actuation feed.
-func (a *Agent) AttachScope(sc *scope.Scope) {
-	a.Obs = sc.Registry()
-	a.Log = sc.Logger()
-	a.Health = sc.Health()
-}
+// A nil scope detaches.
+func (a *Agent) AttachScope(sc *scope.Scope) { a.sc = sc }
 
 // Current returns a copy of the applied configuration.
 func (a *Agent) Current() element.Config {
@@ -94,9 +90,10 @@ func (a *Agent) Serve(ctx context.Context, conn Conn) error {
 // time is recorded as an "agent"-track span under the same ID — the
 // agent half of the controller's send→ack pair.
 func (a *Agent) handle(conn Conn, seq uint32, trace uint64, msg Message) error {
-	a.Obs.Counter("agent_frames_total").Inc()
+	reg := a.sc.Registry()
+	reg.Counter("agent_frames_total").Inc()
 	var start time.Time
-	tl := a.Obs.TraceLog()
+	tl := reg.TraceLog()
 	if tl != nil {
 		start = time.Now()
 	}
@@ -108,13 +105,13 @@ func (a *Agent) handle(conn Conn, seq uint32, trace uint64, msg Message) error {
 	}
 	switch m := msg.(type) {
 	case *SetConfig:
-		a.Obs.Counter("agent_setconfig_total").Inc()
+		reg.Counter("agent_setconfig_total").Inc()
 		cfg := make(element.Config, len(m.States))
 		for i, s := range m.States {
 			cfg[i] = int(s)
 		}
 		if err := a.Array.Validate(cfg); err != nil {
-			a.Obs.Counter("agent_rejects_total").Inc()
+			reg.Counter("agent_rejects_total").Inc()
 			err := conn.Send(seq, trace, &Ack{AckSeq: seq, Status: StatusBadConfig})
 			span("controlplane/set-config")
 			return err
@@ -128,15 +125,15 @@ func (a *Agent) handle(conn Conn, seq uint32, trace uint64, msg Message) error {
 		if a.OnApply != nil {
 			a.OnApply(cfg.Clone())
 		}
-		a.Health.ObserveActuation()
-		if a.Log.Enabled(obs.LevelDebug) {
-			a.Log.Debug("agent: applied configuration", "seq", seq, "trace", trace, "elements", len(cfg))
+		a.sc.Health().ObserveActuation()
+		if log := a.sc.Logger(); log.Enabled(obs.LevelDebug) {
+			log.Debug("agent: applied configuration", "seq", seq, "trace", trace, "elements", len(cfg))
 		}
 		err := conn.Send(seq, trace, &Ack{AckSeq: seq, Status: StatusOK})
 		span("controlplane/set-config")
 		return err
 	case *Query:
-		a.Obs.Counter("agent_queries_total").Inc()
+		reg.Counter("agent_queries_total").Inc()
 		cur := a.Current()
 		states := make([]uint8, len(cur))
 		for i, s := range cur {
@@ -146,14 +143,14 @@ func (a *Agent) handle(conn Conn, seq uint32, trace uint64, msg Message) error {
 		span("controlplane/query")
 		return err
 	case *Ping:
-		a.Obs.Counter("agent_pings_total").Inc()
+		reg.Counter("agent_pings_total").Inc()
 		err := conn.Send(seq, trace, &Pong{T: m.T})
 		span("controlplane/ping")
 		return err
 	case *Hello:
 		// A Hello *request* is a discovery probe (datagram controllers
 		// have no stream handshake); answer with our identity.
-		a.Obs.Counter("agent_hellos_total").Inc()
+		reg.Counter("agent_hellos_total").Inc()
 		err := conn.Send(seq, trace, &Hello{AgentID: a.ID, NumElements: uint16(a.Array.N())})
 		span("controlplane/probe")
 		return err

@@ -11,7 +11,6 @@ import (
 	"press/internal/obs"
 	"press/internal/obs/prof"
 	"press/internal/obs/scope"
-	"press/internal/obs/slo"
 )
 
 // Stats counts controller-side protocol events, for the latency/loss
@@ -43,24 +42,20 @@ type Controller struct {
 	Retries int
 	// Stats accumulates protocol counters.
 	Stats Stats
-	// Obs, when set, mirrors Stats into a telemetry registry and adds the
-	// latency histograms (ack latency, ping RTT) that the atomic counters
-	// cannot carry; a registry with an attached TraceLog additionally
-	// records one send→ack span per completed request. Nil disables
-	// telemetry at the cost of one pointer check per event.
-	Obs *obs.Registry
-	// Log, when set, receives protocol events (retries, give-ups) as
-	// structured records.
-	Log *obs.Logger
-	// Prof, when set, accounts actuation round trips (send → matching
-	// ack) to the actuate phase.
-	Prof *prof.Collector
-	// Tracer, when set, hooks actuation into the control-loop iteration
-	// in flight: SetConfig reuses the current loop's trace ID on the
-	// frame header (so controller/agent timeline spans and the loop's
-	// span tree share one key) and attaches "actuate" and "ack" child
-	// spans to the loop.
-	Tracer *slo.Tracer
+
+	// sc, when attached, receives the controller's telemetry. Its
+	// registry mirrors Stats and adds the latency histograms (ack
+	// latency, ping RTT) the atomic counters cannot carry, plus one
+	// send→ack span per completed request when it carries a TraceLog.
+	// Its logger receives protocol events (retries, give-ups), its
+	// collector accounts actuation round trips (send → matching ack) to
+	// the actuate phase, and its loop tracer hooks actuation into the
+	// control-loop iteration in flight: SetConfig reuses the current
+	// loop's trace ID on the frame header (so controller/agent timeline
+	// spans and the loop's span tree share one key) and attaches
+	// "actuate" and "ack" child spans to the loop. Nil disables telemetry
+	// at the cost of one pointer check per event.
+	sc *scope.Scope
 
 	seq atomic.Uint32
 	// agentID and numElements are learned from the agent's Hello.
@@ -76,13 +71,9 @@ func NewController(conn Conn) *Controller {
 
 // AttachScope points the controller's telemetry at a session scope:
 // registry (protocol counters, latency histograms, trace spans),
-// structured log, and actuation phase accounting.
-func (c *Controller) AttachScope(sc *scope.Scope) {
-	c.Obs = sc.Registry()
-	c.Log = sc.Logger()
-	c.Prof = sc.Prof()
-	c.Tracer = sc.Tracer()
-}
+// structured log, actuation phase accounting and loop tracer. A nil
+// scope detaches.
+func (c *Controller) AttachScope(sc *scope.Scope) { c.sc = sc }
 
 // ErrRejected means the agent refused the configuration.
 var ErrRejected = errors.New("controlplane: agent rejected configuration")
@@ -90,7 +81,7 @@ var ErrRejected = errors.New("controlplane: agent rejected configuration")
 // traceSpan records one completed controller-side round trip onto the
 // registry's trace log (no-op without one).
 func (c *Controller) traceSpan(name string, trace uint64, start time.Time, args map[string]any) {
-	tl := c.Obs.TraceLog()
+	tl := c.sc.Registry().TraceLog()
 	if tl == nil {
 		return
 	}
@@ -126,6 +117,7 @@ func (c *Controller) Handshake(ctx context.Context) error {
 // cannot announce itself: send a Hello, await the agent's Hello reply,
 // retrying like SetConfig does. Stream controllers use Handshake instead.
 func (c *Controller) Probe(ctx context.Context) error {
+	reg := c.sc.Registry()
 	seq := c.seq.Add(1)
 	trace := obs.NewTraceID()
 	start := time.Now()
@@ -137,7 +129,7 @@ func (c *Controller) Probe(ctx context.Context) error {
 		if err := c.conn.Send(seq, trace, &Hello{}); err != nil {
 			return err
 		}
-		c.Obs.Counter("controlplane_frames_sent_total").Inc()
+		reg.Counter("controlplane_frames_sent_total").Inc()
 		deadline := time.Now().Add(c.Timeout)
 		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 			deadline = d
@@ -194,14 +186,15 @@ func (c *Controller) SetConfigTraced(ctx context.Context, cfg element.Config) (u
 	msg := &SetConfig{States: states}
 	seq := c.seq.Add(1)
 	trace := obs.NewTraceID()
-	loop := c.Tracer.Current()
+	reg, log, pc := c.sc.Registry(), c.sc.Logger(), c.sc.Prof()
+	loop := c.sc.Tracer().Current()
 	if loop != nil {
 		// Ride the loop's trace ID so the controller/agent timeline spans
 		// and the loop's span tree share one key.
 		trace = loop.Trace()
 	}
 	reqStart := time.Now()
-	psp := c.Prof.Start(prof.PhaseActuate)
+	psp := pc.Start(prof.PhaseActuate)
 	defer psp.End()
 	lsp := loop.Phase("actuate")
 	defer lsp.End()
@@ -213,46 +206,46 @@ func (c *Controller) SetConfigTraced(ctx context.Context, cfg element.Config) (u
 		}
 		if attempt > 0 {
 			c.Stats.Retries.Add(1)
-			c.Obs.Counter("controlplane_retries_total").Inc()
-			if c.Log.Enabled(obs.LevelDebug) {
-				c.Log.Debug("controlplane: retrying set-config",
+			reg.Counter("controlplane_retries_total").Inc()
+			if log.Enabled(obs.LevelDebug) {
+				log.Debug("controlplane: retrying set-config",
 					"seq", seq, "trace", trace, "attempt", attempt, "err", lastErr)
 			}
 		}
 		var attemptStart time.Time
-		if c.Obs != nil {
+		if reg != nil {
 			attemptStart = time.Now()
 		}
 		if err := c.conn.Send(seq, trace, msg); err != nil {
 			return trace, err
 		}
 		c.Stats.Sent.Add(1)
-		c.Obs.Counter("controlplane_frames_sent_total").Inc()
+		reg.Counter("controlplane_frames_sent_total").Inc()
 
 		asp := lsp.Child("ack")
 		status, err := c.awaitAck(ctx, seq)
 		asp.End()
 		if err == nil {
-			if c.Obs != nil {
-				c.Obs.Histogram("controlplane_ack_latency_seconds", obs.LatencyBuckets).
+			if reg != nil {
+				reg.Histogram("controlplane_ack_latency_seconds", obs.LatencyBuckets).
 					ObserveDuration(time.Since(attemptStart))
 			}
 			c.traceSpan("controlplane/set-config", trace, reqStart,
 				map[string]any{"seq": seq, "attempts": attempt + 1, "status": status})
 			if status != StatusOK {
 				c.Stats.Rejected.Add(1)
-				c.Obs.Counter("controlplane_rejected_total").Inc()
+				reg.Counter("controlplane_rejected_total").Inc()
 				return trace, fmt.Errorf("%w (status %d)", ErrRejected, status)
 			}
 			c.Stats.Acked.Add(1)
-			c.Obs.Counter("controlplane_acks_total").Inc()
-			c.Prof.Add(prof.PhaseActuate, prof.AuxActuations, 1)
+			reg.Counter("controlplane_acks_total").Inc()
+			pc.Add(prof.PhaseActuate, prof.AuxActuations, 1)
 			return trace, nil
 		}
 		lastErr = err
 	}
-	if c.Log.Enabled(obs.LevelWarn) {
-		c.Log.Warn("controlplane: set-config unacknowledged",
+	if log.Enabled(obs.LevelWarn) {
+		log.Warn("controlplane: set-config unacknowledged",
 			"seq", seq, "trace", trace, "attempts", c.Retries+1, "err", lastErr)
 	}
 	return trace, fmt.Errorf("controlplane: set-config seq %d unacknowledged after %d attempts: %w",
@@ -262,6 +255,7 @@ func (c *Controller) SetConfigTraced(ctx context.Context, cfg element.Config) (u
 // awaitAck consumes messages until the matching ack or the attempt
 // deadline.
 func (c *Controller) awaitAck(ctx context.Context, seq uint32) (uint8, error) {
+	reg := c.sc.Registry()
 	deadline := time.Now().Add(c.Timeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
@@ -272,17 +266,17 @@ func (c *Controller) awaitAck(ctx context.Context, seq uint32) (uint8, error) {
 		if err != nil {
 			if errors.Is(err, ErrBadCRC) {
 				c.Stats.CRCErrors.Add(1)
-				c.Obs.Counter("controlplane_crc_errors_total").Inc()
+				reg.Counter("controlplane_crc_errors_total").Inc()
 				continue
 			}
 			var to interface{ Timeout() bool }
 			if errors.As(err, &to) && to.Timeout() {
 				c.Stats.Timeouts.Add(1)
-				c.Obs.Counter("controlplane_timeouts_total").Inc()
+				reg.Counter("controlplane_timeouts_total").Inc()
 			}
 			return 0, err
 		}
-		c.Obs.Counter("controlplane_frames_received_total").Inc()
+		reg.Counter("controlplane_frames_received_total").Inc()
 		if ack, ok := msg.(*Ack); ok && ack.AckSeq == seq {
 			return ack.Status, nil
 		}
@@ -292,6 +286,7 @@ func (c *Controller) awaitAck(ctx context.Context, seq uint32) (uint8, error) {
 
 // QueryConfig fetches the agent's applied configuration.
 func (c *Controller) QueryConfig(ctx context.Context) (element.Config, error) {
+	reg := c.sc.Registry()
 	seq := c.seq.Add(1)
 	trace := obs.NewTraceID()
 	start := time.Now()
@@ -303,7 +298,7 @@ func (c *Controller) QueryConfig(ctx context.Context) (element.Config, error) {
 		if err := c.conn.Send(seq, trace, &Query{}); err != nil {
 			return nil, err
 		}
-		c.Obs.Counter("controlplane_frames_sent_total").Inc()
+		reg.Counter("controlplane_frames_sent_total").Inc()
 		deadline := time.Now().Add(c.Timeout)
 		_ = c.conn.SetRecvDeadline(deadline)
 		for {
@@ -332,13 +327,14 @@ func (c *Controller) QueryConfig(ctx context.Context) (element.Config, error) {
 // Ping measures the control-plane round-trip time — the number §2's
 // coherence-time budget divides by.
 func (c *Controller) Ping(ctx context.Context) (time.Duration, error) {
+	reg := c.sc.Registry()
 	seq := c.seq.Add(1)
 	trace := obs.NewTraceID()
 	start := time.Now()
 	if err := c.conn.Send(seq, trace, &Ping{T: start.UnixNano()}); err != nil {
 		return 0, err
 	}
-	c.Obs.Counter("controlplane_frames_sent_total").Inc()
+	reg.Counter("controlplane_frames_sent_total").Inc()
 	deadline := start.Add(c.Timeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
@@ -351,8 +347,8 @@ func (c *Controller) Ping(ctx context.Context) (time.Duration, error) {
 		}
 		if pong, ok := msg.(*Pong); ok && pong.T == start.UnixNano() {
 			rtt := time.Since(start)
-			if c.Obs != nil {
-				c.Obs.Histogram("controlplane_ping_rtt_seconds", obs.LatencyBuckets).
+			if reg != nil {
+				reg.Histogram("controlplane_ping_rtt_seconds", obs.LatencyBuckets).
 					ObserveDuration(rtt)
 			}
 			c.traceSpan("controlplane/ping", trace, start, map[string]any{"seq": seq})

@@ -8,7 +8,11 @@ import (
 
 	"press/internal/element"
 	"press/internal/obs"
+	"press/internal/obs/scope"
 )
+
+// regScope is a scope whose only sink is reg.
+func regScope(reg *obs.Registry) *scope.Scope { return scope.Adopt("", reg, nil, nil, nil, nil) }
 
 // TestTelemetryCleanPipe: over a loss-free pipe every SetConfig acks on
 // the first attempt, so the ack-latency histogram holds exactly one
@@ -16,12 +20,12 @@ import (
 func TestTelemetryCleanPipe(t *testing.T) {
 	a, b := NewLossyPipe(LossyConfig{Seed: 11})
 	arr := testArray(3)
-	agent := NewAgent(2, arr)
-	agent.Obs = obs.NewRegistry()
+	agent, agentReg := NewAgent(2, arr), obs.NewRegistry()
+	agent.AttachScope(regScope(agentReg))
 	startAgent(t, agent, a)
 
-	ctrl := NewController(b)
-	ctrl.Obs = obs.NewRegistry()
+	ctrl, ctrlReg := NewController(b), obs.NewRegistry()
+	ctrl.AttachScope(regScope(ctrlReg))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := ctrl.Handshake(ctx); err != nil {
@@ -38,7 +42,7 @@ func TestTelemetryCleanPipe(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := ctrl.Obs.Snapshot()
+	snap := ctrlReg.Snapshot()
 	hist, ok := snap.Histograms["controlplane_ack_latency_seconds"]
 	if !ok {
 		t.Fatalf("no ack-latency histogram: %v", snap.Histograms)
@@ -64,7 +68,7 @@ func TestTelemetryCleanPipe(t *testing.T) {
 		t.Errorf("ping RTT histogram = %+v", rtt)
 	}
 
-	asnap := agent.Obs.Snapshot()
+	asnap := agentReg.Snapshot()
 	if got := asnap.Counters["agent_setconfig_total"]; got != n {
 		t.Errorf("agent setconfig counter = %d, want %d", got, n)
 	}
@@ -78,10 +82,9 @@ func TestTelemetryCleanPipe(t *testing.T) {
 // histogram must stay empty.
 func TestTelemetryDeadAgent(t *testing.T) {
 	_, b := NewLossyPipe(LossyConfig{Seed: 12})
-	ctrl := NewController(b)
-	ctrl.Obs = obs.NewRegistry()
+	ctrl, reg := NewController(b), obs.NewRegistry()
 	var logBuf strings.Builder
-	ctrl.Log = obs.NewLogger(&logBuf, obs.LevelDebug, obs.Logfmt)
+	ctrl.AttachScope(scope.Adopt("", reg, obs.NewLogger(&logBuf, obs.LevelDebug, obs.Logfmt), nil, nil, nil))
 	ctrl.Timeout = 10 * time.Millisecond
 	ctrl.Retries = 2
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -90,7 +93,7 @@ func TestTelemetryDeadAgent(t *testing.T) {
 	if err := ctrl.SetConfig(ctx, element.Config{0}); err == nil {
 		t.Fatal("set-config succeeded with no agent")
 	}
-	snap := ctrl.Obs.Snapshot()
+	snap := reg.Snapshot()
 	attempts := int64(ctrl.Retries + 1)
 	if got := snap.Counters["controlplane_timeouts_total"]; got != attempts {
 		t.Errorf("timeouts = %d, want %d (one per attempt)", got, attempts)
@@ -118,8 +121,8 @@ func TestTelemetryMatchesStats(t *testing.T) {
 	agent := NewAgent(4, arr)
 	startAgent(t, agent, a)
 
-	ctrl := NewController(b)
-	ctrl.Obs = obs.NewRegistry()
+	ctrl, reg := NewController(b), obs.NewRegistry()
+	ctrl.AttachScope(regScope(reg))
 	ctrl.Timeout = 30 * time.Millisecond
 	ctrl.Retries = 20
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -133,7 +136,7 @@ func TestTelemetryMatchesStats(t *testing.T) {
 		}
 	}
 
-	snap := ctrl.Obs.Snapshot()
+	snap := reg.Snapshot()
 	pairs := []struct {
 		name string
 		want int64
@@ -163,12 +166,12 @@ func TestTelemetryMatchesStats(t *testing.T) {
 // an ack-latency observation (the wire round-trip happened).
 func TestTelemetryRejected(t *testing.T) {
 	a, b := NewLossyPipe(LossyConfig{Seed: 14})
-	agent := NewAgent(1, testArray(3))
-	agent.Obs = obs.NewRegistry()
+	agent, agentReg := NewAgent(1, testArray(3)), obs.NewRegistry()
+	agent.AttachScope(regScope(agentReg))
 	startAgent(t, agent, a)
 
-	ctrl := NewController(b)
-	ctrl.Obs = obs.NewRegistry()
+	ctrl, ctrlReg := NewController(b), obs.NewRegistry()
+	ctrl.AttachScope(regScope(ctrlReg))
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	if err := ctrl.Handshake(ctx); err != nil {
@@ -177,7 +180,7 @@ func TestTelemetryRejected(t *testing.T) {
 	if err := ctrl.SetConfig(ctx, element.Config{9, 0, 0}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
-	snap := ctrl.Obs.Snapshot()
+	snap := ctrlReg.Snapshot()
 	if got := snap.Counters["controlplane_rejected_total"]; got != 1 {
 		t.Errorf("rejected = %d", got)
 	}
@@ -187,7 +190,7 @@ func TestTelemetryRejected(t *testing.T) {
 	if h := snap.Histograms["controlplane_ack_latency_seconds"]; h.Count != 1 {
 		t.Errorf("ack latency count = %d, want 1", h.Count)
 	}
-	if got := agent.Obs.Snapshot().Counters["agent_rejects_total"]; got != 1 {
+	if got := agentReg.Snapshot().Counters["agent_rejects_total"]; got != 1 {
 		t.Errorf("agent rejects = %d", got)
 	}
 }

@@ -70,7 +70,7 @@ func TestLiveTelemetryEndToEnd(t *testing.T) {
 	}
 	arr := testArray(8)
 	agent := NewAgent(42, arr)
-	agent.Obs = reg
+	agent.AttachScope(regScope(reg))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	serveDone := make(chan struct{})
@@ -85,7 +85,7 @@ func TestLiveTelemetryEndToEnd(t *testing.T) {
 	}
 	defer nc.Close()
 	ctrl := NewController(NewStreamConn(nc))
-	ctrl.Obs = reg
+	ctrl.AttachScope(regScope(reg))
 	ctrl.Timeout = 500 * time.Millisecond
 	if err := ctrl.Handshake(ctx); err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ func SetScope(s *scope.Scope) { currentScope.Store(s) }
 func CurrentScope() *scope.Scope { return currentScope.Load() }
 
 // obsRegistry returns the ambient registry, or nil when telemetry is
-// off — safe to assign to Link.Obs / Environment.Obs either way.
+// off (a nil registry is a valid disabled sink).
 func obsRegistry() *obs.Registry { return CurrentScope().Registry() }
 
 // profC returns the ambient work-accounting collector, or nil (every

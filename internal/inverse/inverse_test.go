@@ -11,6 +11,7 @@ import (
 	"press/internal/element"
 	"press/internal/geom"
 	"press/internal/obs"
+	"press/internal/obs/scope"
 	"press/internal/ofdm"
 	"press/internal/propagation"
 	"press/internal/rfphys"
@@ -212,7 +213,7 @@ func TestTargetFlat(t *testing.T) {
 func TestSolveTracesOnce(t *testing.T) {
 	p := testProblem(6)
 	reg := obs.NewRegistry()
-	p.Env.Obs = reg
+	p.Env.AttachScope(scope.Adopt("", reg, nil, nil, nil, nil))
 	baseline, err := p.Baseline()
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +260,7 @@ func TestSolveRejectsDegenerateInput(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := testProblem(7)
 			reg := obs.NewRegistry()
-			p.Env.Obs = reg
+			p.Env.AttachScope(scope.Adopt("", reg, nil, nil, nil, nil))
 			tc.edit(p)
 			if sol, err := Solve(p, make([]complex128, p.Grid.NumUsed())); err == nil {
 				t.Errorf("Solve accepted: %+v", sol)

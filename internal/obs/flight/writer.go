@@ -286,8 +286,8 @@ func (r *Recorder) RecordActuation(source ActuationSource, traceID uint64, cfg [
 }
 
 // RecordCSI logs one measured per-subcarrier SNR curve, assigning it
-// the next measurement sequence number. Shaped to slot straight into
-// Link.OnCSI.
+// the next measurement sequence number. Scope.ObserveCSI calls it for
+// every sounding of a link the scope is attached to.
 func (r *Recorder) RecordCSI(snrDB []float64) {
 	e := r.begin()
 	if e == nil {

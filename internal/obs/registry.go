@@ -7,11 +7,11 @@
 //
 // Everything is nil-safe: a nil *Registry hands out nil metric handles,
 // and every method on a nil handle is a no-op. Library code therefore
-// instruments unconditionally —
+// instruments unconditionally, through the scope a producer holds —
 //
-//	link.Obs.Counter("radio_csi_measurements_total").Inc()
+//	l.sc.Registry().Counter("radio_csi_measurements_total").Inc()
 //
-// — and pays only a nil check when telemetry is disabled, which is the
+// — and pays only nil checks when telemetry is disabled, which is the
 // default. Only the CLI entry points ever construct a live Registry.
 //
 // Exposition is pull-based: Snapshot/WriteJSON produce a JSON snapshot,

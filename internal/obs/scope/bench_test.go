@@ -17,14 +17,15 @@ func BenchmarkNilScopeCounter(b *testing.B) {
 	}
 }
 
-// BenchmarkNilScopeCSIHook covers the other nil-scope producer path.
-func BenchmarkNilScopeCSIHook(b *testing.B) {
+// BenchmarkNilScopeObserveCSI covers the per-sounding nil-scope
+// producer path: a link with no scope attached fans each estimate out
+// to nothing.
+func BenchmarkNilScopeObserveCSI(b *testing.B) {
 	var s *Scope
+	snr := []float64{20, 21, 22}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if hook := s.CSIHook(); hook != nil {
-			b.Fatal("nil scope produced a hook")
-		}
+		s.ObserveCSI(snr)
 	}
 }
 

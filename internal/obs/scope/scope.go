@@ -162,27 +162,15 @@ func (s *Scope) Prof() *prof.Collector {
 	return s.pc
 }
 
-// CSIHook returns the per-measurement CSI callback feeding the scope's
-// health monitor and flight recorder — what scenario builders assign to
-// radio.Link.OnCSI. Nil when the scope observes neither, so measurement
-// stays zero-overhead.
-func (s *Scope) CSIHook() func(snrDB []float64) {
+// ObserveCSI fans one successful channel estimate's per-subcarrier SNR
+// curve (dB) out to the scope's health monitor and then its flight log.
+// No-op on a nil scope; the slice is not retained.
+func (s *Scope) ObserveCSI(snrDB []float64) {
 	if s == nil {
-		return nil
+		return
 	}
-	switch {
-	case s.mon != nil && s.fl != nil:
-		mon, fl := s.mon, s.fl
-		return func(snrDB []float64) {
-			mon.ObserveSNR(snrDB)
-			fl.RecordCSI(snrDB)
-		}
-	case s.mon != nil:
-		return s.mon.ObserveSNR
-	case s.fl != nil:
-		return s.fl.RecordCSI
-	}
-	return nil
+	s.mon.ObserveSNR(snrDB)
+	s.fl.RecordCSI(snrDB)
 }
 
 // ObserveCondProfile fans a per-subcarrier MIMO condition-number

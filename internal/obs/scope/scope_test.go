@@ -20,11 +20,9 @@ func TestNilScopeAccessors(t *testing.T) {
 		s.Health() != nil || s.Flight() != nil || s.Prof() != nil || s.Tracer() != nil {
 		t.Fatal("nil scope accessors must return zero values")
 	}
-	if s.CSIHook() != nil {
-		t.Fatal("nil scope CSIHook must be nil")
-	}
 	// All of these must be no-ops, not panics.
 	s.Registry().Counter("x").Inc()
+	s.ObserveCSI([]float64{1, 2})
 	s.ObserveCondProfile([]float64{1, 2})
 	s.RecordManifest(flight.NewManifest("t", "t", 1))
 	if err := s.Close(); err != nil {
@@ -60,11 +58,7 @@ func TestScopeOwnedComponents(t *testing.T) {
 	if s.Registry() == nil || s.Flight() == nil {
 		t.Fatal("owned registry or flight log missing")
 	}
-	hook := s.CSIHook()
-	if hook == nil {
-		t.Fatal("CSIHook should be non-nil with a flight log")
-	}
-	hook([]float64{3, 4, 5})
+	s.ObserveCSI([]float64{3, 4, 5})
 	man := flight.NewManifest("test", "scenario", 42)
 	s.RecordManifest(man)
 	if err := s.Close(); err != nil {
@@ -79,6 +73,13 @@ func TestScopeOwnedComponents(t *testing.T) {
 	}
 	if got.Session() != "room-2" {
 		t.Fatalf("manifest session = %q, want room-2", got.Session())
+	}
+	run, err := flight.ReadRun(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(run.CSI) != 1 || len(run.CSI[0].SNRdB) != 3 {
+		t.Fatalf("flight CSI = %+v, want the one observed curve", run.CSI)
 	}
 }
 

@@ -419,6 +419,7 @@ func (s *Server) Close() error {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer cancel()
+	defer s.ln.Close() // Shutdown misses a listener Serve has not tracked yet
 	if err := s.srv.Shutdown(ctx); err != nil {
 		return s.srv.Close()
 	}

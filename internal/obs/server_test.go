@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -432,5 +433,25 @@ func BenchmarkServerSampleTick(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.sampleOnce()
+	}
+}
+
+// TestServerCloseStopsAccepting: a server closed right after Start must
+// refuse connections at once, even when its Serve goroutine has not run
+// yet (http.Server.Shutdown closes only the listeners Serve tracks).
+func TestServerCloseStopsAccepting(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		srv := NewServer(NewRegistry(), time.Hour)
+		if err := srv.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		addr := srv.Addr().String()
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+			conn.Close()
+			t.Fatalf("round %d: %s still accepts connections after Close", i, addr)
+		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 //	rangesel := sel '[' duration ']'
 //	sel      := metric ( '{' session '=' '"' str '"' '}' )?
 //
-// e.g. `health_min_snr_db`, `rate(control_actuations_total[1m])`,
-// `sum(rate(radio_csi_updates_total{session="room-3"}[30s]))`.
+// e.g. `health_min_snr_db`, `rate(controlplane_acks_total[1m])`,
+// `sum(rate(radio_csi_measurements_total{session="room-3"}[30s]))`.
 
 // selParams is a parsed vector selector.
 type selParams struct {

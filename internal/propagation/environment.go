@@ -7,8 +7,6 @@ import (
 	"math/rand/v2"
 
 	"press/internal/geom"
-	"press/internal/obs"
-	"press/internal/obs/prof"
 	"press/internal/obs/scope"
 	"press/internal/rfphys"
 )
@@ -74,20 +72,17 @@ type Environment struct {
 	// little power but quadratic path counts; 2 reproduces indoor
 	// frequency selectivity well.
 	MaxOrder int
-	// Obs, when set, receives the tracer's telemetry (traces run, paths
-	// produced). The nil default costs one pointer check per trace.
-	Obs *obs.Registry
-	// Prof, when set, accounts tracing work (time, images enumerated,
-	// paths kept/culled) to the path_trace phase. Nil costs one pointer
-	// check per trace.
-	Prof *prof.Collector
+
+	// sc, when attached, receives the tracer's telemetry: trace and path
+	// counters on its registry, and tracing work (time, images
+	// enumerated, paths kept/culled) on its collector's path_trace phase.
+	// The nil default costs one pointer check per trace.
+	sc *scope.Scope
 }
 
-// AttachScope points the environment's telemetry at a session scope.
-func (e *Environment) AttachScope(sc *scope.Scope) {
-	e.Obs = sc.Registry()
-	e.Prof = sc.Prof()
-}
+// AttachScope points the environment's telemetry at a session scope;
+// nil detaches.
+func (e *Environment) AttachScope(sc *scope.Scope) { e.sc = sc }
 
 // NewEnvironment returns an environment for a room of the given size with
 // drywall walls, a concrete floor and ceiling, and second-order tracing.

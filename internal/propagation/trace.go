@@ -16,7 +16,8 @@ import (
 // are controlled, not ambient; internal/element adds them via
 // BistaticPath.
 func TracePaths(env *Environment, tx, rx Node, lambdaM float64) []Path {
-	sp := env.Prof.Start(prof.PhaseTrace)
+	pc := env.sc.Prof()
+	sp := pc.Start(prof.PhaseTrace)
 	// Paths collect on the stack and are copied to the heap once, at
 	// their final length, rather than regrown there.
 	var buf [64]Path
@@ -54,11 +55,12 @@ func TracePaths(env *Environment, tx, rx Node, lambdaM float64) []Path {
 			paths = append(paths, p)
 		}
 	}
-	env.Obs.Counter("propagation_traces_total").Inc()
-	env.Obs.Counter("propagation_paths_traced_total").Add(int64(len(paths)))
-	env.Prof.Add(prof.PhaseTrace, prof.AuxImages, int64(attempts))
-	env.Prof.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(len(paths)))
-	env.Prof.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(attempts-len(paths)))
+	reg := env.sc.Registry()
+	reg.Counter("propagation_traces_total").Inc()
+	reg.Counter("propagation_paths_traced_total").Add(int64(len(paths)))
+	pc.Add(prof.PhaseTrace, prof.AuxImages, int64(attempts))
+	pc.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(len(paths)))
+	pc.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(attempts-len(paths)))
 	sp.End()
 	return append([]Path(nil), paths...)
 }
@@ -326,7 +328,7 @@ func ElementPath(env *Environment, tx, rx Node, via geom.Vec, viaPattern rfphys.
 		geom.SegmentLossDB(env.Blockers, via, rx.Pos)
 	// Links build one element geometry per element and channel model,
 	// not per state or sounding, so this counts element geometries built.
-	env.Obs.Counter("propagation_element_paths_total").Inc()
+	env.sc.Registry().Counter("propagation_element_paths_total").Inc()
 	return Path{
 		Gain:      complex(amp*rfphys.DBToAmplitude(-lossDB), 0),
 		Delay:     (d1 + d2) / rfphys.SpeedOfLight,

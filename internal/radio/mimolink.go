@@ -34,11 +34,10 @@ type MIMOLink struct {
 	Array         *element.Array
 	// NumTraining is the per-snapshot training length (default 4).
 	NumTraining int
-	// Obs, when set, receives channel-solve telemetry like Link.Obs.
-	Obs *obs.Registry
-	// Prof, when set, accounts per-pair tracing and response evaluation
-	// like Link.Prof.
+	// Prof accounts per-pair tracing and response evaluation like
+	// Link.Prof, and is exported for the same reason.
 	Prof *prof.Collector
+	sc   *scope.Scope // channel-solve telemetry, from AttachScope
 
 	rng    *rand.Rand
 	models []*channel.Model // rx-major, built on first evaluation
@@ -47,9 +46,9 @@ type MIMOLink struct {
 
 // AttachScope points the MIMO link's telemetry at a session scope
 // (registry and phase accounting; MIMO links have no per-curve CSI
-// hook — condition profiles flow through Scope.ObserveCondProfile).
+// feed — condition profiles flow through Scope.ObserveCondProfile).
 func (m *MIMOLink) AttachScope(sc *scope.Scope) {
-	m.Obs = sc.Registry()
+	m.sc = sc
 	m.Prof = sc.Prof()
 }
 
@@ -85,13 +84,12 @@ func (m *MIMOLink) TrueChannel(cfg element.Config, t float64) (*mimo.Channel, er
 	if err := channel.ValidateSelection(m.Array, cfg, nil, nil, false); err != nil {
 		return nil, err
 	}
-	var start time.Time
-	if m.Obs != nil {
-		start = time.Now()
+	if reg := m.sc.Registry(); reg != nil {
+		start := time.Now()
 		defer func() {
-			m.Obs.Histogram("radio_channel_solve_seconds", obs.LatencyBuckets).
+			reg.Histogram("radio_channel_solve_seconds", obs.LatencyBuckets).
 				ObserveDuration(time.Since(start))
-			m.Obs.Counter("radio_mimo_solves_total").Inc()
+			reg.Counter("radio_mimo_solves_total").Inc()
 		}()
 	}
 	if err := m.buildModels(); err != nil {

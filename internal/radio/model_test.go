@@ -12,6 +12,7 @@ import (
 	"press/internal/geom"
 	"press/internal/obs"
 	"press/internal/obs/prof"
+	"press/internal/obs/scope"
 	"press/internal/ofdm"
 	"press/internal/propagation"
 	"press/internal/rfphys"
@@ -284,7 +285,9 @@ func TestEnvironmentTracedOnce(t *testing.T) {
 		t.Fatal("NewLink built the channel model")
 	}
 	reg, pc := obs.NewRegistry(), prof.NewCollector()
-	l.Env.Obs, l.Env.Prof, l.Prof = reg, pc, pc
+	sc := scope.Adopt("", reg, nil, nil, nil, pc)
+	l.Env.AttachScope(sc)
+	l.AttachScope(sc)
 	traces := reg.Counter("propagation_traces_total")
 	l.RX.Node.Velocity = geom.V(1.2, 0, 0)
 	l.InvalidateEnvironment()
@@ -333,7 +336,7 @@ func TestEnvironmentTracedOnce(t *testing.T) {
 func TestMIMOEnvironmentTracedOnce(t *testing.T) {
 	ml := mimoTestbed(t, 44)
 	reg := obs.NewRegistry()
-	ml.Env.Obs = reg
+	ml.Env.AttachScope(scope.Adopt("", reg, nil, nil, nil, nil))
 	traces := reg.Counter("propagation_traces_total")
 	pairs := int64(len(ml.RXAnts) * len(ml.TXAnts))
 	if _, err := ml.TrueChannel(element.Config{0, 1, 2}, 0); err != nil {

@@ -71,20 +71,15 @@ type Link struct {
 	Faults element.Faults
 	// NumTraining is the training symbols per sounding frame (default 4).
 	NumTraining int
-	// Obs, when set, receives the measurement pipeline's telemetry:
-	// CSI-measurement counters, channel-solve latency histograms, and
-	// sweep spans. The nil default adds one pointer check per measurement.
-	Obs *obs.Registry
-	// Prof, when set, accounts the measurement pipeline's work to phases
+	// Prof accounts the measurement pipeline's work to phases
 	// (channel-model build → path_trace, per-sounding channel sum →
 	// channel_sum, sounding-frame synthesis → frame_synth, estimation →
-	// estimate, sweeps → sweep). Nil costs one pointer check per phase.
+	// estimate, sweeps → sweep). AttachScope sets it; it is exported
+	// only for the benchmark module, which sets it directly.
 	Prof *prof.Collector
-	// OnCSI, when set, receives each successful channel estimate's
-	// per-subcarrier SNR curve — the hook internal/obs/health uses to
-	// watch live channel state without radio depending on it. The slice
-	// is the estimate's own; observers must copy, not retain.
-	OnCSI func(snrDB []float64)
+	// sc, from AttachScope, takes the rest: measurement counters, latency
+	// histograms and sweep spans, and each estimate's SNR curve.
+	sc *scope.Scope
 
 	rng   *rand.Rand
 	model *channel.Model // built on first measurement
@@ -110,12 +105,11 @@ type powerCache struct {
 }
 
 // AttachScope points the link's telemetry at a session scope: registry,
-// phase accounting, and the CSI hook feeding the scope's health monitor
-// and flight log. A nil scope detaches (all sinks nil).
+// phase accounting, and the per-sounding CSI feed to the scope's health
+// monitor and flight log. A nil scope detaches.
 func (l *Link) AttachScope(sc *scope.Scope) {
-	l.Obs = sc.Registry()
+	l.sc = sc
 	l.Prof = sc.Prof()
-	l.OnCSI = sc.CSIHook()
 }
 
 // NewLink wires up a link. The seed makes every measurement sequence
@@ -244,18 +238,19 @@ func (l *Link) MeasureCSIContinuous(phases element.ContinuousConfig, t float64) 
 
 // measure is the shared body of MeasureCSI and MeasureCSIContinuous.
 func (l *Link) measure(cfg element.Config, phases element.ContinuousConfig, continuous bool, t float64) (*ofdm.CSI, error) {
+	reg := l.sc.Registry()
 	start := time.Time{}
-	if l.Obs != nil {
+	if reg != nil {
 		start = time.Now()
 	}
 	h, err := l.response(cfg, phases, continuous, t)
 	if err != nil {
 		return nil, err
 	}
-	if l.Obs != nil {
-		l.Obs.Histogram("radio_channel_solve_seconds", obs.LatencyBuckets).
+	if reg != nil {
+		reg.Histogram("radio_channel_solve_seconds", obs.LatencyBuckets).
 			ObserveDuration(time.Since(start))
-		l.Obs.Counter("radio_csi_measurements_total").Inc()
+		reg.Counter("radio_csi_measurements_total").Inc()
 	}
 	return l.measureResponse(h)
 }
@@ -268,8 +263,8 @@ func (l *Link) measureResponse(h []complex128) (*ofdm.CSI, error) {
 		return nil, err
 	}
 	csi, err := ofdm.EstimateProf(l.Prof, l.Grid, rx, l.train, txPw, noise)
-	if err == nil && l.OnCSI != nil {
-		l.OnCSI(csi.SNRdB)
+	if err == nil {
+		l.sc.ObserveCSI(csi.SNRdB)
 	}
 	return csi, err
 }
@@ -359,16 +354,17 @@ func (l *Link) Sweep(timing Timing, start time.Duration) ([]Measurement, error) 
 	if l.Array == nil {
 		return nil, fmt.Errorf("radio: Sweep needs a PRESS array on the link")
 	}
-	sp := obs.StartSpan(l.Obs, "radio/sweep")
+	reg := l.sc.Registry()
+	sp := obs.StartSpan(reg, "radio/sweep")
 	psp := l.Prof.Start(prof.PhaseSweep)
 	wall := time.Time{}
-	if l.Obs != nil {
+	if reg != nil {
 		wall = time.Now()
 	}
 	n := l.Array.NumConfigs()
 	out := make([]Measurement, 0, n)
 	at := start
-	tl := l.Obs.TraceLog()
+	tl := reg.TraceLog()
 	var sweepErr error
 	l.Array.EachConfig(func(idx int, c element.Config) bool {
 		var traceID uint64
@@ -396,9 +392,9 @@ func (l *Link) Sweep(timing Timing, start time.Duration) ([]Measurement, error) 
 	if sweepErr != nil {
 		return nil, sweepErr
 	}
-	if l.Obs != nil {
-		l.Obs.Counter("radio_sweeps_total").Inc()
-		l.Obs.Histogram("radio_sweep_seconds", obs.LatencyBuckets).
+	if reg != nil {
+		reg.Counter("radio_sweeps_total").Inc()
+		reg.Histogram("radio_sweep_seconds", obs.LatencyBuckets).
 			ObserveDuration(time.Since(wall))
 	}
 	return out, nil

@@ -54,7 +54,6 @@ import (
 	"press/internal/mimo"
 	"press/internal/obs"
 	"press/internal/obs/flight"
-	"press/internal/obs/prof"
 	"press/internal/obs/scope"
 	"press/internal/ofdm"
 	"press/internal/propagation"
@@ -427,10 +426,6 @@ type (
 	// single nil-safe handle; scoped metrics roll up into the parent
 	// registry.
 	TelemetryScope = scope.Scope
-	// ProfCollector accumulates phase-scoped work accounting (wall time,
-	// calls, bytes, domain counters per named phase). A nil collector is
-	// the zero-cost disabled default.
-	ProfCollector = prof.Collector
 	// FlightManifest identifies one recorded run: seeds, parameters,
 	// and build provenance.
 	FlightManifest = flight.Manifest
